@@ -36,7 +36,6 @@ from .matching import (
 from .population import (
     PopulationSpec,
     Sample,
-    Unit,
     derive_seed,
     make_categorical_spec,
     make_prognostic_spec,

@@ -18,8 +18,6 @@ EXIT_CONFIG = 1
 EXIT_PARTIAL = 2
 EXIT_DEGENERATE = 3
 
-_WITHOUT_REPLACEMENT = frozenset({"auto", "exact", "banded"})
-
 
 class ConfigError(Exception):
     pass
@@ -96,8 +94,6 @@ def _build_sim_config(cfg: dict, args) -> tuple[simulation.SimConfig, object]:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    if method not in ("auto", "exact", "banded", "replacement", "capacitated"):
-        raise ConfigError(f"[matching] unknown method {method!r}")
     return sim_config, spec_factory
 
 
@@ -188,7 +184,7 @@ def cmd_match(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if method in _WITHOUT_REPLACEMENT and smp.n1 > smp.n0:
+    if method in matching.WITHOUT_REPLACEMENT and smp.n1 > smp.n0:
         print(f"cannot match without replacement: {smp.n1} treated exceed "
               f"{smp.n0} controls, so some treated unit would be left "
               "unmatched; the ATT matching estimator is defined to be zero "
@@ -305,9 +301,7 @@ def _parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, help="override replication count")
     sim.add_argument("--n", type=int, nargs="+", help="override sample sizes")
     sim.add_argument("--a", type=float, nargs="+", help="override a grid")
-    sim.add_argument("--method",
-                     choices=["auto", "exact", "banded", "replacement",
-                              "capacitated"])
+    sim.add_argument("--method", choices=matching.METHODS)
     sim.add_argument("--band", type=int)
     sim.add_argument("--capacity", type=int)
     sim.add_argument("--caliper", type=float)
@@ -316,9 +310,7 @@ def _parser() -> argparse.ArgumentParser:
 
     mat = sub.add_parser("match", help="match a CSV of units (id,w,s[,y])")
     mat.add_argument("input", help="input CSV")
-    mat.add_argument("--method",
-                     choices=["auto", "exact", "banded", "replacement",
-                              "capacitated"])
+    mat.add_argument("--method", choices=matching.METHODS)
     mat.add_argument("--with-replacement", action="store_true",
                      help="shorthand for --method replacement")
     mat.add_argument("--band", type=int)

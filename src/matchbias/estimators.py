@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import Matching, MatchConfig, MatchingError, match_scores
+from .matching import (WITHOUT_REPLACEMENT, Matching, MatchConfig,
+                       MatchingError, match_scores)
 from .population import Sample
-
-WITHOUT_REPLACEMENT_METHODS = frozenset({"auto", "exact", "banded",
-                                         "exact_dp", "banded_dp", "brute_force"})
 
 
 @dataclass(frozen=True)
@@ -41,16 +39,6 @@ def match_sample(smp: Sample, method: str = "auto",
     return match_scores(smp.treated_scores, smp.control_scores, method, config)
 
 
-def _validate_pairs(matching: Matching, n1: int, n0: int) -> None:
-    keys = matching.pairs.keys()
-    if len(keys) != n1 or set(keys) != set(range(n1)):
-        raise ValueError("matching must pair every treated position exactly once")
-    for j in matching.pairs.values():
-        if not 0 <= j < n0:
-            raise ValueError(
-                f"pair references position {j}, which is not a control")
-
-
 def att_matching(smp: Sample, matching: Matching | None) -> AttEstimate:
     """Average within-pair outcome difference over the treated units.
 
@@ -61,8 +49,13 @@ def att_matching(smp: Sample, matching: Matching | None) -> AttEstimate:
     n1, n0 = smp.n1, smp.n0
     if n1 == 0 or matching is None:
         return AttEstimate(0.0, 0, "zero_convention", degenerate=True)
-    _validate_pairs(matching, n1, n0)
     tp, cp = matching.pair_arrays()
+    if not np.array_equal(tp, np.arange(n1)):
+        raise ValueError("matching must pair every treated position exactly once")
+    bad = cp[(cp < 0) | (cp >= n0)]
+    if bad.size:
+        raise ValueError(
+            f"pair references position {bad[0]}, which is not a control")
     y_t = smp.y[smp.treated_idx[tp]]
     y_c = smp.y[smp.control_idx[cp]]
     return AttEstimate(float(np.mean(y_t - y_c)), n1, matching.method)
@@ -70,12 +63,11 @@ def att_matching(smp: Sample, matching: Matching | None) -> AttEstimate:
 
 def control_weights(matching: Matching, n0: int) -> ControlWeights:
     """Count how many treated units each control position absorbs."""
-    nu = np.zeros(n0, dtype=np.int64)
-    for j in matching.pairs.values():
-        if not 0 <= j < n0:
-            raise ValueError(f"pair references position {j} out of {n0} controls")
-        nu[j] += 1
-    return ControlWeights(nu)
+    _, cp = matching.pair_arrays()
+    bad = cp[(cp < 0) | (cp >= n0)]
+    if bad.size:
+        raise ValueError(f"pair references position {bad[0]} out of {n0} controls")
+    return ControlWeights(np.bincount(cp, minlength=n0))
 
 
 def att_weighted(smp: Sample, weights: ControlWeights) -> AttEstimate:
@@ -103,16 +95,16 @@ def att_caliper(smp: Sample, matching: Matching, dropped: set[int]) -> AttEstima
     treatment effect among the caliper-retained subpopulation, not the full
     treated population.
     """
-    n1 = smp.n1
-    if not dropped <= set(range(n1)):
+    drop = np.fromiter(dropped, dtype=np.intp, count=len(dropped))
+    if drop.size and (drop.min() < 0 or drop.max() >= smp.n1):
         raise ValueError("dropped indices must be treated positions")
-    retained = [(i, j) for i, j in matching.pairs.items() if i not in dropped]
-    if not retained:
+    tp, cp = matching.pair_arrays()
+    keep = ~np.isin(tp, drop)
+    if not keep.any():
         return AttEstimate(0.0, 0, "caliper", degenerate=True)
-    tp = smp.treated_idx[[i for i, _ in retained]]
-    cp = smp.control_idx[[j for _, j in retained]]
-    value = float(np.mean(smp.y[tp] - smp.y[cp]))
-    return AttEstimate(value, len(retained), "caliper")
+    y_t = smp.y[smp.treated_idx[tp[keep]]]
+    y_c = smp.y[smp.control_idx[cp[keep]]]
+    return AttEstimate(float(np.mean(y_t - y_c)), int(keep.sum()), "caliper")
 
 
 def att_true_sample(smp: Sample) -> float:
@@ -139,15 +131,10 @@ def diagnose_overlap(smp: Sample, threshold: float = 0.5,
     return count / smp.n, count
 
 
-def estimate_csv_row(est: AttEstimate) -> str:
-    """Render an estimate as a CSV row `method,value,n1_used,degenerate`."""
-    return f"{est.method},{est.value!r},{est.n1_used},{int(est.degenerate)}"
-
-
 def att_without_replacement(smp: Sample, method: str = "auto",
                             config: MatchConfig | None = None) -> AttEstimate:
     """Match without replacement and estimate, applying the zero convention."""
-    if method not in WITHOUT_REPLACEMENT_METHODS:
+    if method not in WITHOUT_REPLACEMENT:
         raise ValueError(f"{method!r} is not a without-replacement method")
     if smp.n1 == 0 or smp.n1 > smp.n0:
         return att_matching(smp, None)

@@ -10,21 +10,19 @@ sorted sequences instead of a general assignment solver.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    from numba import njit
-except ImportError:  # pure-numpy fallback below
-    njit = None
-
 # exact DP auto-selected up to this many table cells; beyond it the banded
 # approximation keeps memory and time bounded
 AUTO_EXACT_CELL_LIMIT = 200_000_000
 DEFAULT_BAND = 2000
+
+# every name match_scores accepts, and the ones that match without replacement
+METHODS = ("auto", "exact", "banded", "replacement", "capacitated")
+WITHOUT_REPLACEMENT = frozenset({"auto", "exact", "banded"})
 
 
 class MatchingError(ValueError):
@@ -86,7 +84,7 @@ def _as_scores(x, side: str) -> np.ndarray:
     return arr
 
 
-def _windowed_dp_numpy(t_sorted: np.ndarray, c_sorted: np.ndarray, window: int):
+def _windowed_dp(t_sorted: np.ndarray, c_sorted: np.ndarray, window: int):
     """Min-cost order-preserving matching of sorted treated into sorted controls.
 
     State: after matching the first i treated units, k controls have been
@@ -134,67 +132,38 @@ def _windowed_dp_numpy(t_sorted: np.ndarray, c_sorted: np.ndarray, window: int):
     return total, skips
 
 
-if njit is not None:
+def _dp_match(t: np.ndarray, c: np.ndarray, window: int | None, method: str,
+              k: int = 1) -> Matching:
+    """Order-preserving DP matching of validated scores, k treated per control.
 
-    @njit(cache=True)
-    def _dp_kernel(t_sorted, c_sorted, window):  # pragma: no cover - jitted
-        m = t_sorted.size
-        width = window + 1
-        prev = np.zeros(width)
-        packed = np.zeros((m, (width + 7) // 8), dtype=np.uint8)
-        for i in range(m):
-            ti = t_sorted[i]
-            run = prev[0] + abs(c_sorted[i] - ti)
-            prev[0] = run
-            packed[i, 0] = 0x80
-            for k in range(1, width):
-                v = prev[k] + abs(c_sorted[i + k] - ti)
-                if v < run:  # ties carry, matching the numpy path
-                    run = v
-                    packed[i, k >> 3] |= 0x80 >> (k & 7)
-                prev[k] = run
-        total = prev[width - 1]
-        skips = np.empty(m, dtype=np.int64)
-        k = width - 1
-        for i in range(m - 1, -1, -1):
-            while (packed[i, k >> 3] >> (7 - (k & 7))) & 1 == 0:
-                k -= 1
-            skips[i] = k
-        return total, skips
-
-    def _windowed_dp(t_sorted, c_sorted, window):
-        total, skips = _dp_kernel(np.ascontiguousarray(t_sorted),
-                                  np.ascontiguousarray(c_sorted), window)
-        return float(total), skips
-
-else:
-    _windowed_dp = _windowed_dp_numpy
-
-
-def _dp_match(treated, controls, window: int, method: str) -> Matching:
-    t = _as_scores(treated, "treated")
-    c = _as_scores(controls, "control")
+    Every control is repeated k times on the sorted side, so k = 1 is
+    matching without replacement. `window` caps the skipped (repeated)
+    controls; None, or any value of at least k*N0 - N1, makes the DP exact.
+    """
     if t.size < 1:
         raise MatchingError("no treated units to match")
-    if t.size > c.size:
+    if t.size > k * c.size:
         raise MatchingError(
             f"more treated ({t.size}) than controls ({c.size}); matching "
             "without replacement is impossible")
+    slack = k * c.size - t.size
     t_order = np.argsort(t, kind="stable")
     c_order = np.argsort(c, kind="stable")
-    _, skips = _windowed_dp(t[t_order], c[c_order], window)
-    c_pos = c_order[np.arange(t.size) + skips]
-    pairs = {int(tp): int(cp) for tp, cp in zip(t_order, c_pos)}
+    _, skips = _windowed_dp(t[t_order], np.repeat(c[c_order], k),
+                            slack if window is None else min(window, slack))
+    c_pos = c_order[(np.arange(t.size) + skips) // k]
+    pairs = dict(zip(t_order.tolist(), c_pos.tolist()))
     cost = float(np.sum(np.abs(t[t_order] - c[c_pos])))
-    return Matching(pairs=pairs, total_cost=cost, method=method, injective=True)
+    injective = k == 1 or len(set(pairs.values())) == len(pairs)
+    return Matching(pairs=pairs, total_cost=cost, method=method,
+                    injective=injective)
 
 
 def match_optimal_exact(treated_scores, control_scores) -> Matching:
     """Optimal matching without replacement, minimizing the summed score gaps."""
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
-    return _dp_match(t, c, window=c.size - t.size if 0 < t.size <= c.size else 0,
-                     method="exact_dp")
+    return _dp_match(t, c, None, "exact_dp")
 
 
 def match_banded(treated_scores, control_scores, band: int) -> Matching:
@@ -208,8 +177,7 @@ def match_banded(treated_scores, control_scores, band: int) -> Matching:
         raise ValueError("band must be >= 0")
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
-    window = min(band, c.size - t.size) if 0 < t.size <= c.size else 0
-    return _dp_match(t, c, window=window, method="banded_dp")
+    return _dp_match(t, c, band, "banded_dp")
 
 
 def match_with_replacement(treated_scores, control_scores) -> Matching:
@@ -235,7 +203,7 @@ def match_with_replacement(treated_scores, control_scores) -> Matching:
     # land on the first element of any equal-score run: lowest original position
     chosen = np.searchsorted(cs, cs[chosen], side="left")
     c_pos = c_order[chosen]
-    pairs = {int(i): int(cp) for i, cp in enumerate(c_pos)}
+    pairs = dict(enumerate(c_pos.tolist()))
     cost = float(np.sum(np.abs(t - c[c_pos])))
     injective = len(set(pairs.values())) == len(pairs)
     return Matching(pairs=pairs, total_cost=cost, method="with_replacement",
@@ -253,22 +221,10 @@ def match_capacitated(treated_scores, control_scores, k: int) -> Matching:
         raise ValueError("capacity k must be >= 1")
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
-    if t.size < 1:
-        raise MatchingError("no treated units to match")
     if t.size > k * c.size:
         raise MatchingError(
             f"capacity too small: {t.size} treated exceed k*N0 = {k * c.size}")
-    c_order = np.argsort(c, kind="stable")
-    cs_rep = np.repeat(c[c_order], k)
-    t_order = np.argsort(t, kind="stable")
-    _, skips = _windowed_dp(t[t_order], cs_rep, cs_rep.size - t.size)
-    rep_idx = np.arange(t.size) + skips
-    c_pos = c_order[rep_idx // k]
-    pairs = {int(tp): int(cp) for tp, cp in zip(t_order, c_pos)}
-    cost = float(np.sum(np.abs(t[t_order] - c[c_pos])))
-    injective = len(set(pairs.values())) == len(pairs)
-    return Matching(pairs=pairs, total_cost=cost, method="capacitated",
-                    injective=injective)
+    return _dp_match(t, c, None, "capacitated", k)
 
 
 BRUTE_FORCE_LIMIT = 10
@@ -374,39 +330,24 @@ def apply_caliper(matching: Matching, treated_scores, control_scores,
 
 def match_scores(treated_scores, control_scores, method: str = "auto",
                  config: MatchConfig | None = None) -> Matching:
-    """Dispatch to a matcher by name.
+    """Dispatch to a matcher by name, one of METHODS.
 
     "auto" runs the exact DP when the table fits under
     AUTO_EXACT_CELL_LIMIT cells and falls back to the banded DP otherwise.
     """
     cfg = config if config is not None else MatchConfig()
-    t = _as_scores(treated_scores, "treated")
-    c = _as_scores(control_scores, "control")
     if method == "auto":
-        cells = t.size * (c.size - t.size + 1)
-        if 0 < t.size <= c.size and cells <= AUTO_EXACT_CELL_LIMIT:
-            return match_optimal_exact(t, c)
-        return match_banded(t, c, cfg.band)
+        n1, n0 = np.size(treated_scores), np.size(control_scores)
+        method = "exact" if n1 * (n0 - n1 + 1) <= AUTO_EXACT_CELL_LIMIT else "banded"
     if method == "exact":
-        return match_optimal_exact(t, c)
+        return match_optimal_exact(treated_scores, control_scores)
     if method == "banded":
-        return match_banded(t, c, cfg.band)
+        return match_banded(treated_scores, control_scores, cfg.band)
     if method == "replacement":
-        return match_with_replacement(t, c)
+        return match_with_replacement(treated_scores, control_scores)
     if method == "capacitated":
-        return match_capacitated(t, c, cfg.capacity)
+        return match_capacitated(treated_scores, control_scores, cfg.capacity)
     raise ValueError(f"unknown matching method: {method!r}")
-
-
-def matching_to_csv(matching: Matching, treated_scores, control_scores, path) -> None:
-    """Write pairs as CSV with header treated_id,control_id,gap."""
-    t = np.asarray(treated_scores, dtype=float)
-    c = np.asarray(control_scores, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["treated_id", "control_id", "gap"])
-        for i, j in sorted(matching.pairs.items()):
-            writer.writerow([i, j, repr(abs(float(t[i]) - float(c[j])))])
 
 
 def matching_summary(matching: Matching, config: MatchConfig | None = None) -> dict:

@@ -46,17 +46,6 @@ class PopulationSpec:
     name: str = "custom"
 
 
-@dataclass(frozen=True)
-class Unit:
-    """One observation: treatment indicator, score, potential and realized outcomes."""
-
-    w: int
-    s: float
-    y0: float
-    y1: float
-    y: float
-
-
 @dataclass
 class Sample:
     """An i.i.d. sample stored column-wise.
@@ -99,15 +88,6 @@ class Sample:
     @property
     def control_scores(self) -> np.ndarray:
         return self.s[self.control_idx]
-
-    def unit(self, i: int) -> Unit:
-        return Unit(int(self.w[i]), float(self.s[i]), float(self.y0[i]),
-                    float(self.y1[i]), float(self.y[i]))
-
-    @property
-    def units(self) -> list[Unit]:
-        """Materialized per-unit view; intended for small samples."""
-        return [self.unit(i) for i in range(self.n)]
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:

@@ -19,16 +19,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import estimators, matching, population, theory
-from .matching import MatchConfig
+from .matching import METHODS, WITHOUT_REPLACEMENT, MatchConfig
 from .population import PopulationSpec, derive_seed
 
 log = logging.getLogger(__name__)
 
-_WITHOUT_REPLACEMENT = frozenset({"auto", "exact", "banded"})
-
 
 class SimulationError(RuntimeError):
     """Every replication of a cell failed."""
+
+
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown matching method {method!r}; "
+                         f"expected one of {', '.join(METHODS)}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,7 @@ class SimConfig:
             raise ValueError("sample sizes must be non-negative")
         if self.spec_kind not in ("prognostic", "categorical", "custom"):
             raise ValueError(f"unknown spec_kind: {self.spec_kind!r}")
+        _check_method(self.match_method)
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,7 @@ def _rep_task(args):
     try:
         smp = population.sample(spec, n, rep_seed)
         degenerate = smp.n1 == 0 or (
-            method in _WITHOUT_REPLACEMENT and smp.n1 > smp.n0)
+            method in WITHOUT_REPLACEMENT and smp.n1 > smp.n0)
         if degenerate:
             est = estimators.att_matching(smp, None)
         else:
@@ -138,6 +143,7 @@ def run_cell(spec: PopulationSpec, n: int, reps: int, seed: int,
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    _check_method(method)
     cfg = config if config is not None else MatchConfig()
     results = _run_reps(spec, n, reps, seed, method, cfg)
     oks = [r for r in results if r[0]]

@@ -391,7 +391,7 @@ def asymptotic_bias_score(spec: PopulationSpec, tol: float = 1e-9) -> BiasReport
     except SStarNotFoundError:
         return _zero_bias_report(pb)
     if not _has_density(spec):
-        return _bias_score_upper_mc(spec, b, pb)
+        return _bias_upper_region_mc(spec, b, pb)
     lo, hi = _support(spec)
     if b >= hi:
         return _zero_bias_report(pb)
@@ -407,20 +407,6 @@ def asymptotic_bias_score(spec: PopulationSpec, tol: float = 1e-9) -> BiasReport
                   b, hi, bp)
     e_t = num_t / den_t if den_t > 0.0 else 0.0
     e_c = num_c / den_c if den_c > 0.0 else 0.0
-    return _assemble_report(prob_upper, pb, e_t, e_c)
-
-
-def _bias_score_upper_mc(spec: PopulationSpec, b: float, pb: float) -> BiasReport:
-    s = _mc_scores(spec)
-    p = np.asarray(spec.assign_prob(s), dtype=float)
-    m0 = np.asarray(spec.mu0(s), dtype=float)
-    upper = s >= b
-    prob_upper = float(np.mean(upper))
-    if prob_upper <= 0.0:
-        return _zero_bias_report(pb)
-    wt, wc = p[upper], 1.0 - p[upper]
-    e_t = float(np.dot(wt, m0[upper]) / wt.sum()) if wt.sum() > 0 else 0.0
-    e_c = float(np.dot(wc, m0[upper]) / wc.sum()) if wc.sum() > 0 else 0.0
     return _assemble_report(prob_upper, pb, e_t, e_c)
 
 
@@ -551,13 +537,6 @@ def _weighted_quantile_fn(values: np.ndarray, weights: np.ndarray):
     v, w = values[order], weights[order]
     cum = (np.cumsum(w) - 0.5 * w) / total
     return lambda u: np.interp(u, cum, v)
-
-
-def bias_report_csv_row(report: BiasReport) -> str:
-    """Render a bias report as CSV `bias,prob_upper,pi_bar,e_y0_treated_upper,e_y0_control_upper`."""
-    return ",".join(repr(float(x)) for x in (
-        report.bias, report.prob_upper, report.pi_bar,
-        report.e_y0_treated_upper, report.e_y0_control_upper))
 
 
 def format_bias_report(report: BiasReport) -> str:

@@ -69,6 +69,12 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path)]) == 1
         assert "reps" in capsys.readouterr().err
 
+    def test_unknown_method_exits_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, matching={"method": "hungarian"})
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert "unknown matching method" in capsys.readouterr().err
+
     def test_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path)

@@ -66,6 +66,21 @@ class TestAttMatching:
                              np.where(smp.w == 1, smp.y + 3.25, smp.y))
         assert est.att_matching(shifted, m).value == pytest.approx(base + 3.25)
 
+    @pytest.mark.parametrize("method", sorted(mt.WITHOUT_REPLACEMENT))
+    def test_every_without_replacement_method_estimates(self, method):
+        smp = pop.sample(pop.make_prognostic_spec(0.5), 400, 12)
+        out = est.att_without_replacement(smp, method)
+        exact = est.att_matching(smp, mt.match_optimal_exact(
+            smp.treated_scores, smp.control_scores))
+        assert not out.degenerate and out.value == exact.value
+
+    @pytest.mark.parametrize("method", ["exact_dp", "banded_dp", "brute_force",
+                                        "replacement"])
+    def test_rejects_other_method_names(self, method):
+        smp = pop.sample(pop.make_prognostic_spec(0.5), 400, 12)
+        with pytest.raises(ValueError, match="not a without-replacement method"):
+            est.att_without_replacement(smp, method)
+
 
 class TestWeighting:
     def test_injective_weights_are_binary(self):
@@ -202,7 +217,3 @@ class TestZeroBiasSanity:
         errors = np.asarray(errors)
         se = errors.std(ddof=1) / np.sqrt(errors.size)
         assert abs(errors.mean()) < 4 * se
-
-    def test_estimate_csv_row(self):
-        row = est.estimate_csv_row(est.AttEstimate(1.5, 10, "exact_dp", False))
-        assert row == "exact_dp,1.5,10,0"

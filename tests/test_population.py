@@ -11,7 +11,6 @@ class TestSample:
         spec = pop.make_prognostic_spec(1.0)
         smp = pop.sample(spec, 0, 1)
         assert smp.n == 0 and smp.n1 == 0 and smp.n0 == 0
-        assert smp.units == []
 
     def test_determinism_byte_identical(self):
         spec = pop.make_prognostic_spec(0.5)

@@ -80,6 +80,15 @@ class TestRunCell:
             sim.run_cell(mostly_treated_spec(), 40, 5, 2, method="capacitated",
                          config=MatchConfig(capacity=1))
 
+    def test_unknown_method_fails_before_any_rep(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(pop, "sample", lambda *args: drawn.append(args))
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        with pytest.raises(ValueError, match="unknown matching method"):
+            sim.run_cell(pop.make_prognostic_spec(0.5), 50, 3, 1,
+                         method="hungarian")
+        assert drawn == []
+
     def test_caliper_config_used(self):
         spec = pop.make_prognostic_spec(1 / 3)
         plain = sim.run_cell(spec, 400, 10, 7, method="exact")
@@ -103,6 +112,9 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             sim.SimConfig(a_values=(1.0,), n_values=(10,), reps=1,
                           master_seed=0, spec_kind="nope")
+        with pytest.raises(ValueError, match="unknown matching method"):
+            sim.SimConfig(a_values=(1.0,), n_values=(10,), reps=1,
+                          master_seed=0, match_method="hungarian")
 
 
 class TestRunTable:

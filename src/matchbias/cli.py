@@ -163,16 +163,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _read_id_column(path) -> list[str]:
-    with open(path, newline="") as fh:
-        return [row["id"] for row in csv.DictReader(fh)]
-
-
 def cmd_match(args) -> int:
     try:
-        smp = population.sample_from_csv(args.input)
-        unit_ids = _read_id_column(args.input)
-    except (OSError, ValueError, KeyError) as exc:
+        smp, unit_ids = population.sample_and_ids_from_csv(args.input)
+    except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     method = "replacement" if args.with_replacement else (args.method or "auto")

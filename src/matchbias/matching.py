@@ -315,17 +315,13 @@ def apply_caliper(matching: Matching, treated_scores, control_scores,
         raise ValueError("caliper must be > 0")
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
-    kept = {}
-    dropped = set()
-    for i, j in matching.pairs.items():
-        if abs(t[i] - c[j]) > caliper:
-            dropped.add(i)
-        else:
-            kept[i] = j
-    cost = float(sum(abs(t[i] - c[j]) for i, j in kept.items()))
-    retained = Matching(pairs=kept, total_cost=cost, method=matching.method,
+    ti, ci = matching.pair_arrays()
+    gap = np.abs(t[ti] - c[ci])
+    keep = gap <= caliper
+    retained = Matching(pairs=dict(zip(ti[keep].tolist(), ci[keep].tolist())),
+                        total_cost=float(gap[keep].sum()), method=matching.method,
                         injective=matching.injective)
-    return retained, dropped
+    return retained, set(ti[~keep].tolist())
 
 
 def match_scores(treated_scores, control_scores, method: str = "auto",

@@ -376,6 +376,14 @@ def sample_from_csv(path) -> Sample:
     Requires id, w, s columns; y is optional (NaN when absent), as are the
     potential-outcome columns y0, y1 (real-data mode).
     """
+    return sample_and_ids_from_csv(path)[0]
+
+
+def sample_and_ids_from_csv(path) -> tuple[Sample, list[str]]:
+    """Read a sample from CSV as sample_from_csv does, with its id column.
+
+    The ids are returned as text, one per row in file order.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -384,7 +392,7 @@ def sample_from_csv(path) -> Sample:
         missing = {"id", "w", "s"} - cols
         if missing:
             raise ValueError(f"{path}: missing required columns {sorted(missing)}")
-        w, s, y0, y1, y = [], [], [], [], []
+        ids, w, s, y0, y1, y = [], [], [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             try:
                 w.append(int(row["w"]))
@@ -394,11 +402,13 @@ def sample_from_csv(path) -> Sample:
                 y.append(_opt_float(row.get("y")))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad row ({exc})") from None
+            ids.append(row["id"])
     wa = np.asarray(w, dtype=np.int8)
     if wa.size and not np.all((wa == 0) | (wa == 1)):
         raise ValueError(f"{path}: w must be 0 or 1")
-    return Sample(wa, np.asarray(s, dtype=float), np.asarray(y0, dtype=float),
-                  np.asarray(y1, dtype=float), np.asarray(y, dtype=float))
+    smp = Sample(wa, np.asarray(s, dtype=float), np.asarray(y0, dtype=float),
+                 np.asarray(y1, dtype=float), np.asarray(y, dtype=float))
+    return smp, ids
 
 
 def _opt_float(text):

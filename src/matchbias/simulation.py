@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -74,32 +75,48 @@ class SimRow:
 
 
 def _rep_task(args):
-    """One replication; returns (ok, tau_hat, err, degenerate, message)."""
+    """One replication; returns (ok, tau_hat, err, degenerate, message).
+
+    Only a ValueError from sampling and a MatchingError from the matcher
+    count as a failed replication. Any other error is a bug: it is re-raised
+    as RuntimeError naming the spec, n and the seed that reproduces it.
+    """
     spec, n, rep_seed, method, config = args
     try:
+        return _replicate(spec, n, rep_seed, method, config)
+    except Exception as exc:
+        raise RuntimeError(f"replication of {spec.name} at n={n} with rep seed "
+                           f"{rep_seed} failed: {exc!r}") from exc
+
+
+def _replicate(spec, n, rep_seed, method, config):
+    try:
         smp = population.sample(spec, n, rep_seed)
-        degenerate = smp.n1 == 0 or (
-            method in WITHOUT_REPLACEMENT and smp.n1 > smp.n0)
-        if degenerate:
-            est = estimators.att_matching(smp, None)
-        else:
+    except ValueError as exc:
+        return False, math.nan, math.nan, False, str(exc)
+    degenerate = smp.n1 == 0 or (
+        method in WITHOUT_REPLACEMENT and smp.n1 > smp.n0)
+    if degenerate:
+        est = estimators.att_matching(smp, None)
+    else:
+        try:
             m = matching.match_scores(smp.treated_scores, smp.control_scores,
                                       method, config)
-            if config.caliper is not None:
-                m, dropped = matching.apply_caliper(
-                    m, smp.treated_scores, smp.control_scores, config.caliper)
-                est = estimators.att_caliper(smp, m, dropped)
-            else:
-                est = estimators.att_matching(smp, m)
-        if spec.tau_att_true is not None:
-            tau = spec.tau_att_true
-        elif smp.n1 > 0:
-            tau = estimators.att_true_sample(smp)
+        except matching.MatchingError as exc:
+            return False, math.nan, math.nan, False, str(exc)
+        if config.caliper is not None:
+            m, dropped = matching.apply_caliper(
+                m, smp.treated_scores, smp.control_scores, config.caliper)
+            est = estimators.att_caliper(smp, m, dropped)
         else:
-            tau = math.nan
-        return True, est.value, est.value - tau, est.degenerate, ""
-    except (ValueError, matching.MatchingError) as exc:
-        return False, math.nan, math.nan, False, str(exc)
+            est = estimators.att_matching(smp, m)
+    if spec.tau_att_true is not None:
+        tau = spec.tau_att_true
+    elif smp.n1 > 0:
+        tau = estimators.att_true_sample(smp)
+    else:
+        tau = math.nan
+    return True, est.value, est.value - tau, est.degenerate, ""
 
 
 def _worker_count() -> int:
@@ -116,16 +133,25 @@ def _worker_count() -> int:
 
 
 def _run_reps(spec, n, reps, seed, method, config):
+    """Run the replications on a process pool, or serially with one worker.
+
+    The cell runs serially also when its tasks cannot be pickled or the pool
+    cannot be created; errors raised inside the workers propagate.
+    """
     tasks = [(spec, n, derive_seed(seed, r), method, config)
              for r in range(reps)]
     workers = min(_worker_count(), reps)
     if workers > 1:
         try:
-            with ProcessPoolExecutor(max_workers=workers) as ex:
+            pickle.dumps(tasks[0])  # the tasks differ only in their seed
+            pool = ProcessPoolExecutor(max_workers=workers)
+        except (pickle.PicklingError, AttributeError, TypeError, OSError) as exc:
+            log.warning("process pool unavailable (%s); running %d replications "
+                        "serially", exc, reps)
+        else:
+            with pool:
                 chunk = max(1, reps // (workers * 8))
-                return list(ex.map(_rep_task, tasks, chunksize=chunk))
-        except Exception as exc:  # unpicklable spec, broken pool: run serial
-            log.debug("process pool unavailable (%s); running serially", exc)
+                return list(pool.map(_rep_task, tasks, chunksize=chunk))
     return [_rep_task(t) for t in tasks]
 
 
@@ -139,7 +165,8 @@ def run_cell(spec: PopulationSpec, n: int, reps: int, seed: int,
     against the population ATT (the spec's analytic value when known, the
     sample-level mean of y1 - y0 over treated otherwise). Empirical SE is
     the standard deviation of the estimator across replications. The cell
-    fails only if every replication fails.
+    fails only if every replication fails; an error that is not a failed
+    replication (see _rep_task) propagates as RuntimeError.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")

@@ -3,8 +3,9 @@
 The matching problem on a scalar score splits at the point where the
 population above it is exactly half treated: controls are scarce above,
 abundant below. This module locates that partition (as a propensity value
-p* or a score threshold b), evaluates the resulting asymptotic bias of the
-ATT matching estimator both numerically and in closed form for the
+p* or a score threshold b, by one bisection on the treated fraction of the
+upper region), evaluates the resulting asymptotic bias of the ATT matching
+estimator over that region both numerically and in closed form for the
 prognostic-score example, and provides the order-one transport distance
 that drives the bias.
 
@@ -24,14 +25,13 @@ from scipy.optimize import brentq
 
 from .population import PopulationSpec
 
-_SCAN_POINTS = 10_001
 _DENSE_NODES = 20_001
 _MC_DRAWS = 1 << 18
 _MC_SEED = 202_006_11
 
 
 class PStarError(RuntimeError):
-    """Partition search failed (level set is not an interval)."""
+    """Partition search failed. Kept for imports; no search raises it any more."""
 
 
 class SStarNotFoundError(ValueError):
@@ -89,15 +89,12 @@ def _mc_scores(spec: PopulationSpec, seed: int = _MC_SEED) -> np.ndarray:
     return np.asarray(spec.score_sampler(rng, _MC_DRAWS), dtype=float)
 
 
-def _dense_nodes(spec: PopulationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Score nodes with trapezoid masses and assignment probabilities."""
-    lo, hi = _support(spec)
-    s = np.linspace(lo, hi, _DENSE_NODES)
-    f = np.asarray(spec.score_pdf(s), dtype=float)
-    w = np.full(s.size, (hi - lo) / (s.size - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return s, f * w, np.asarray(spec.assign_prob(s), dtype=float)
+def _score_grid(spec: PopulationSpec, points: int = 4097) -> np.ndarray:
+    """Evenly spaced support points with a density, sorted fixed-seed draws without."""
+    if _has_density(spec):
+        lo, hi = _support(spec)
+        return np.linspace(lo, hi, points)
+    return np.sort(_mc_scores(spec))
 
 
 def pi_bar(spec: PopulationSpec) -> float:
@@ -135,28 +132,51 @@ def _level_intervals(spec: PopulationSpec, level: float) -> list[tuple[float, fl
     return list(zip(bounds[0::2], bounds[1::2]))
 
 
-def _tail_fraction_exact(spec: PopulationSpec, level: float) -> float:
-    """Pr(W = 1 | assign_prob(S) >= level) by quadrature over the level set."""
-    num = den = 0.0
-    for a, b in _level_intervals(spec, level):
-        num += _quad(lambda s: float(spec.assign_prob(s)) * float(spec.score_pdf(s)),
-                     a, b, spec.score_breakpoints)
-        den += _quad(lambda s: float(spec.score_pdf(s)), a, b, spec.score_breakpoints)
-    if den <= 0.0:
-        return 1.0  # empty region behaves as fully treated for the infimum search
-    return num / den
+def _tail_masses(spec: PopulationSpec, intervals) -> tuple[float, float]:
+    """Score mass and treated mass of a union of intervals, by quadrature."""
+    pdf, ap, bp = spec.score_pdf, spec.assign_prob, spec.score_breakpoints
+    mass = treated = 0.0
+    for a, b in intervals:
+        mass += _quad(lambda s: float(pdf(s)), a, b, bp)
+        treated += _quad(lambda s: float(ap(s)) * float(pdf(s)), a, b, bp)
+    return mass, treated
 
 
-def _pi_measure(spec: PopulationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Discretized distribution of the treatment probability, sorted ascending."""
-    if _has_density(spec):
-        _, mass, pvals = _dense_nodes(spec)
-    else:
-        s = _mc_scores(spec)
-        pvals = np.asarray(spec.assign_prob(s), dtype=float)
-        mass = np.full(pvals.size, 1.0 / pvals.size)
-    order = np.argsort(pvals)
-    return pvals[order], mass[order]
+def _treated_fraction(spec: PopulationSpec, intervals) -> float:
+    mass, treated = _tail_masses(spec, intervals)
+    return treated / mass if mass > 0.0 else 1.0  # an empty region counts as treated
+
+
+def _half_treated(spec: PopulationSpec, region, lo: float, hi: float,
+                  tol: float) -> float:
+    """Smallest x in [lo, hi], to within tol, whose region(x) is at least half treated.
+
+    region(x) is a list of score intervals whose treated fraction never
+    decreases as x rises, and region(hi) must qualify, so bisection finds
+    the boundary.
+    """
+    if _treated_fraction(spec, region(lo)) >= 0.5:
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _treated_fraction(spec, region(mid)) >= 0.5:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _mc_half_treated(keys: np.ndarray, p: np.ndarray) -> float | None:
+    """First sorted key whose upper tail of draws is at least half treated.
+
+    p holds the draws' assignment probabilities; None when no upper tail
+    reaches one half.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys, p = keys[order], p[order]
+    tail = np.cumsum(p[::-1])[::-1] / np.arange(p.size, 0, -1)
+    reached = tail >= 0.5
+    return float(keys[int(np.argmax(reached))]) if reached.any() else None
 
 
 def pstar(spec: PopulationSpec, tol: float = 1e-8) -> PStarResult:
@@ -164,149 +184,26 @@ def pstar(spec: PopulationSpec, tol: float = 1e-8) -> PStarResult:
 
     The smallest treatment probability p such that units with probability
     at least p are at least half treated. Defaults to 1/2 when no unit has
-    probability 1/2 or above. A coarse scan verifies the level set
-    {p : Pr(W=1 | prob >= p) >= 1/2} is an interval before the boundary is
-    refined by bisection; a scattered level set raises PStarError.
+    probability 1/2 or above. Pr(W=1 | prob >= p) = E[prob | prob >= p]
+    never decreases in p, so the boundary is found by bisection over the
+    level sets {s : assign_prob(s) >= p}.
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
-    pi_sorted, mass_sorted = _pi_measure(spec)
-    total = mass_sorted.sum()
-    suffix_mass = np.cumsum(mass_sorted[::-1])[::-1]
-    suffix_pm = np.cumsum((mass_sorted * pi_sorted)[::-1])[::-1]
-
-    # default rule: no mass at or above one half
-    k_half = np.searchsorted(pi_sorted, 0.5, side="left")
-    if k_half >= pi_sorted.size or suffix_mass[k_half] <= 1e-12 * total:
+    p = np.asarray(spec.assign_prob(_score_grid(spec)), dtype=float)
+    cut = None
+    if not _has_density(spec):
+        cut = _mc_half_treated(p, p)
+        tail = float(np.mean(p[p >= cut])) if cut is not None else math.nan
+    elif _tail_masses(spec, _level_intervals(spec, 0.5))[0] > 1e-12:
+        cut = _half_treated(spec, lambda x: _level_intervals(spec, x),
+                            float(p.min()), 1.0, tol)
+        tail = _treated_fraction(spec, _level_intervals(spec, cut))
+    if cut is None:  # default rule: no mass at or above one half
         return PStarResult(pstar=0.5, tail_treated_prob=math.nan,
                            defaulted=True, left_closed=True)
-
-    p_lo, p_hi = float(pi_sorted[0]), float(pi_sorted[-1])
-    grid = np.linspace(p_lo, p_hi, _SCAN_POINTS)
-    idx = np.searchsorted(pi_sorted, grid, side="left")
-    idx = np.minimum(idx, pi_sorted.size - 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        g_grid = suffix_pm[idx] / suffix_mass[idx]
-    g_grid = np.where(suffix_mass[idx] <= 1e-12 * total, 1.0, g_grid)
-
-    in_set = g_grid >= 0.5
-    if not in_set.any():
-        # scan missed the boundary; the top of the distribution qualifies
-        first = grid.size - 1
-    else:
-        first = int(np.argmax(in_set))
-        if not in_set[first:].all():
-            raise PStarError("level set {p : Pr(W=1 | prob >= p) >= 1/2} "
-                             "is not an interval")
-
-    if first == 0:
-        result_p = p_lo
-    else:
-        lo, hi = float(grid[first - 1]), float(grid[first])
-        if _has_density(spec):
-            predicate = lambda p: _tail_fraction_exact(spec, p) >= 0.5
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if predicate(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            result_p = hi
-        else:
-            # empirical measure: the infimum sits on an observed atom
-            k = int(np.argmax((suffix_pm / suffix_mass) >= 0.5))
-            result_p = float(pi_sorted[k])
-
-    if _has_density(spec):
-        tail = _tail_fraction_exact(spec, result_p)
-    else:
-        k = np.searchsorted(pi_sorted, result_p, side="left")
-        tail = float(suffix_pm[k] / suffix_mass[k])
-    return PStarResult(pstar=float(result_p), tail_treated_prob=float(tail),
+    return PStarResult(pstar=cut, tail_treated_prob=tail,
                        defaulted=False, left_closed=bool(tail >= 0.5 - 1e-9))
-
-
-def _check_identity_score(spec: PopulationSpec) -> None:
-    if _has_density(spec):
-        lo, hi = _support(spec)
-        s = np.linspace(lo, hi, 4097)
-    else:
-        s = _mc_scores(spec)
-    gap = np.max(np.abs(np.asarray(spec.assign_prob(s), dtype=float) - s))
-    if gap > 1e-9:
-        raise ValueError("spec must use the treatment probability itself as "
-                         f"the score (max |assign_prob(s) - s| = {gap:.3g})")
-
-
-def _zero_bias_report(pb: float) -> BiasReport:
-    return BiasReport(bias=0.0, prob_upper=0.0, pi_bar=pb,
-                      e_y0_treated_upper=0.0, e_y0_control_upper=0.0)
-
-
-def _assemble_report(prob_upper, pb, e_treated, e_control) -> BiasReport:
-    bias = prob_upper / (2.0 * pb) * (e_treated - e_control)
-    return BiasReport(bias=float(bias), prob_upper=float(prob_upper),
-                      pi_bar=float(pb), e_y0_treated_upper=float(e_treated),
-                      e_y0_control_upper=float(e_control))
-
-
-def asymptotic_bias_propensity(spec: PopulationSpec, tol: float = 1e-8) -> BiasReport:
-    """Limit bias of the without-replacement ATT estimator, propensity scores.
-
-    Requires the score to be the treatment probability itself. The bias is
-    the mass above the partition point, scaled by 1/(2 pi_bar), times the
-    confounding gap in Y(0) above the partition; it vanishes when either
-    escape clause holds (no mass above p*, or no confounding there).
-    """
-    _check_identity_score(spec)
-    pb = pi_bar(spec)
-    if pb <= 0.0:
-        raise ValueError("population has no treated units (pi_bar = 0)")
-    ps = pstar(spec, tol)
-    if not _has_density(spec):
-        return _bias_upper_region_mc(spec, ps.pstar, pb) if not ps.defaulted \
-            else _zero_bias_report(pb)
-    lo, hi = _support(spec)
-    cut = ps.pstar
-    if ps.defaulted or cut >= hi:
-        return _zero_bias_report(pb)
-    pdf, mu0 = spec.score_pdf, spec.mu0
-    bp = spec.score_breakpoints
-    prob_upper = _quad(lambda s: float(pdf(s)), cut, hi, bp)
-    if prob_upper <= 0.0:
-        return _zero_bias_report(pb)
-    den_t = _quad(lambda s: s * float(pdf(s)), cut, hi, bp)
-    den_c = _quad(lambda s: (1.0 - s) * float(pdf(s)), cut, hi, bp)
-    num_t = _quad(lambda s: float(mu0(s)) * s * float(pdf(s)), cut, hi, bp)
-    num_c = _quad(lambda s: float(mu0(s)) * (1.0 - s) * float(pdf(s)), cut, hi, bp)
-    e_t = num_t / den_t if den_t > 0.0 else 0.0
-    e_c = num_c / den_c if den_c > 0.0 else 0.0
-    return _assemble_report(prob_upper, pb, e_t, e_c)
-
-
-def _bias_upper_region_mc(spec: PopulationSpec, cut: float, pb: float) -> BiasReport:
-    s = _mc_scores(spec)
-    p = np.asarray(spec.assign_prob(s), dtype=float)
-    m0 = np.asarray(spec.mu0(s), dtype=float)
-    upper = s >= cut
-    prob_upper = float(np.mean(upper))
-    if prob_upper <= 0.0:
-        return _zero_bias_report(pb)
-    wt, wc = p[upper], 1.0 - p[upper]
-    e_t = float(np.dot(wt, m0[upper]) / wt.sum()) if wt.sum() > 0 else 0.0
-    e_c = float(np.dot(wc, m0[upper]) / wc.sum()) if wc.sum() > 0 else 0.0
-    return _assemble_report(prob_upper, pb, e_t, e_c)
-
-
-def _check_monotone_assign(spec: PopulationSpec) -> None:
-    if _has_density(spec):
-        lo, hi = _support(spec)
-        s = np.linspace(lo, hi, 4097)
-    else:
-        s = np.sort(_mc_scores(spec))
-    p = np.asarray(spec.assign_prob(s), dtype=float)
-    if np.any(np.diff(p) < -1e-9):
-        raise ValueError("assign_prob must be monotone nondecreasing in the score")
 
 
 def sstar_threshold(spec: PopulationSpec, tol: float = 1e-9) -> float:
@@ -320,68 +217,75 @@ def sstar_threshold(spec: PopulationSpec, tol: float = 1e-9) -> float:
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
-    _check_monotone_assign(spec)
+    s = _score_grid(spec)
+    p = np.asarray(spec.assign_prob(s), dtype=float)
+    if np.any(np.diff(p) < -1e-9):
+        raise ValueError("assign_prob must be monotone nondecreasing in the score")
     if not _has_density(spec):
-        return _sstar_threshold_mc(spec)
+        b = _mc_half_treated(s, p)
+        if b is None:
+            raise SStarNotFoundError("empirical treated fraction stays below 1/2 "
+                                     "on every upper tail")
+        return b
     lo, hi = _support(spec)
-    pdf, ap = spec.score_pdf, spec.assign_prob
-    bp = spec.score_breakpoints
-
-    def tail_fraction(x: float) -> float:
-        den = _quad(lambda s: float(pdf(s)), x, hi, bp)
-        if den <= 0.0:
-            return 1.0
-        num = _quad(lambda s: float(ap(s)) * float(pdf(s)), x, hi, bp)
-        return num / den
-
-    p_end = float(ap(np.asarray([hi]))[0])
-    grid = np.linspace(lo, hi, _SCAN_POINTS)[:-1]
-    s_nodes, mass, pvals = _dense_nodes(spec)
-    suffix_mass = np.cumsum(mass[::-1])[::-1]
-    suffix_pm = np.cumsum((mass * pvals)[::-1])[::-1]
-    idx = np.minimum(np.searchsorted(s_nodes, grid, side="left"), s_nodes.size - 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        h_grid = np.where(suffix_mass[idx] > 1e-12, suffix_pm[idx] / suffix_mass[idx], 1.0)
-
-    reached = h_grid >= 0.5
-    if reached.any():
-        first = int(np.argmax(reached))
-        if first == 0:
-            return float(lo)
-        b_lo, b_hi = float(grid[first - 1]), float(grid[first])
-    elif p_end >= 0.5 - max(tol, 1e-12):
-        b_lo, b_hi = float(grid[-1]), float(hi)
-    else:
+    p_end = float(spec.assign_prob(np.asarray([hi]))[0])
+    if p_end < 0.5 - max(tol, 1e-12):
         raise SStarNotFoundError(
             "Pr(W=1 | S >= b) stays below 1/2 on the whole support "
             f"(top value {p_end:.6g}); the upper set has zero mass")
-
-    while b_hi - b_lo > tol:
-        mid = 0.5 * (b_lo + b_hi)
-        if tail_fraction(mid) >= 0.5:
-            b_hi = mid
-        else:
-            b_lo = mid
-    return float(b_hi)
+    return _half_treated(spec, lambda x: [(x, hi)], lo, hi, tol)
 
 
-def _sstar_threshold_mc(spec: PopulationSpec) -> float:
-    s = np.sort(_mc_scores(spec))
-    p = np.asarray(spec.assign_prob(s), dtype=float)
-    suffix = np.cumsum(p[::-1])[::-1] / np.arange(s.size, 0, -1)
-    reached = suffix >= 0.5
-    if not reached.any():
-        raise SStarNotFoundError("empirical treated fraction stays below 1/2 "
-                                 "on every upper tail")
-    return float(s[int(np.argmax(reached))])
+def _zero_bias_report(pb: float) -> BiasReport:
+    return BiasReport(bias=0.0, prob_upper=0.0, pi_bar=pb,
+                      e_y0_treated_upper=0.0, e_y0_control_upper=0.0)
+
+
+def _upper_region_report(spec: PopulationSpec, cut: float, pb: float) -> BiasReport:
+    """BiasReport of the upper region {S >= cut}.
+
+    Treated and control units inside the region carry weights assign_prob(s)
+    and 1 - assign_prob(s). Integrates by quadrature with a density and
+    averages the fixed-seed draws without one.
+    """
+    if _has_density(spec):
+        hi = _support(spec)[1]
+        pdf, ap, mu0 = spec.score_pdf, spec.assign_prob, spec.mu0
+        bp = spec.score_breakpoints
+        prob_upper = _quad(lambda s: float(pdf(s)), cut, hi, bp)
+        if prob_upper <= 0.0:
+            return _zero_bias_report(pb)
+        den_t = _quad(lambda s: float(ap(s)) * float(pdf(s)), cut, hi, bp)
+        den_c = _quad(lambda s: (1.0 - float(ap(s))) * float(pdf(s)), cut, hi, bp)
+        num_t = _quad(lambda s: float(mu0(s)) * float(ap(s)) * float(pdf(s)),
+                      cut, hi, bp)
+        num_c = _quad(lambda s: float(mu0(s)) * (1.0 - float(ap(s))) * float(pdf(s)),
+                      cut, hi, bp)
+    else:
+        s = _mc_scores(spec)
+        upper = s >= cut
+        prob_upper = float(np.mean(upper))
+        if prob_upper <= 0.0:
+            return _zero_bias_report(pb)
+        wt = np.asarray(spec.assign_prob(s), dtype=float)[upper]
+        wc = 1.0 - wt
+        m0 = np.asarray(spec.mu0(s), dtype=float)[upper]
+        den_t, den_c = wt.sum(), wc.sum()
+        num_t, num_c = np.dot(wt, m0), np.dot(wc, m0)
+    e_t = float(num_t / den_t) if den_t > 0.0 else 0.0
+    e_c = float(num_c / den_c) if den_c > 0.0 else 0.0
+    return BiasReport(bias=float(prob_upper / (2.0 * pb) * (e_t - e_c)),
+                      prob_upper=float(prob_upper), pi_bar=float(pb),
+                      e_y0_treated_upper=e_t, e_y0_control_upper=e_c)
 
 
 def asymptotic_bias_score(spec: PopulationSpec, tol: float = 1e-9) -> BiasReport:
     """Limit bias of the without-replacement ATT estimator, generic scalar score.
 
-    Same structure as the propensity version but with the upper region
-    expressed as a score threshold; treated/control weights inside the
-    region are assign_prob(s) and its complement.
+    The bias is the mass of the half-treated upper region [b, s_max], scaled
+    by 1/(2 pi_bar), times the confounding gap in Y(0) inside it; it
+    vanishes when either escape clause holds (no mass above b, or no
+    confounding there).
     """
     pb = pi_bar(spec)
     if pb <= 0.0:
@@ -390,24 +294,26 @@ def asymptotic_bias_score(spec: PopulationSpec, tol: float = 1e-9) -> BiasReport
         b = sstar_threshold(spec, tol)
     except SStarNotFoundError:
         return _zero_bias_report(pb)
-    if not _has_density(spec):
-        return _bias_upper_region_mc(spec, b, pb)
-    lo, hi = _support(spec)
-    if b >= hi:
-        return _zero_bias_report(pb)
-    pdf, ap, mu0 = spec.score_pdf, spec.assign_prob, spec.mu0
-    bp = spec.score_breakpoints
-    prob_upper = _quad(lambda s: float(pdf(s)), b, hi, bp)
-    if prob_upper <= 0.0:
-        return _zero_bias_report(pb)
-    den_t = _quad(lambda s: float(ap(s)) * float(pdf(s)), b, hi, bp)
-    den_c = _quad(lambda s: (1.0 - float(ap(s))) * float(pdf(s)), b, hi, bp)
-    num_t = _quad(lambda s: float(mu0(s)) * float(ap(s)) * float(pdf(s)), b, hi, bp)
-    num_c = _quad(lambda s: float(mu0(s)) * (1.0 - float(ap(s))) * float(pdf(s)),
-                  b, hi, bp)
-    e_t = num_t / den_t if den_t > 0.0 else 0.0
-    e_c = num_c / den_c if den_c > 0.0 else 0.0
-    return _assemble_report(prob_upper, pb, e_t, e_c)
+    return _upper_region_report(spec, b, pb)
+
+
+def _check_identity_score(spec: PopulationSpec) -> None:
+    s = _score_grid(spec)
+    gap = np.max(np.abs(np.asarray(spec.assign_prob(s), dtype=float) - s))
+    if gap > 1e-9:
+        raise ValueError("spec must use the treatment probability itself as "
+                         f"the score (max |assign_prob(s) - s| = {gap:.3g})")
+
+
+def asymptotic_bias_propensity(spec: PopulationSpec, tol: float = 1e-8) -> BiasReport:
+    """Limit bias of the without-replacement ATT estimator, propensity scores.
+
+    Requires the score to be the treatment probability itself. Then the
+    level set above p* is the score interval above the threshold b, so this
+    is the score route on an identity score.
+    """
+    _check_identity_score(spec)
+    return asymptotic_bias_score(spec, tol)
 
 
 # --- prognostic example closed forms ---

@@ -1,9 +1,13 @@
+import logging
 import math
+import multiprocessing
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
+from matchbias import matching
 from matchbias import population as pop
 from matchbias import simulation as sim
 from matchbias.matching import MatchConfig
@@ -58,15 +62,43 @@ class TestRunCell:
         serial = sim.run_cell(spec, 400, 12, 3, method="auto")
         assert parallel == serial
 
-    def test_unpicklable_spec_falls_back_to_serial(self):
+    def test_unpicklable_spec_falls_back_to_serial(self, monkeypatch, caplog):
+        monkeypatch.setenv("MATCHBIAS_THREADS", "2")
         spec = pop.make_prognostic_spec(0.5)
         lam = lambda rng, n: spec.score_sampler(rng, n)  # noqa: E731
         local = pop.PopulationSpec(
             score_sampler=lam, assign_prob=spec.assign_prob, mu0=spec.mu0,
             mu1=spec.mu1, noise0=spec.noise0, noise1=spec.noise1,
             tau_att_true=1.0)
-        row = sim.run_cell(local, 200, 4, 3, method="auto")
+        with caplog.at_level(logging.WARNING, logger="matchbias.simulation"):
+            row = sim.run_cell(local, 200, 4, 3, method="auto")
         assert row.reps_done == 4
+        assert any(r.levelno == logging.WARNING and "serially" in r.getMessage()
+                   for r in caplog.records)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_matcher_bug_fails_loudly(self, monkeypatch, threads):
+        # a matcher that drops one pair on every other call breaks the
+        # exactly-once check in att_matching; that is a bug, not a failed rep
+        if threads != "1" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched matcher only when forked")
+        match_scores = matching.match_scores
+        calls = []
+
+        def dropping(*args, **kwargs):
+            m = match_scores(*args, **kwargs)
+            calls.append(None)
+            if len(calls) % 2:
+                m = replace(m, pairs=dict(list(m.pairs.items())[1:]))
+            return m
+
+        monkeypatch.setattr(matching, "match_scores", dropping)
+        monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+        with pytest.raises(RuntimeError, match="rep seed") as exc:
+            sim.run_cell(pop.make_prognostic_spec(0.5), 200, 6, 3, method="exact")
+        seeds = [str(pop.derive_seed(3, r)) for r in range(6)]
+        assert any(seed in str(exc.value) for seed in seeds)
+        assert "prognostic(a=0.5)" in str(exc.value) and "n=200" in str(exc.value)
 
     def test_degenerate_reps_counted(self):
         # 90% treated: without-replacement matching impossible most draws

@@ -51,12 +51,24 @@ class TestPStar:
         assert res.left_closed
 
     def test_default_rule(self):
-        spec = pop.make_uniform_propensity_spec(0.4)
-        res = theory.pstar(spec, 1e-8)
-        assert res.pstar == 0.5
-        assert res.defaulted
-        assert res.left_closed
-        assert math.isnan(res.tail_treated_prob)
+        # at upper = 0.5 only the single point s = 1/2 reaches one half
+        for upper in (0.4, 0.5):
+            res = theory.pstar(pop.make_uniform_propensity_spec(upper), 1e-8)
+            assert res.pstar == 0.5
+            assert res.defaulted
+            assert res.left_closed
+            assert math.isnan(res.tail_treated_prob)
+
+    @pytest.mark.parametrize("spec", [
+        pop.make_uniform_propensity_spec(0.6),
+        pop.make_uniform_propensity_spec(0.8),
+        pop.make_prognostic_propensity_spec(1 / 3),
+        pop.make_prognostic_propensity_spec(4 / 9),
+    ], ids=lambda spec: spec.name)
+    def test_level_set_route_agrees_with_score_threshold(self, spec):
+        # with assign_prob(s) = s the level set above p* is the interval [b, hi]
+        assert theory.pstar(spec, 1e-9).pstar == pytest.approx(
+            theory.sstar_threshold(spec, 1e-9), abs=1e-7)
 
     def test_mc_fallback(self):
         spec = pop.make_uniform_propensity_spec(0.8)

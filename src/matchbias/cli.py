@@ -17,6 +17,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PARTIAL = 2
 EXIT_DEGENERATE = 3
+EXIT_BUG = 4
 
 
 class ConfigError(Exception):
@@ -119,16 +120,20 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     fmt = args.format or cfg["output"].get("format", "csv")
 
-    cells = []
+    rows, cells, bug = [], [], None
+
+    def on_cell(row, secs):
+        rows.append(row)
+        cells.append({"a": row.a, "n": row.n, "seconds": round(secs, 3)})
+
     started = time.perf_counter()
     try:
-        rows = simulation.run_table(
-            sim_config, spec_factory,
-            on_cell=lambda row, secs: cells.append(
-                {"a": row.a, "n": row.n, "seconds": round(secs, 3)}))
+        simulation.run_table(sim_config, spec_factory, on_cell=on_cell)
     except ValueError as exc:  # bad population parameters surface here
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RuntimeError as exc:  # a replication bug: the finished cells are still written
+        bug = str(exc)
     wall = time.perf_counter() - started
 
     csv_path = out_dir / "table.csv"
@@ -145,6 +150,8 @@ def cmd_simulate(args) -> int:
         "wall_clock_s": round(wall, 3),
         "cells": cells,
     }
+    if bug is not None:
+        manifest["error"] = bug
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
     if fmt == "md":
@@ -154,6 +161,9 @@ def cmd_simulate(args) -> int:
         for r in rows:
             print(f"{r.a!r},{r.n},{r.asymp_bias!r},{r.emp_bias!r},"
                   f"{r.emp_se!r},{r.reps_done},{r.degenerate_count}")
+    if bug is not None:
+        print(f"replication error: {bug}", file=sys.stderr)
+        return EXIT_BUG
     failed = [r for r in rows if r.reps_done == 0 or r.note]
     if failed:
         for r in failed:
@@ -228,9 +238,13 @@ def cmd_match(args) -> int:
 
 def cmd_bias(args) -> int:
     if args.uniform_propensity is not None:
-        spec = population.make_uniform_propensity_spec(args.uniform_propensity)
-        ps = theory.pstar(spec, args.tol)
-        report = theory.asymptotic_bias_propensity(spec, args.tol)
+        try:
+            spec = population.make_uniform_propensity_spec(args.uniform_propensity)
+            ps = theory.pstar(spec, args.tol)
+            report = theory.asymptotic_bias_propensity(spec, args.tol)
+        except ValueError as exc:  # HI outside (0, 1] or tol <= 0
+            print(f"bias: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"p* = {ps.pstar:.6f} (defaulted={ps.defaulted}, "
               f"tail treated fraction={ps.tail_treated_prob:.6f}, "
               f"left_closed={ps.left_closed})")
@@ -256,7 +270,11 @@ def cmd_bias(args) -> int:
     except ValueError as exc:
         print(f"invalid population: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    report = theory.asymptotic_bias_score(spec, args.tol)
+    try:
+        report = theory.asymptotic_bias_score(spec, args.tol)
+    except ValueError as exc:  # tol <= 0
+        print(f"bias: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     b = theory.prognostic_sstar_lower(a) if closed is not None else math.nan
     closed_text = f"{closed:.6f}" if closed is not None else "n/a"
     print(f"a = {a:g}   upper-region threshold b = {b:.6f}")

@@ -273,24 +273,13 @@ def has_crossing(matching: Matching, treated_scores, control_scores) -> bool:
     if not matching.pairs:
         return False
     tp, cp = matching.pair_arrays()
-    a = t[tp]
-    b = c[cp]
-    order = np.argsort(a, kind="stable")
-    a, b = a[order], b[order]
-    m = a.size
-    best_up = -np.inf  # max control score among earlier upward pairs
-    i = 0
-    while i < m:
-        j = i
-        while j < m and a[j] == a[i]:
-            if b[j] < a[j] and best_up > b[j]:
-                return True
-            j += 1
-        for g in range(i, j):
-            if b[g] > a[g] and b[g] > best_up:
-                best_up = b[g]
-        i = j
-    return False
+    order = np.argsort(t[tp], kind="stable")
+    a, b = t[tp][order], c[cp][order]
+    up = np.where(b > a, b, -np.inf)  # control scores of upward pairs
+    best_up = np.concatenate([[-np.inf], np.maximum.accumulate(up)])
+    # max control score over upward pairs whose treated score lies strictly below
+    before = best_up[np.searchsorted(a, a, "left")]
+    return bool(np.any((b < a) & (before > b)))
 
 
 def _has_crossing_quadratic(matching: Matching, treated_scores, control_scores) -> bool:

@@ -373,8 +373,8 @@ def sample_to_csv(smp: Sample, path) -> None:
 def sample_from_csv(path) -> Sample:
     """Read a sample from CSV.
 
-    Requires id, w, s columns; y is optional (NaN when absent), as are the
-    potential-outcome columns y0, y1 (real-data mode).
+    Requires id, w, s columns, with every s finite; y is optional (NaN when
+    absent), as are the potential-outcome columns y0, y1 (real-data mode).
     """
     return sample_and_ids_from_csv(path)[0]
 
@@ -397,6 +397,8 @@ def sample_and_ids_from_csv(path) -> tuple[Sample, list[str]]:
             try:
                 w.append(int(row["w"]))
                 s.append(float(row["s"]))
+                if not math.isfinite(s[-1]):
+                    raise ValueError(f"s must be finite, got {row['s']!r}")
                 y0.append(_opt_float(row.get("y0")))
                 y1.append(_opt_float(row.get("y1")))
                 y.append(_opt_float(row.get("y")))

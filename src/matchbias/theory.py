@@ -9,9 +9,9 @@ estimator over that region both numerically and in closed form for the
 prognostic-score example, and provides the order-one transport distance
 that drives the bias.
 
-Populations with a score density are integrated by adaptive quadrature;
-populations without one fall back to a fixed-seed Monte Carlo measure, so
-results stay deterministic either way.
+Populations with a score density are integrated by adaptive Gauss–Legendre
+quadrature in numpy; populations without one fall back to a fixed-seed Monte
+Carlo measure, so results stay deterministic either way.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .population import PopulationSpec
 
 _DENSE_NODES = 20_001
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_MAX_PANELS = 200  # per _quad call; past it the current estimate is kept
 _MC_DRAWS = 1 << 18
 _MC_SEED = 202_006_11
 
@@ -75,13 +75,29 @@ def _has_density(spec: PopulationSpec) -> bool:
     return spec.score_pdf is not None and spec.score_support is not None
 
 
-def _quad(fn, lo: float, hi: float, breakpoints=(), tol: float = 1e-11) -> float:
-    if hi <= lo:
-        return 0.0
-    pts = [b for b in breakpoints if lo < b < hi]
-    out = quad(fn, lo, hi, points=pts or None, epsabs=1e-14,
-               epsrel=max(tol, 1e-12), limit=200, full_output=1)
-    return float(out[0])
+def _quad(fn, lo: float, hi: float, breakpoints=()) -> float:
+    """Integral of the vectorized fn over [lo, hi] by adaptive 20-node Gauss–Legendre.
+
+    Each gap between breakpoints starts as one panel, halved until the rule on
+    its halves agrees with the rule on it to 1e-12 relative plus 1e-15 absolute.
+    """
+    def rule(a, b):
+        x = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
+        return 0.5 * (b - a) * float(_GL_WEIGHTS @ np.broadcast_to(fn(x), x.shape))
+    edges = [lo, *sorted(x for x in breakpoints if lo < x < hi), hi]
+    todo = [(a, b, rule(a, b)) for a, b in zip(edges, edges[1:]) if a < b]
+    total, panels = 0.0, len(todo)
+    while todo:
+        a, b, whole = todo.pop()
+        mid = 0.5 * (a + b)
+        left, right = rule(a, mid), rule(mid, b)
+        est = left + right
+        if panels < _MAX_PANELS and abs(est - whole) > 1e-12 * abs(est) + 1e-15:
+            todo += [(a, mid, left), (mid, b, right)]
+            panels += 1
+        else:
+            total += est
+    return total
 
 
 def _mc_scores(spec: PopulationSpec, seed: int = _MC_SEED) -> np.ndarray:
@@ -101,34 +117,25 @@ def pi_bar(spec: PopulationSpec) -> float:
     """Overall treated fraction E[assign_prob(S)]."""
     if _has_density(spec):
         lo, hi = _support(spec)
-        return _quad(lambda s: float(spec.assign_prob(s)) * float(spec.score_pdf(s)),
+        return _quad(lambda s: spec.assign_prob(s) * spec.score_pdf(s),
                      lo, hi, spec.score_breakpoints)
     s = _mc_scores(spec)
     return float(np.mean(spec.assign_prob(s)))
 
 
 def _level_intervals(spec: PopulationSpec, level: float) -> list[tuple[float, float]]:
-    """Intervals of {s : assign_prob(s) >= level}, grid-located and root-refined."""
+    """Intervals of {s : assign_prob(s) >= level}, grid-located and bisection-refined."""
     lo, hi = _support(spec)
     s = np.linspace(lo, hi, _DENSE_NODES)
     inside = np.asarray(spec.assign_prob(s), dtype=float) >= level
-
-    def crossing(a, b):
-        g = lambda x: float(spec.assign_prob(np.asarray([x]))[0]) - level
-        ga, gb = g(a), g(b)
-        if ga == 0.0:
-            return a
-        if gb == 0.0:
-            return b
-        return brentq(g, a, b, xtol=1e-13)
-
-    bounds = []
-    if inside[0]:
-        bounds.append(lo)
-    for i in np.flatnonzero(np.diff(inside.astype(np.int8)) != 0):
-        bounds.append(crossing(s[i], s[i + 1]))
-    if inside[-1]:
-        bounds.append(hi)
+    i = np.flatnonzero(inside[1:] != inside[:-1])
+    a, b = s[i], s[i + 1]
+    for _ in range(40):  # all crossings at once, to below one ulp; a keeps s[i]'s side
+        mid = 0.5 * (a + b)
+        same = (np.asarray(spec.assign_prob(mid), dtype=float) >= level) == inside[i]
+        a, b = np.where(same, mid, a), np.where(same, b, mid)
+    crossings = np.where(inside[i], a, b).tolist()  # the endpoint inside the level set
+    bounds = [lo] * bool(inside[0]) + crossings + [hi] * bool(inside[-1])
     return list(zip(bounds[0::2], bounds[1::2]))
 
 
@@ -137,8 +144,8 @@ def _tail_masses(spec: PopulationSpec, intervals) -> tuple[float, float]:
     pdf, ap, bp = spec.score_pdf, spec.assign_prob, spec.score_breakpoints
     mass = treated = 0.0
     for a, b in intervals:
-        mass += _quad(lambda s: float(pdf(s)), a, b, bp)
-        treated += _quad(lambda s: float(ap(s)) * float(pdf(s)), a, b, bp)
+        mass += _quad(pdf, a, b, bp)
+        treated += _quad(lambda s: ap(s) * pdf(s), a, b, bp)
     return mass, treated
 
 
@@ -250,17 +257,13 @@ def _upper_region_report(spec: PopulationSpec, cut: float, pb: float) -> BiasRep
     """
     if _has_density(spec):
         hi = _support(spec)[1]
-        pdf, ap, mu0 = spec.score_pdf, spec.assign_prob, spec.mu0
-        bp = spec.score_breakpoints
-        prob_upper = _quad(lambda s: float(pdf(s)), cut, hi, bp)
+        pdf, ap, mu0, bp = spec.score_pdf, spec.assign_prob, spec.mu0, spec.score_breakpoints
+        prob_upper, den_t = _tail_masses(spec, [(cut, hi)])
         if prob_upper <= 0.0:
             return _zero_bias_report(pb)
-        den_t = _quad(lambda s: float(ap(s)) * float(pdf(s)), cut, hi, bp)
-        den_c = _quad(lambda s: (1.0 - float(ap(s))) * float(pdf(s)), cut, hi, bp)
-        num_t = _quad(lambda s: float(mu0(s)) * float(ap(s)) * float(pdf(s)),
-                      cut, hi, bp)
-        num_c = _quad(lambda s: float(mu0(s)) * (1.0 - float(ap(s))) * float(pdf(s)),
-                      cut, hi, bp)
+        den_c = _quad(lambda s: (1.0 - ap(s)) * pdf(s), cut, hi, bp)
+        num_t = _quad(lambda s: mu0(s) * ap(s) * pdf(s), cut, hi, bp)
+        num_c = _quad(lambda s: mu0(s) * (1.0 - ap(s)) * pdf(s), cut, hi, bp)
     else:
         s = _mc_scores(spec)
         upper = s >= cut
@@ -408,16 +411,13 @@ def weighted_wasserstein_objective(spec: PopulationSpec, b: float,
         if b >= hi:
             return 0.0
         b = max(b, lo)
-        ap, pdf = spec.assign_prob, spec.score_pdf
-        bp = spec.score_breakpoints
+        ap = spec.assign_prob
         pb = pi_bar(spec)
-        treated_mass = _quad(lambda s: float(ap(s)) * float(pdf(s)), b, hi, bp)
+        treated_mass = _tail_masses(spec, [(b, hi)])[1]
         if treated_mass <= 0.0 or pb <= 0.0:
             return 0.0
-        q1 = _conditional_quantile_from_density(
-            spec, b, hi, lambda s: np.asarray(ap(s), dtype=float))
-        q0 = _conditional_quantile_from_density(
-            spec, b, hi, lambda s: 1.0 - np.asarray(ap(s), dtype=float))
+        q1 = _conditional_quantile_from_density(spec, b, hi, ap)
+        q0 = _conditional_quantile_from_density(spec, b, hi, lambda s: 1.0 - ap(s))
         if q1 is None or q0 is None:
             return 0.0
         return (treated_mass / pb) * wasserstein_1d(q1, q0, grid)

@@ -1,8 +1,10 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
+from matchbias import matching
 from matchbias.cli import main
 
 
@@ -75,6 +77,34 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path)]) == 1
         assert "unknown matching method" in capsys.readouterr().err
 
+    def test_replication_bug_writes_finished_cells_and_exits_four(
+            self, tmp_path, capsys, monkeypatch):
+        # the third matcher call drops a pair: the n=60 cell finishes, n=80 hits the bug
+        match_scores, calls = matching.match_scores, []
+
+        def dropping(*args, **kwargs):
+            m = match_scores(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 3:
+                m = replace(m, pairs=dict(list(m.pairs.items())[1:]))
+            return m
+
+        monkeypatch.setattr(matching, "match_scores", dropping)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, simulation={"n_values": [60, 80]})
+        assert main(["simulate", "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert "rep seed" in err and "n=80" in err
+        out_dir = tmp_path / "out"
+        with open(out_dir / "table.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 2 and rows[1][1] == "60"
+        assert (out_dir / "table.md").is_file()
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert "rep seed" in manifest["error"] and "n=80" in manifest["error"]
+        assert [c["n"] for c in manifest["cells"]] == [60]
+
     def test_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path)
@@ -141,6 +171,13 @@ class TestMatch:
     def test_unreadable_input(self, capsys):
         assert main(["match", "/does/not/exist.csv"]) == 1
 
+    def test_non_finite_score_is_input_error(self, tmp_path, capsys):
+        data = tmp_path / "units.csv"
+        data.write_text("id,w,s\n0,1,0.5\n1,0,nan\n2,0,0.7\n")
+        for command in ("match", "diagnose"):
+            assert main([command, str(data)]) == 1
+            assert f"input error: {data}:3: bad row" in capsys.readouterr().err
+
 
 class TestBias:
     def test_prognostic_closed_and_numeric(self, capsys):
@@ -169,6 +206,15 @@ class TestBias:
 
     def test_missing_selector(self, capsys):
         assert main(["bias"]) == 1
+
+    def test_uniform_propensity_out_of_range(self, capsys):
+        assert main(["bias", "--uniform-propensity", "1.5"]) == 1
+        assert "upper must be in (0, 1]" in capsys.readouterr().err
+
+    def test_non_positive_tol(self, capsys):
+        for route in (["--uniform-propensity", "0.8"], ["--prognostic", "--a", "0.5"]):
+            assert main(["bias", *route, "--tol", "0"]) == 1
+            assert "tol must be > 0" in capsys.readouterr().err
 
 
 class TestDiagnose:

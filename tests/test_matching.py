@@ -229,15 +229,17 @@ class TestCrossing:
 
     def test_sweep_agrees_with_quadratic_oracle(self):
         rng = np.random.default_rng(88)
-        for _ in range(400):
-            n1 = int(rng.integers(1, 12))
-            n0 = int(rng.integers(n1, 20))
-            t, c = rng.random(n1), rng.random(n0)
-            # random injective matching, usually suboptimal
-            perm = rng.permutation(n0)[:n1]
-            m = mt.Matching(pairs={i: int(j) for i, j in enumerate(perm)},
-                            total_cost=0.0, method="exact_dp", injective=True)
-            assert mt.has_crossing(m, t, c) == mt._has_crossing_quadratic(m, t, c)
+        for tied in (False, True):  # tied: scores on the quarter grid 0, 0.25, ..., 1
+            draw = (lambda k: rng.integers(0, 5, k) / 4) if tied else rng.random
+            for _ in range(400):
+                n1 = int(rng.integers(1, 12))
+                n0 = int(rng.integers(n1, 20))
+                t, c = draw(n1), draw(n0)
+                # random injective matching, usually suboptimal
+                perm = rng.permutation(n0)[:n1]
+                m = mt.Matching(pairs={i: int(j) for i, j in enumerate(perm)},
+                                total_cost=0.0, method="exact_dp", injective=True)
+                assert mt.has_crossing(m, t, c) == mt._has_crossing_quadratic(m, t, c)
 
 
 class TestCaliper:

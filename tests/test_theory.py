@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
@@ -147,6 +151,45 @@ class TestBiasScore:
             mu0=spec.mu0, mu1=spec.mu1, noise0=spec.noise0, noise1=spec.noise1)
         rep = theory.asymptotic_bias_score(stripped)
         assert rep.bias == pytest.approx(7 / 45, abs=0.01)
+
+    def test_kink_without_breakpoint(self):
+        # the triangular density's kink at s = 1 is left for the halving to find
+        spec = dataclasses.replace(pop.make_prognostic_spec(1 / 3), score_breakpoints=())
+        assert theory.pi_bar(spec) == pytest.approx(0.375, abs=1e-12)
+        assert theory.asymptotic_bias_score(spec).bias == pytest.approx(
+            theory.prognostic_bias_closed_form(1 / 3), abs=1e-12)
+
+
+class TestQuadrature:
+    def test_exponential(self):
+        assert theory._quad(np.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-14)
+
+    def test_narrow_gaussian_bump(self):
+        sd = 0.002
+
+        def bump(x):
+            return np.exp(-0.5 * ((x - 0.3) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
+
+        exact = 0.5 * (math.erf(0.7 / (sd * math.sqrt(2))) + math.erf(0.3 / (sd * math.sqrt(2))))
+        assert theory._quad(bump, 0.0, 1.0) == pytest.approx(exact, abs=1e-13)
+
+    def test_panel_cap_bounds_work(self):
+        # an integrand that never settles is split only until the panel cap
+        calls = []
+
+        def wild(x):
+            calls.append(None)
+            return np.sin(1e9 * x)
+
+        assert math.isfinite(theory._quad(wild, 0.0, 1.0))
+        assert len(calls) <= 4 * theory._MAX_PANELS
+
+    def test_import_leaves_scipy_out(self):
+        src = os.path.dirname(os.path.dirname(theory.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import matchbias, sys; assert 'scipy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestBiasPropensity:

@@ -58,7 +58,6 @@ from .simulation import (
 )
 from .theory import (
     BiasReport,
-    PStarError,
     PStarResult,
     SStarNotFoundError,
     asymptotic_bias_propensity,

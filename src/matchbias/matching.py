@@ -4,20 +4,20 @@ All matchers take a sequence of treated scores and a sequence of control
 scores and return pairs keyed by *position* in those sequences (0-based,
 pre-sorting). Matching without replacement minimizes the total within-pair
 absolute score difference. Because some optimal matching on the line is
-order-preserving, the optimum is found by a dynamic program over the two
-sorted sequences instead of a general assignment solver.
+order-preserving, the optimum is found by one O(N log N) sweep over the two
+sorted sequences instead of a general assignment solver. The quadratic
+windowed dynamic program remains only for the banded approximation with a
+band below the control surplus N0 - N1.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-# exact DP auto-selected up to this many table cells; beyond it the banded
-# approximation keeps memory and time bounded
-AUTO_EXACT_CELL_LIMIT = 200_000_000
 DEFAULT_BAND = 2000
 
 # every name match_scores accepts, and the ones that match without replacement
@@ -132,13 +132,92 @@ def _windowed_dp(t_sorted: np.ndarray, c_sorted: np.ndarray, window: int):
     return total, skips
 
 
+def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> bytearray:
+    """Controls used by a min-cost matching of every sorted treated unit.
+
+    Successive shortest paths on the line, run as one sorted sweep (the
+    "mice and holes" exchange argument): scores are visited in order,
+    controls before treated on equal scores, and two min-heaps hold the
+    cheapest moves so far as (value, anchor), where the anchor is the one
+    control whose used flag changes when the move is taken.
+
+    - `hole`: a treated unit at x can take a control for x + value. A free
+      control at y offers -y; a control vacated by a steal offers the
+      cost of sending the stolen treated unit back to it.
+    - `mouse`: a control at y can take over a matched treated unit for
+      y + value, moving it off its anchor; taken only when that is < 0.
+    - `waiting` counts treated units that found `hole` empty. The next
+      controls go to them, which stands in for an infinite cost without
+      absorbing any score into it.
+
+    O(N log N) time for N = N0 + N1 and O(N) memory. Requires
+    len(t_sorted) <= len(c_sorted), so that `waiting` ends at zero. Returns
+    one flag per sorted control; exactly len(t_sorted) are set.
+    """
+    used = bytearray(c_sorted.size)
+    hole: list[tuple[float, int]] = []
+    mouse: list[tuple[float, int]] = []
+    waiting = 0
+    cs = c_sorted.tolist()
+    # controls at or below each treated score come before it
+    ends = np.searchsorted(c_sorted, t_sorted, side="right").tolist()
+    push, pop = heapq.heappush, heapq.heappop
+    j = 0
+    for x, end in zip(t_sorted.tolist(), ends):
+        while j < end:
+            y = cs[j]
+            if waiting:
+                waiting -= 1
+                used[j] = 1
+            elif mouse and y + mouse[0][0] < 0:
+                v, a = pop(mouse)
+                used[j] = 1
+                used[a] = 0
+                push(hole, (-2.0 * y - v, a))
+            else:
+                push(hole, (-y, j))
+            j += 1
+        if hole:
+            v, a = pop(hole)
+            used[a] = 1
+            push(mouse, (-2.0 * x - v, a))
+        else:
+            waiting += 1
+    # past the last treated unit only waiting units and steals can use a
+    # control, and once neither applies no later (larger) control can
+    while j < len(cs):
+        y = cs[j]
+        if waiting:
+            waiting -= 1
+        elif mouse and y + mouse[0][0] < 0:
+            used[pop(mouse)[1]] = 0
+        else:
+            break
+        used[j] = 1
+        j += 1
+    return used
+
+
 def _dp_match(t: np.ndarray, c: np.ndarray, window: int | None, method: str,
               k: int = 1) -> Matching:
-    """Order-preserving DP matching of validated scores, k treated per control.
+    """Order-preserving matching of validated scores, k treated per control.
 
     Every control is repeated k times on the sorted side, so k = 1 is
     matching without replacement. `window` caps the skipped (repeated)
-    controls; None, or any value of at least k*N0 - N1, makes the DP exact.
+    controls. None, or any value of at least k*N0 - N1, asks for the exact
+    optimum, which the sweep `_sweep_used` finds; only a smaller window runs
+    the windowed DP, whose cost is then an upper bound on the optimum.
+
+    In both cases the used controls are paired in stable sorted order with
+    the stable-sorted treated units. At window >= k*N0 - N1 the two reach
+    the same cost, and on distinct scores the same pairs, but on tied scores
+    they can pick different optimal sets of controls. The DP puts each pair
+    on the smallest admissible control position. When a later control in
+    the sweep takes over one of several equally good matched units, it
+    frees the one on the smallest sorted control position, so among tied
+    controls the sweep can keep a later position. Treated [0.75, 0.75] with
+    controls [0, 1, 0] cost 1.0 either way: the DP pairs {0: 0, 1: 1}, the
+    sweep {0: 2, 1: 1}.
     """
     if t.size < 1:
         raise MatchingError("no treated units to match")
@@ -149,9 +228,14 @@ def _dp_match(t: np.ndarray, c: np.ndarray, window: int | None, method: str,
     slack = k * c.size - t.size
     t_order = np.argsort(t, kind="stable")
     c_order = np.argsort(c, kind="stable")
-    _, skips = _windowed_dp(t[t_order], np.repeat(c[c_order], k),
-                            slack if window is None else min(window, slack))
-    c_pos = c_order[(np.arange(t.size) + skips) // k]
+    t_sorted, c_sorted = t[t_order], np.repeat(c[c_order], k)
+    if window is None or window >= slack:
+        used = np.flatnonzero(np.frombuffer(_sweep_used(t_sorted, c_sorted),
+                                            dtype=np.uint8))
+    else:
+        _, skips = _windowed_dp(t_sorted, c_sorted, window)
+        used = np.arange(t.size) + skips
+    c_pos = c_order[used // k]
     pairs = dict(zip(t_order.tolist(), c_pos.tolist()))
     cost = float(np.sum(np.abs(t[t_order] - c[c_pos])))
     injective = k == 1 or len(set(pairs.values())) == len(pairs)
@@ -169,9 +253,9 @@ def match_optimal_exact(treated_scores, control_scores) -> Matching:
 def match_banded(treated_scores, control_scores, band: int) -> Matching:
     """Banded approximation of optimal matching.
 
-    Restricts the DP to at most `band` skipped controls, giving
-    O(N1 * band) work. Exact whenever band >= N0 - N1; otherwise the cost
-    is an upper bound on the optimum.
+    Exact whenever band >= N0 - N1, where it runs the sweep of the exact
+    matcher. Otherwise the windowed DP skips at most `band` controls, in
+    O(N1 * band) work, and the cost is an upper bound on the optimum.
     """
     if band < 0:
         raise ValueError("band must be >= 0")
@@ -213,8 +297,8 @@ def match_with_replacement(treated_scores, control_scores) -> Matching:
 def match_capacitated(treated_scores, control_scores, k: int) -> Matching:
     """Min-cost matching where each control absorbs at most k treated units.
 
-    Solved by replicating every control k times and running the exact DP on
-    the expanded side. k = 1 recovers matching without replacement; k >= N1
+    Solved by replicating every control k times and running the exact sweep
+    on the expanded side. k = 1 recovers matching without replacement; k >= N1
     attains the with-replacement cost.
     """
     if k < 1:
@@ -233,7 +317,7 @@ BRUTE_FORCE_LIMIT = 10
 def brute_force_match(treated_scores, control_scores) -> Matching:
     """Global minimum over every injective assignment, by direct enumeration.
 
-    Independent oracle for the DP matchers; guarded to N1 <= N0 <= 10.
+    Independent oracle for the sweep and DP matchers; guarded to N1 <= N0 <= 10.
     """
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
@@ -282,18 +366,6 @@ def has_crossing(matching: Matching, treated_scores, control_scores) -> bool:
     return bool(np.any((b < a) & (before > b)))
 
 
-def _has_crossing_quadratic(matching: Matching, treated_scores, control_scores) -> bool:
-    # literal pairwise check of the crossing inequality; test oracle only
-    t = np.asarray(treated_scores, dtype=float)
-    c = np.asarray(control_scores, dtype=float)
-    items = [(t[i], c[j]) for i, j in matching.pairs.items()]
-    for ai, bi in items:
-        for aj, bj in items:
-            if max(ai, bj) < min(aj, bi):
-                return True
-    return False
-
-
 def apply_caliper(matching: Matching, treated_scores, control_scores,
                   caliper: float) -> tuple[Matching, set[int]]:
     """Drop pairs whose score gap exceeds the caliper.
@@ -317,14 +389,10 @@ def match_scores(treated_scores, control_scores, method: str = "auto",
                  config: MatchConfig | None = None) -> Matching:
     """Dispatch to a matcher by name, one of METHODS.
 
-    "auto" runs the exact DP when the table fits under
-    AUTO_EXACT_CELL_LIMIT cells and falls back to the banded DP otherwise.
+    "auto" is another name for "exact".
     """
     cfg = config if config is not None else MatchConfig()
-    if method == "auto":
-        n1, n0 = np.size(treated_scores), np.size(control_scores)
-        method = "exact" if n1 * (n0 - n1 + 1) <= AUTO_EXACT_CELL_LIMIT else "banded"
-    if method == "exact":
+    if method in ("auto", "exact"):
         return match_optimal_exact(treated_scores, control_scores)
     if method == "banded":
         return match_banded(treated_scores, control_scores, cfg.band)

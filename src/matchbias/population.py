@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -52,7 +52,8 @@ class Sample:
 
     `w`, `s`, `y0`, `y1`, `y` are aligned arrays of length n. Treated and
     control index sets preserve draw order. `y0`/`y1` may be NaN for real
-    data where potential outcomes are unobserved.
+    data where potential outcomes are unobserved. The index sets are
+    computed from `w` once, on first use, and are read-only.
     """
 
     w: np.ndarray
@@ -65,13 +66,17 @@ class Sample:
     def n(self) -> int:
         return self.s.size
 
-    @property
+    @cached_property
     def treated_idx(self) -> np.ndarray:
-        return np.flatnonzero(self.w == 1)
+        idx = np.flatnonzero(self.w == 1)
+        idx.flags.writeable = False
+        return idx
 
-    @property
+    @cached_property
     def control_idx(self) -> np.ndarray:
-        return np.flatnonzero(self.w == 0)
+        idx = np.flatnonzero(self.w == 0)
+        idx.flags.writeable = False
+        return idx
 
     @property
     def n1(self) -> int:

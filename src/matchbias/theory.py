@@ -30,10 +30,6 @@ _MC_DRAWS = 1 << 18
 _MC_SEED = 202_006_11
 
 
-class PStarError(RuntimeError):
-    """Partition search failed. Kept for imports; no search raises it any more."""
-
-
 class SStarNotFoundError(ValueError):
     """No score threshold reaches a half-treated upper region; its mass is zero."""
 

@@ -4,12 +4,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchbias import matching as mt
+from matchbias import population
 
 
 def random_instance(rng, max_n1=5, max_n0=8):
     n1 = int(rng.integers(1, max_n1 + 1))
     n0 = int(rng.integers(n1, max_n0 + 1))
     return rng.random(n1), rng.random(n0)
+
+
+def has_crossing_quadratic(matching, treated_scores, control_scores):
+    # literal pairwise check of the crossing inequality
+    t = np.asarray(treated_scores, dtype=float)
+    c = np.asarray(control_scores, dtype=float)
+    items = [(t[i], c[j]) for i, j in matching.pairs.items()]
+    for ai, bi in items:
+        for aj, bj in items:
+            if max(ai, bj) < min(aj, bi):
+                return True
+    return False
+
+
+def windowed_dp_match(t, c, k=1):
+    """(cost, pairs) of the windowed DP at its exact window k*N0 - N1."""
+    t, c = np.asarray(t, dtype=float), np.asarray(c, dtype=float)
+    t_order = np.argsort(t, kind="stable")
+    c_order = np.argsort(c, kind="stable")
+    cost, skips = mt._windowed_dp(t[t_order], np.repeat(c[c_order], k),
+                                  k * c.size - t.size)
+    c_pos = c_order[(np.arange(t.size) + skips) // k]
+    return cost, dict(zip(t_order.tolist(), c_pos.tolist()))
+
+
+@st.composite
+def tied_instances(draw):
+    """(t, c, k) on the quarter grid, so duplicate scores are common."""
+    k = draw(st.integers(1, 3))
+    grid = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    c = draw(st.lists(grid, min_size=1, max_size=8))
+    t = draw(st.lists(grid, min_size=1, max_size=min(k * len(c), 12)))
+    return np.asarray(t), np.asarray(c), k
 
 
 class TestExactAgainstBruteForce:
@@ -101,6 +135,87 @@ class TestBanded:
         costs = [mt.match_banded(t, c, b).total_cost for b in range(0, 26)]
         assert all(costs[i + 1] <= costs[i] + 1e-12 for i in range(len(costs) - 1))
         assert all(c_ >= costs[-1] - 1e-12 for c_ in costs)
+
+
+class TestSweepAgainstWindowedDP:
+    """The exact matchers run the sweep; the windowed DP is their oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_instances())
+    def test_tied_cost_equals_dp(self, inst):
+        t, c, k = inst
+        dp_cost, _ = windowed_dp_match(t, c, k)
+        m = mt.match_capacitated(t, c, k)
+        assert m.total_cost == pytest.approx(dp_cost, abs=1e-12)
+        assert np.bincount(list(m.pairs.values()), minlength=c.size).max() <= k
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0, 1), st.integers(1, 10), st.integers(0, 5),
+           st.integers(1, 3))
+    def test_all_equal_scores(self, x, n1, extra, k):
+        # every matching costs 0; N1 = k*N0 when extra is 0 and k divides N1
+        n0 = -(-n1 // k) + extra
+        t, c = np.full(n1, x), np.full(n0, x)
+        dp_cost, _ = windowed_dp_match(t, c, k)
+        m = mt.match_capacitated(t, c, k)
+        assert m.total_cost == dp_cost == 0.0
+        assert sorted(m.pairs) == list(range(n1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0, 1), min_size=1, max_size=9),
+           st.randoms(use_true_random=False))
+    def test_equal_sizes(self, t, rnd):
+        # N1 = N0: every control is used, sorted pairing is optimal
+        c = [x + rnd.uniform(-0.1, 0.1) for x in t]
+        rnd.shuffle(c)
+        dp_cost, _ = windowed_dp_match(t, c)
+        m = mt.match_optimal_exact(t, c)
+        assert m.total_cost == pytest.approx(dp_cost, abs=1e-12)
+        assert sorted(m.pairs.values()) == list(range(len(c)))
+
+    def test_continuous_pairs_identical(self):
+        rng = np.random.default_rng(2024)
+        for n1, n0 in [(1, 1), (5, 5), (40, 41), (300, 800), (1500, 1600),
+                       (2000, 3000), (3000, 5000)]:
+            for k in (1, 2, 3):
+                t, c = rng.random(n1), rng.random(-(-n0 // k))
+                dp_cost, dp_pairs = windowed_dp_match(t, c, k)
+                m = mt.match_capacitated(t, c, k)
+                assert m.pairs == dp_pairs
+                assert m.total_cost == pytest.approx(dp_cost, rel=1e-12)
+
+    def test_prognostic_pairs_identical(self):
+        for a, n, seed in [(1 / 3, 2000, 1), (4 / 9, 3000, 2), (1.0, 4000, 3)]:
+            smp = population.sample(population.make_prognostic_spec(a), n, seed)
+            t, c = smp.treated_scores, smp.control_scores
+            dp_cost, dp_pairs = windowed_dp_match(t, c)
+            m = mt.match_optimal_exact(t, c)
+            assert m.pairs == dp_pairs
+            assert m.total_cost == pytest.approx(dp_cost, rel=1e-12)
+
+    def test_tie_rule(self):
+        # equal cost, different controls: the DP keeps the smallest control
+        # position, the sweep frees it when control 1.0 takes over a unit
+        t, c = [0.75, 0.75], [0.0, 1.0, 0.0]
+        m = mt.match_optimal_exact(t, c)
+        assert m.pairs == {0: 2, 1: 1}
+        assert m.total_cost == mt.brute_force_match(t, c).total_cost == 1.0
+        assert windowed_dp_match(t, c) == (1.0, {0: 0, 1: 1})
+
+    def test_windowed_dp_runs_only_below_the_surplus(self, monkeypatch):
+        calls = []
+        dp = mt._windowed_dp
+        monkeypatch.setattr(mt, "_windowed_dp",
+                            lambda *args: calls.append(args[2]) or dp(*args))
+        rng = np.random.default_rng(3)
+        t, c = rng.random(20), rng.random(50)
+        mt.match_optimal_exact(t, c)
+        for method in ("auto", "exact", "capacitated"):
+            mt.match_scores(t, c, method, mt.MatchConfig(capacity=2))
+        mt.match_banded(t, c, 30)
+        assert calls == []
+        mt.match_banded(t, c, 29)
+        assert calls == [29]
 
 
 class TestWithReplacement:
@@ -239,7 +354,7 @@ class TestCrossing:
                 perm = rng.permutation(n0)[:n1]
                 m = mt.Matching(pairs={i: int(j) for i, j in enumerate(perm)},
                                 total_cost=0.0, method="exact_dp", injective=True)
-                assert mt.has_crossing(m, t, c) == mt._has_crossing_quadratic(m, t, c)
+                assert mt.has_crossing(m, t, c) == has_crossing_quadratic(m, t, c)
 
 
 class TestCaliper:

@@ -76,7 +76,7 @@ def _build_sim_config(cfg: dict, args) -> tuple[simulation.SimConfig, object]:
     n_values = args.n if args.n else _need(simc, "simulation", "n_values")
     reps = args.reps if args.reps is not None else _need(simc, "simulation", "reps")
     seed = args.seed if args.seed is not None else simc.get("master_seed", 0)
-    method = args.method or mat.get("method", "banded")
+    method = args.method or mat.get("method", "exact")
 
     try:
         mcfg = MatchConfig(
@@ -215,9 +215,11 @@ def cmd_match(args) -> int:
     with open(out_dir / "pairs.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["treated_id", "control_id", "gap"])
-        for i, j in sorted(m.pairs.items()):
-            gap = abs(float(smp.treated_scores[i]) - float(smp.control_scores[j]))
-            writer.writerow([treated_ids[i], control_ids[j], repr(gap)])
+        ts, cs = smp.treated_scores.tolist(), smp.control_scores.tolist()
+        tp, cp = m.pair_arrays()
+        for i, j in zip(tp.tolist(), cp.tolist()):
+            writer.writerow([treated_ids[i], control_ids[j],
+                             repr(abs(ts[i] - cs[j]))])
     summary = matching.matching_summary(m, cfg)
     with open(out_dir / "summary.csv", "w", newline="") as fh:
         fh.write("method,band,capacity,total_cost\r\n")

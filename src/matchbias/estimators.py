@@ -95,11 +95,14 @@ def att_caliper(smp: Sample, matching: Matching, dropped: set[int]) -> AttEstima
     treatment effect among the caliper-retained subpopulation, not the full
     treated population.
     """
+    n1 = smp.n1
     drop = np.fromiter(dropped, dtype=np.intp, count=len(dropped))
-    if drop.size and (drop.min() < 0 or drop.max() >= smp.n1):
+    if drop.size and (drop.min() < 0 or drop.max() >= n1):
         raise ValueError("dropped indices must be treated positions")
+    is_dropped = np.zeros(n1, dtype=bool)
+    is_dropped[drop] = True
     tp, cp = matching.pair_arrays()
-    keep = ~np.isin(tp, drop)
+    keep = ~is_dropped[tp]
     if not keep.any():
         return AttEstimate(0.0, 0, "caliper", degenerate=True)
     y_t = smp.y[smp.treated_idx[tp[keep]]]

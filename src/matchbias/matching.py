@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,28 +30,64 @@ class MatchingError(ValueError):
     """Raised when a matching cannot be constructed as requested."""
 
 
+class Pairs(Mapping):
+    """Read-only mapping treated position -> control position over two arrays.
+
+    `treated` and `control` are intp arrays, already sorted by treated
+    position, which the constructor makes read-only; iteration follows
+    that order.
+    """
+
+    __slots__ = ("treated", "control")
+
+    def __init__(self, treated: np.ndarray, control: np.ndarray):
+        treated.flags.writeable = False
+        control.flags.writeable = False
+        self.treated, self.control = treated, control
+
+    def __getitem__(self, key) -> int:
+        i = np.searchsorted(self.treated, key)
+        if i < self.treated.size and self.treated[i] == key:
+            return int(self.control[i])
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(self.treated.tolist())
+
+    def __len__(self) -> int:
+        return self.treated.size
+
+    def __repr__(self) -> str:
+        return f"Pairs({dict(self.items())})"
+
+
 @dataclass(frozen=True)
 class Matching:
     """An assignment of treated positions to control positions.
 
     `pairs` maps each treated position to the control position it is
-    matched with; `total_cost` is the sum of within-pair absolute score
-    differences; `injective` records whether no control is used twice.
+    matched with; any mapping passed in is stored as `Pairs`, two read-only
+    intp arrays sorted by treated position. `total_cost` is the sum of
+    within-pair absolute score differences; `injective` records whether no
+    control is used twice.
     """
 
-    pairs: dict[int, int]
+    pairs: Mapping[int, int]
     total_cost: float
     method: str
     injective: bool
 
+    def __post_init__(self):
+        if not isinstance(self.pairs, Pairs):
+            n = len(self.pairs)
+            t = np.fromiter(self.pairs.keys(), dtype=np.intp, count=n)
+            c = np.fromiter(self.pairs.values(), dtype=np.intp, count=n)
+            order = np.argsort(t)
+            object.__setattr__(self, "pairs", Pairs(t[order], c[order]))
+
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pairs as (treated_positions, control_positions), sorted by treated."""
-        if not self.pairs:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        t = np.fromiter(self.pairs.keys(), dtype=np.intp, count=len(self.pairs))
-        c = np.fromiter(self.pairs.values(), dtype=np.intp, count=len(self.pairs))
-        order = np.argsort(t)
-        return t[order], c[order]
+        """Read-only (treated_positions, control_positions), sorted by treated."""
+        return self.pairs.treated, self.pairs.control
 
 
 @dataclass(frozen=True)
@@ -226,8 +263,7 @@ def _dp_match(t: np.ndarray, c: np.ndarray, window: int | None, method: str,
             f"more treated ({t.size}) than controls ({c.size}); matching "
             "without replacement is impossible")
     slack = k * c.size - t.size
-    t_order = np.argsort(t, kind="stable")
-    c_order = np.argsort(c, kind="stable")
+    t_order, c_order = _argsort_ties_stable(t), _argsort_ties_stable(c)
     t_sorted, c_sorted = t[t_order], np.repeat(c[c_order], k)
     if window is None or window >= slack:
         used = np.flatnonzero(np.frombuffer(_sweep_used(t_sorted, c_sorted),
@@ -236,11 +272,26 @@ def _dp_match(t: np.ndarray, c: np.ndarray, window: int | None, method: str,
         _, skips = _windowed_dp(t_sorted, c_sorted, window)
         used = np.arange(t.size) + skips
     c_pos = c_order[used // k]
-    pairs = dict(zip(t_order.tolist(), c_pos.tolist()))
-    cost = float(np.sum(np.abs(t[t_order] - c[c_pos])))
-    injective = k == 1 or len(set(pairs.values())) == len(pairs)
-    return Matching(pairs=pairs, total_cost=cost, method=method,
-                    injective=injective)
+    cost = float(np.sum(np.abs(t_sorted - c[c_pos])))
+    injective = k == 1 or bool(np.bincount(c_pos).max() <= 1)
+    cp = np.empty(t.size, dtype=np.intp)
+    cp[t_order] = c_pos
+    return Matching(pairs=Pairs(np.arange(t.size), cp), total_cost=cost,
+                    method=method, injective=injective)
+
+
+def _argsort_ties_stable(x: np.ndarray) -> np.ndarray:
+    """argsort of x; equal values keep their positions' order.
+
+    The default sort is several times faster than a stable one on floats,
+    and gives the same order when no two values are equal, so the stable
+    sort runs only when the sorted values contain a tie.
+    """
+    order = np.argsort(x)
+    xs = x[order]
+    if np.any(xs[1:] == xs[:-1]):
+        return np.argsort(x, kind="stable")
+    return order
 
 
 def match_optimal_exact(treated_scores, control_scores) -> Matching:
@@ -275,23 +326,25 @@ def match_with_replacement(treated_scores, control_scores) -> Matching:
         raise MatchingError("no controls to match against")
     if t.size == 0:
         raise MatchingError("no treated units to match")
-    c_order = np.argsort(c, kind="stable")
+    c_order = np.argsort(c)
     cs = c[c_order]
-    pos = np.searchsorted(cs, t, side="left")
-    left = np.clip(pos - 1, 0, cs.size - 1)
-    right = np.clip(pos, 0, cs.size - 1)
-    d_left = np.abs(t - cs[left])
-    d_right = np.abs(t - cs[right])
-    use_left = (pos > 0) & ((pos == cs.size) | (d_left <= d_right))
-    chosen = np.where(use_left, left, right)
-    # land on the first element of any equal-score run: lowest original position
-    chosen = np.searchsorted(cs, cs[chosen], side="left")
-    c_pos = c_order[chosen]
-    pairs = dict(enumerate(c_pos.tolist()))
+    # one entry per distinct control score, with its lowest position
+    starts = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
+    u = cs[starts]
+    lowest = np.minimum.reduceat(c_order, starts)
+    t_order = np.argsort(t)
+    ts = t[t_order]
+    pos = np.searchsorted(u, ts, side="left")
+    left = np.maximum(pos - 1, 0)
+    right = np.minimum(pos, u.size - 1)
+    use_left = (pos > 0) & ((pos == u.size)
+                            | (np.abs(ts - u[left]) <= np.abs(ts - u[right])))
+    c_pos = np.empty(t.size, dtype=np.intp)
+    c_pos[t_order] = lowest[np.where(use_left, left, right)]
     cost = float(np.sum(np.abs(t - c[c_pos])))
-    injective = len(set(pairs.values())) == len(pairs)
-    return Matching(pairs=pairs, total_cost=cost, method="with_replacement",
-                    injective=injective)
+    injective = bool(np.bincount(c_pos).max() <= 1)
+    return Matching(pairs=Pairs(np.arange(t.size), c_pos), total_cost=cost,
+                    method="with_replacement", injective=injective)
 
 
 def match_capacitated(treated_scores, control_scores, k: int) -> Matching:
@@ -379,7 +432,7 @@ def apply_caliper(matching: Matching, treated_scores, control_scores,
     ti, ci = matching.pair_arrays()
     gap = np.abs(t[ti] - c[ci])
     keep = gap <= caliper
-    retained = Matching(pairs=dict(zip(ti[keep].tolist(), ci[keep].tolist())),
+    retained = Matching(pairs=Pairs(ti[keep], ci[keep]),
                         total_cost=float(gap[keep].sum()), method=matching.method,
                         injective=matching.injective)
     return retained, set(ti[~keep].tolist())

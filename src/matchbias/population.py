@@ -80,11 +80,11 @@ class Sample:
 
     @property
     def n1(self) -> int:
-        return int(np.count_nonzero(self.w))
+        return self.treated_idx.size
 
     @property
     def n0(self) -> int:
-        return self.n - self.n1
+        return self.control_idx.size
 
     @property
     def treated_scores(self) -> np.ndarray:

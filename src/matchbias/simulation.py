@@ -44,7 +44,7 @@ class SimConfig:
     n_values: tuple[int, ...]
     reps: int
     master_seed: int
-    match_method: str = "banded"
+    match_method: str = "exact"
     match_config: MatchConfig = MatchConfig()
     spec_kind: str = "prognostic"
 
@@ -156,7 +156,7 @@ def _run_reps(spec, n, reps, seed, method, config):
 
 
 def run_cell(spec: PopulationSpec, n: int, reps: int, seed: int,
-             method: str = "banded",
+             method: str = "exact",
              config: MatchConfig | None = None) -> SimRow:
     """One Monte Carlo cell: `reps` replications at sample size n.
 

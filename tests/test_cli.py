@@ -77,6 +77,22 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path)]) == 1
         assert "unknown matching method" in capsys.readouterr().err
 
+    def test_default_method_is_exact(self, tmp_path, monkeypatch):
+        match_scores, methods = matching.match_scores, []
+
+        def recording(t, c, method, *args, **kwargs):
+            methods.append(method)
+            return match_scores(t, c, method, *args, **kwargs)
+
+        monkeypatch.setattr(matching, "match_scores", recording)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        del cfg["matching"]
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        assert methods and set(methods) == {"exact"}
+
     def test_replication_bug_writes_finished_cells_and_exits_four(
             self, tmp_path, capsys, monkeypatch):
         # the third matcher call drops a pair: the n=60 cell finishes, n=80 hits the bug

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,6 +256,19 @@ class TestWithReplacement:
         with pytest.raises(mt.MatchingError):
             mt.match_with_replacement([0.5], [])
 
+    def test_tie_rule_against_brute_force(self):
+        # quarter-grid draws: tied scores sit at shuffled control positions
+        rng = np.random.default_rng(41)
+        grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        for _ in range(300):
+            t = rng.choice(grid, int(rng.integers(1, 10)))
+            c = rng.choice(grid, int(rng.integers(1, 12)))
+            m = mt.match_with_replacement(t, c)
+            expect = {i: min(range(c.size), key=lambda j: (abs(x - c[j]), c[j], j))
+                      for i, x in enumerate(t)}
+            assert m.pairs == expect
+            assert m.injective == (len(set(expect.values())) == t.size)
+
 
 class TestCapacitated:
     def test_k1_equals_exact(self):
@@ -301,6 +316,57 @@ class TestCapacitated:
     def test_rejects_insufficient_capacity(self):
         with pytest.raises(mt.MatchingError):
             mt.match_capacitated([0.1, 0.2, 0.3], [0.5], 2)
+
+
+class TestMatchingRepresentation:
+    @staticmethod
+    def check(m, expect):
+        tp, cp = m.pair_arrays()
+        assert tp.dtype == cp.dtype == np.intp
+        assert not tp.flags.writeable and not cp.flags.writeable
+        assert np.all(np.diff(tp) > 0)
+        assert dict(zip(tp.tolist(), cp.tolist())) == expect
+        assert m.pairs == expect and dict(m.pairs) == expect
+        assert list(m.pairs) == sorted(expect)
+
+    def test_from_dict(self):
+        m = mt.Matching(pairs={2: 0, 0: 3, 1: 1}, total_cost=0.0,
+                        method="exact_dp", injective=True)
+        self.check(m, {0: 3, 1: 1, 2: 0})
+        assert m.pairs[0] == 3 and 5 not in m.pairs and m.pairs.get(5) is None
+        with pytest.raises(TypeError):
+            m.pairs[0] = 1
+        with pytest.raises(ValueError):
+            m.pair_arrays()[1][0] = 9
+        self.check(mt.Matching(pairs={}, total_cost=0.0, method="exact_dp",
+                               injective=True), {})
+
+    def test_matcher_output(self):
+        rng = np.random.default_rng(6)
+        t, c = rng.random(7), rng.random(12)
+        cfg = mt.MatchConfig(band=3, capacity=2)
+        for method in mt.METHODS:
+            m = mt.match_scores(t, c, method, cfg)
+            pairs = dict(m.pairs)
+            self.check(m, pairs)
+            assert sorted(pairs) == list(range(t.size))
+            assert mt.Matching(pairs=pairs, total_cost=m.total_cost,
+                               method=m.method, injective=m.injective) == m
+            kept, dropped = mt.apply_caliper(m, t, c, 0.05)
+            self.check(kept, {i: j for i, j in pairs.items() if i not in dropped})
+
+    def test_replace_with_tampered_pairs(self):
+        # the swap of the extreme treated units' controls must reach pair_arrays
+        rng = np.random.default_rng(5)
+        t, c = rng.random(6), rng.random(9)
+        m = mt.match_optimal_exact(t, c)
+        lo, hi = int(np.argmin(t)), int(np.argmax(t))
+        pairs = dict(m.pairs)
+        pairs[lo], pairs[hi] = pairs[hi], pairs[lo]
+        tampered = replace(m, pairs=pairs)
+        self.check(tampered, pairs)
+        assert tampered.pairs != m.pairs
+        assert not mt.has_crossing(m, t, c) and mt.has_crossing(tampered, t, c)
 
 
 class TestBruteForce:

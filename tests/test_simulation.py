@@ -76,6 +76,20 @@ class TestRunCell:
         assert any(r.levelno == logging.WARNING and "serially" in r.getMessage()
                    for r in caplog.records)
 
+    def test_default_method_is_exact(self, monkeypatch):
+        match_scores, methods = matching.match_scores, []
+
+        def recording(t, c, method, *args, **kwargs):
+            methods.append(method)
+            return match_scores(t, c, method, *args, **kwargs)
+
+        monkeypatch.setattr(matching, "match_scores", recording)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        sim.run_cell(pop.make_prognostic_spec(0.5), 60, 2, 3)
+        assert methods and set(methods) == {"exact"}
+        cfg = sim.SimConfig(a_values=(0.5,), n_values=(60,), reps=1, master_seed=0)
+        assert cfg.match_method == "exact"
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_matcher_bug_fails_loudly(self, monkeypatch, threads):
         # a matcher that drops one pair on every other call breaks the

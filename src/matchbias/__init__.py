@@ -1,9 +1,10 @@
 """matchbias: matching without replacement on scalar scores.
 
 Sampling lab for the ATT matching estimator: populations and seeded
-sampling, optimal and approximate matchers on the line, the weighting view
-of the estimator, the asymptotic-bias theory (partition point, closed
-forms, transport distance), and a deterministic Monte Carlo engine.
+sampling, optimal matchers on the line with and without replacement, the
+weighting view of the estimator, the asymptotic-bias theory (partition
+point, closed forms, transport distance), and a deterministic Monte Carlo
+engine.
 """
 
 __version__ = "0.1.0"

@@ -179,8 +179,9 @@ def cmd_match(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    method = "replacement" if args.with_replacement else (args.method or "auto")
+    method = "replacement" if args.with_replacement else (args.method or "exact")
     try:
+        matching.check_method(method)
         cfg = MatchConfig(
             band=args.band if args.band is not None else matching.DEFAULT_BAND,
             capacity=1 if args.capacity is None else args.capacity,
@@ -299,6 +300,10 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+# not argparse choices: an unknown method is a config error, exit 1
+METHOD_HELP = f"one of {', '.join(matching.METHODS)}"
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchbias",
@@ -315,7 +320,7 @@ def _parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, help="override replication count")
     sim.add_argument("--n", type=int, nargs="+", help="override sample sizes")
     sim.add_argument("--a", type=float, nargs="+", help="override a grid")
-    sim.add_argument("--method", choices=matching.METHODS)
+    sim.add_argument("--method", help=METHOD_HELP)
     sim.add_argument("--band", type=int)
     sim.add_argument("--capacity", type=int)
     sim.add_argument("--caliper", type=float)
@@ -324,7 +329,7 @@ def _parser() -> argparse.ArgumentParser:
 
     mat = sub.add_parser("match", help="match a CSV of units (id,w,s[,y])")
     mat.add_argument("input", help="input CSV")
-    mat.add_argument("--method", choices=matching.METHODS)
+    mat.add_argument("--method", help=METHOD_HELP)
     mat.add_argument("--with-replacement", action="store_true",
                      help="shorthand for --method replacement")
     mat.add_argument("--band", type=int)

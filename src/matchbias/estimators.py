@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import (WITHOUT_REPLACEMENT, Matching, MatchConfig,
-                       MatchingError, match_scores)
+from .matching import WITHOUT_REPLACEMENT, Matching, MatchConfig, match_scores
 from .population import Sample
 
 
@@ -33,7 +32,7 @@ class ControlWeights:
     nu: np.ndarray
 
 
-def match_sample(smp: Sample, method: str = "auto",
+def match_sample(smp: Sample, method: str = "exact",
                  config: MatchConfig | None = None) -> Matching:
     """Match a sample's treated scores to its control scores."""
     return match_scores(smp.treated_scores, smp.control_scores, method, config)
@@ -134,15 +133,15 @@ def diagnose_overlap(smp: Sample, threshold: float = 0.5,
     return count / smp.n, count
 
 
-def att_without_replacement(smp: Sample, method: str = "auto",
+def att_without_replacement(smp: Sample, method: str = "exact",
                             config: MatchConfig | None = None) -> AttEstimate:
-    """Match without replacement and estimate, applying the zero convention."""
+    """Match without replacement and estimate, applying the zero convention.
+
+    The convention covers only the sample's sizes: a band that does not
+    cover the control surplus raises MatchingError like any other refusal.
+    """
     if method not in WITHOUT_REPLACEMENT:
         raise ValueError(f"{method!r} is not a without-replacement method")
     if smp.n1 == 0 or smp.n1 > smp.n0:
         return att_matching(smp, None)
-    try:
-        matching = match_sample(smp, method, config)
-    except MatchingError:
-        return att_matching(smp, None)
-    return att_matching(smp, matching)
+    return att_matching(smp, match_sample(smp, method, config))

@@ -5,9 +5,9 @@ scores and return pairs keyed by *position* in those sequences (0-based,
 pre-sorting). Matching without replacement minimizes the total within-pair
 absolute score difference. Because some optimal matching on the line is
 order-preserving, the optimum is found by one O(N log N) sweep over the two
-sorted sequences instead of a general assignment solver. The quadratic
-windowed dynamic program remains only for the banded approximation with a
-band below the control surplus N0 - N1.
+sorted sequences instead of a general assignment solver. That sweep is
+the only algorithm for matching without replacement and capacity-k
+matching; nothing here approximates the optimum.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 DEFAULT_BAND = 2000
 
 # every name match_scores accepts, and the ones that match without replacement
-METHODS = ("auto", "exact", "banded", "replacement", "capacitated")
-WITHOUT_REPLACEMENT = frozenset({"auto", "exact", "banded"})
+METHODS = ("exact", "banded", "replacement", "capacitated")
+WITHOUT_REPLACEMENT = frozenset({"exact", "banded"})
 
 
 class MatchingError(ValueError):
@@ -94,9 +94,10 @@ class Matching:
 class MatchConfig:
     """Knobs for the matcher family.
 
-    band caps the skipped-control window of the banded DP; capacity is the
-    maximum number of treated units a control may absorb; caliper, when
-    set, is the maximum tolerated within-pair score gap.
+    band is the control surplus N0 - N1 the banded matcher accepts; a
+    larger surplus is refused with MatchingError. capacity is the maximum
+    number of treated units a control may absorb; caliper, when set, is
+    the maximum tolerated within-pair score gap.
     """
 
     band: int = DEFAULT_BAND
@@ -119,54 +120,6 @@ def _as_scores(x, side: str) -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{side} scores must be finite")
     return arr
-
-
-def _windowed_dp(t_sorted: np.ndarray, c_sorted: np.ndarray, window: int):
-    """Min-cost order-preserving matching of sorted treated into sorted controls.
-
-    State: after matching the first i treated units, k controls have been
-    skipped (left unmatched below the frontier), so treated i is paired
-    with control i + k. Recurrence over k:
-
-        g(i, k) = min( g(i, k-1),  g(i-1, k) + |t_i - c_{i+k}| )
-
-    which unrolls to a running minimum across each row, one vectorized
-    cumulative-minimum per treated unit. `window` caps k; window equal to
-    len(c) - len(t) makes the program exact. Per-row match/skip decisions
-    are bit-packed for backtracking, keeping memory at m * (window+1) bits.
-
-    Ties resolve toward skipping, which lands every matched pair on the
-    smallest admissible control position.
-
-    Returns (total_cost, skips) where skips[i] is the number of controls
-    skipped below the match of sorted treated unit i.
-    """
-    m, n = t_sorted.size, c_sorted.size
-    width = window + 1
-    prev = np.zeros(width)
-    acc = np.empty(width)
-    v = np.empty(width)
-    matched = np.empty(width, dtype=bool)
-    packed = np.empty((m, (width + 7) // 8), dtype=np.uint8)
-    for i in range(m):
-        np.subtract(c_sorted[i:i + width], t_sorted[i], out=v)
-        np.abs(v, out=v)
-        v += prev
-        np.minimum.accumulate(v, out=acc)
-        matched[0] = True
-        np.less(v[1:], acc[:-1], out=matched[1:])
-        packed[i] = np.packbits(matched)
-        prev, acc = acc, prev
-    total = float(prev[width - 1])
-
-    skips = np.empty(m, dtype=np.int64)
-    k = width - 1
-    for i in range(m - 1, -1, -1):
-        row = packed[i]
-        while not (row[k >> 3] >> (7 - (k & 7))) & 1:
-            k -= 1
-        skips[i] = k
-    return total, skips
 
 
 def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> bytearray:
@@ -235,26 +188,14 @@ def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> bytearray:
     return used
 
 
-def _dp_match(t: np.ndarray, c: np.ndarray, window: int | None, method: str,
-              k: int = 1) -> Matching:
-    """Order-preserving matching of validated scores, k treated per control.
+def _sweep_match(t: np.ndarray, c: np.ndarray, method: str,
+                 k: int = 1) -> Matching:
+    """Min-cost matching of validated scores, k treated per control.
 
     Every control is repeated k times on the sorted side, so k = 1 is
-    matching without replacement. `window` caps the skipped (repeated)
-    controls. None, or any value of at least k*N0 - N1, asks for the exact
-    optimum, which the sweep `_sweep_used` finds; only a smaller window runs
-    the windowed DP, whose cost is then an upper bound on the optimum.
-
-    In both cases the used controls are paired in stable sorted order with
-    the stable-sorted treated units. At window >= k*N0 - N1 the two reach
-    the same cost, and on distinct scores the same pairs, but on tied scores
-    they can pick different optimal sets of controls. The DP puts each pair
-    on the smallest admissible control position. When a later control in
-    the sweep takes over one of several equally good matched units, it
-    frees the one on the smallest sorted control position, so among tied
-    controls the sweep can keep a later position. Treated [0.75, 0.75] with
-    controls [0, 1, 0] cost 1.0 either way: the DP pairs {0: 0, 1: 1}, the
-    sweep {0: 2, 1: 1}.
+    matching without replacement. The sweep `_sweep_used` picks the used
+    (repeated) controls, which are paired in stable sorted order with the
+    stable-sorted treated units.
     """
     if t.size < 1:
         raise MatchingError("no treated units to match")
@@ -262,15 +203,10 @@ def _dp_match(t: np.ndarray, c: np.ndarray, window: int | None, method: str,
         raise MatchingError(
             f"more treated ({t.size}) than controls ({c.size}); matching "
             "without replacement is impossible")
-    slack = k * c.size - t.size
     t_order, c_order = _argsort_ties_stable(t), _argsort_ties_stable(c)
     t_sorted, c_sorted = t[t_order], np.repeat(c[c_order], k)
-    if window is None or window >= slack:
-        used = np.flatnonzero(np.frombuffer(_sweep_used(t_sorted, c_sorted),
-                                            dtype=np.uint8))
-    else:
-        _, skips = _windowed_dp(t_sorted, c_sorted, window)
-        used = np.arange(t.size) + skips
+    used = np.flatnonzero(np.frombuffer(_sweep_used(t_sorted, c_sorted),
+                                        dtype=np.uint8))
     c_pos = c_order[used // k]
     cost = float(np.sum(np.abs(t_sorted - c[c_pos])))
     injective = k == 1 or bool(np.bincount(c_pos).max() <= 1)
@@ -298,21 +234,27 @@ def match_optimal_exact(treated_scores, control_scores) -> Matching:
     """Optimal matching without replacement, minimizing the summed score gaps."""
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
-    return _dp_match(t, c, None, "exact_dp")
+    return _sweep_match(t, c, "exact_dp")
 
 
 def match_banded(treated_scores, control_scores, band: int) -> Matching:
-    """Banded approximation of optimal matching.
+    """Optimal matching without replacement, refused when band < N0 - N1.
 
-    Exact whenever band >= N0 - N1, where it runs the sweep of the exact
-    matcher. Otherwise the windowed DP skips at most `band` controls, in
-    O(N1 * band) work, and the cost is an upper bound on the optimum.
+    The band bounds the control surplus N0 - N1, the number of controls
+    left unmatched. When it covers the surplus the result is that of
+    `match_optimal_exact`; below it no approximation runs and the match
+    raises MatchingError.
     """
     if band < 0:
         raise ValueError("band must be >= 0")
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
-    return _dp_match(t, c, band, "banded_dp")
+    # an empty treated side is left to the sweep's own error
+    if t.size and band < c.size - t.size:
+        raise MatchingError(
+            f"band {band} is below the control surplus N0 - N1 = "
+            f"{c.size - t.size}; raise the band or use method 'exact'")
+    return _sweep_match(t, c, "banded_dp")
 
 
 def match_with_replacement(treated_scores, control_scores) -> Matching:
@@ -361,7 +303,7 @@ def match_capacitated(treated_scores, control_scores, k: int) -> Matching:
     if t.size > k * c.size:
         raise MatchingError(
             f"capacity too small: {t.size} treated exceed k*N0 = {k * c.size}")
-    return _dp_match(t, c, None, "capacitated", k)
+    return _sweep_match(t, c, "capacitated", k)
 
 
 BRUTE_FORCE_LIMIT = 10
@@ -370,7 +312,7 @@ BRUTE_FORCE_LIMIT = 10
 def brute_force_match(treated_scores, control_scores) -> Matching:
     """Global minimum over every injective assignment, by direct enumeration.
 
-    Independent oracle for the sweep and DP matchers; guarded to N1 <= N0 <= 10.
+    Independent oracle for the sweep matcher; guarded to N1 <= N0 <= 10.
     """
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
@@ -438,22 +380,25 @@ def apply_caliper(matching: Matching, treated_scores, control_scores,
     return retained, set(ti[~keep].tolist())
 
 
-def match_scores(treated_scores, control_scores, method: str = "auto",
-                 config: MatchConfig | None = None) -> Matching:
-    """Dispatch to a matcher by name, one of METHODS.
+def check_method(method: str) -> None:
+    """Raise ValueError unless method is one of METHODS."""
+    if method not in METHODS:
+        raise ValueError(f"unknown matching method {method!r}; "
+                         f"expected one of {', '.join(METHODS)}")
 
-    "auto" is another name for "exact".
-    """
+
+def match_scores(treated_scores, control_scores, method: str = "exact",
+                 config: MatchConfig | None = None) -> Matching:
+    """Dispatch to a matcher by name, one of METHODS."""
+    check_method(method)
     cfg = config if config is not None else MatchConfig()
-    if method in ("auto", "exact"):
+    if method == "exact":
         return match_optimal_exact(treated_scores, control_scores)
     if method == "banded":
         return match_banded(treated_scores, control_scores, cfg.band)
     if method == "replacement":
         return match_with_replacement(treated_scores, control_scores)
-    if method == "capacitated":
-        return match_capacitated(treated_scores, control_scores, cfg.capacity)
-    raise ValueError(f"unknown matching method: {method!r}")
+    return match_capacitated(treated_scores, control_scores, cfg.capacity)
 
 
 def matching_summary(matching: Matching, config: MatchConfig | None = None) -> dict:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import estimators, matching, population, theory
-from .matching import METHODS, WITHOUT_REPLACEMENT, MatchConfig
+from .matching import WITHOUT_REPLACEMENT, MatchConfig, check_method
 from .population import PopulationSpec, derive_seed
 
 log = logging.getLogger(__name__)
@@ -28,12 +28,6 @@ log = logging.getLogger(__name__)
 
 class SimulationError(RuntimeError):
     """Every replication of a cell failed."""
-
-
-def _check_method(method: str) -> None:
-    if method not in METHODS:
-        raise ValueError(f"unknown matching method {method!r}; "
-                         f"expected one of {', '.join(METHODS)}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +51,7 @@ class SimConfig:
             raise ValueError("sample sizes must be non-negative")
         if self.spec_kind not in ("prognostic", "categorical", "custom"):
             raise ValueError(f"unknown spec_kind: {self.spec_kind!r}")
-        _check_method(self.match_method)
+        check_method(self.match_method)
 
 
 @dataclass(frozen=True)
@@ -170,7 +164,7 @@ def run_cell(spec: PopulationSpec, n: int, reps: int, seed: int,
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    _check_method(method)
+    check_method(method)
     cfg = config if config is not None else MatchConfig()
     results = _run_reps(spec, n, reps, seed, method, cfg)
     oks = [r for r in results if r[0]]
@@ -244,11 +238,11 @@ def compare_methods(spec: PopulationSpec, n: int, reps: int, seed: int,
     capacity = cfg.capacity if cfg.capacity > 1 else 2
     caliper = cfg.caliper if cfg.caliper is not None else 0.1
     variants = {
-        "without_replacement": ("auto", replace(cfg, caliper=None)),
+        "without_replacement": ("exact", replace(cfg, caliper=None)),
         "with_replacement": ("replacement", replace(cfg, caliper=None)),
         f"capacitated_k{capacity}": (
             "capacitated", replace(cfg, capacity=capacity, caliper=None)),
-        "caliper": ("auto", replace(cfg, caliper=caliper)),
+        "caliper": ("exact", replace(cfg, caliper=caliper)),
     }
     out = {}
     for name, (method, mcfg) in variants.items():

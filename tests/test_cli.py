@@ -11,7 +11,7 @@ from matchbias.cli import main
 def write_config(path, **overrides):
     cfg = {
         "population": {"kind": "prognostic", "a_values": [1 / 3]},
-        "matching": {"method": "auto", "band": 2000},
+        "matching": {"method": "exact", "band": 2000},
         "simulation": {"n_values": [120], "reps": 2, "master_seed": 7},
         "output": {"dir": str(path.parent / "out")},
     }
@@ -73,9 +73,24 @@ class TestSimulate:
 
     def test_unknown_method_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path, matching={"method": "hungarian"})
-        assert main(["simulate", "--config", str(cfg_path)]) == 1
-        assert "unknown matching method" in capsys.readouterr().err
+        for method in ("hungarian", "auto"):
+            write_config(cfg_path, matching={"method": method})
+            assert main(["simulate", "--config", str(cfg_path)]) == 1
+            assert f"unknown matching method {method!r}" in capsys.readouterr().err
+        write_config(cfg_path)
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--method", "auto"]) == 1
+        assert "unknown matching method 'auto'" in capsys.readouterr().err
+
+    def test_band_below_surplus_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, matching={"method": "banded", "band": 10},
+                     simulation={"n_values": [1000]})
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "incomplete" in err
+        assert "band 10 is below the control surplus N0 - N1 = " in err
 
     def test_default_method_is_exact(self, tmp_path, monkeypatch):
         match_scores, methods = matching.match_scores, []
@@ -183,6 +198,21 @@ class TestMatch:
                    "--out-dir", str(tmp_path / "m")])
         assert rc == 0
         assert "caliper dropped 1 treated units" in capsys.readouterr().out
+
+    def test_band_below_surplus_exits_three(self, tmp_path, capsys):
+        data = tmp_path / "units.csv"
+        toy_units_csv(data, [(1, 0.5), (0, 0.4), (0, 0.7), (0, 0.3)])
+        assert main(["match", str(data), "--method", "banded", "--band", "0",
+                     "--out-dir", str(tmp_path / "m")]) == 3
+        assert "band 0 is below the control surplus N0 - N1 = 2" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_unknown_method_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "units.csv"
+        toy_units_csv(data, [(1, 0.5), (0, 0.4)])
+        assert main(["match", str(data), "--method", "auto"]) == 1
+        assert "unknown matching method 'auto'" in capsys.readouterr().err
 
     def test_unreadable_input(self, capsys):
         assert main(["match", "/does/not/exist.csv"]) == 1

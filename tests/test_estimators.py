@@ -74,6 +74,13 @@ class TestAttMatching:
             smp.treated_scores, smp.control_scores))
         assert not out.degenerate and out.value == exact.value
 
+    def test_band_refusal_propagates(self):
+        # a band below the surplus is refused, not estimated as zero
+        smp = pop.sample(pop.make_prognostic_spec(0.5), 400, 12)
+        assert 0 < smp.n1 < smp.n0
+        with pytest.raises(mt.MatchingError, match="below the control surplus"):
+            est.att_without_replacement(smp, "banded", mt.MatchConfig(band=0))
+
     @pytest.mark.parametrize("method", ["exact_dp", "banded_dp", "brute_force",
                                         "replacement"])
     def test_rejects_other_method_names(self, method):

@@ -27,13 +27,61 @@ def has_crossing_quadratic(matching, treated_scores, control_scores):
     return False
 
 
+def _windowed_dp(t_sorted: np.ndarray, c_sorted: np.ndarray, window: int):
+    """Min-cost order-preserving matching of sorted treated into sorted controls.
+
+    State: after matching the first i treated units, k controls have been
+    skipped (left unmatched below the frontier), so treated i is paired
+    with control i + k. Recurrence over k:
+
+        g(i, k) = min( g(i, k-1),  g(i-1, k) + |t_i - c_{i+k}| )
+
+    which unrolls to a running minimum across each row, one vectorized
+    cumulative-minimum per treated unit. `window` caps k; window equal to
+    len(c) - len(t) makes the program exact. Per-row match/skip decisions
+    are bit-packed for backtracking, keeping memory at m * (window+1) bits.
+
+    Ties resolve toward skipping, which lands every matched pair on the
+    smallest admissible control position.
+
+    Returns (total_cost, skips) where skips[i] is the number of controls
+    skipped below the match of sorted treated unit i.
+    """
+    m, n = t_sorted.size, c_sorted.size
+    width = window + 1
+    prev = np.zeros(width)
+    acc = np.empty(width)
+    v = np.empty(width)
+    matched = np.empty(width, dtype=bool)
+    packed = np.empty((m, (width + 7) // 8), dtype=np.uint8)
+    for i in range(m):
+        np.subtract(c_sorted[i:i + width], t_sorted[i], out=v)
+        np.abs(v, out=v)
+        v += prev
+        np.minimum.accumulate(v, out=acc)
+        matched[0] = True
+        np.less(v[1:], acc[:-1], out=matched[1:])
+        packed[i] = np.packbits(matched)
+        prev, acc = acc, prev
+    total = float(prev[width - 1])
+
+    skips = np.empty(m, dtype=np.int64)
+    k = width - 1
+    for i in range(m - 1, -1, -1):
+        row = packed[i]
+        while not (row[k >> 3] >> (7 - (k & 7))) & 1:
+            k -= 1
+        skips[i] = k
+    return total, skips
+
+
 def windowed_dp_match(t, c, k=1):
     """(cost, pairs) of the windowed DP at its exact window k*N0 - N1."""
     t, c = np.asarray(t, dtype=float), np.asarray(c, dtype=float)
     t_order = np.argsort(t, kind="stable")
     c_order = np.argsort(c, kind="stable")
-    cost, skips = mt._windowed_dp(t[t_order], np.repeat(c[c_order], k),
-                                  k * c.size - t.size)
+    cost, skips = _windowed_dp(t[t_order], np.repeat(c[c_order], k),
+                               k * c.size - t.size)
     c_pos = c_order[(np.arange(t.size) + skips) // k]
     return cost, dict(zip(t_order.tolist(), c_pos.tolist()))
 
@@ -131,12 +179,14 @@ class TestBanded:
         exact = mt.match_optimal_exact(t, c)
         assert banded.total_cost == pytest.approx(exact.total_cost, abs=1e-12)
 
-    def test_cost_monotone_in_band(self):
+    def test_band_must_cover_the_surplus(self):
         rng = np.random.default_rng(9)
         t, c = rng.random(20), rng.random(45)
-        costs = [mt.match_banded(t, c, b).total_cost for b in range(0, 26)]
-        assert all(costs[i + 1] <= costs[i] + 1e-12 for i in range(len(costs) - 1))
-        assert all(c_ >= costs[-1] - 1e-12 for c_ in costs)
+        with pytest.raises(mt.MatchingError, match=r"band 24 .* N0 - N1 = 25"):
+            mt.match_banded(t, c, 24)
+        banded, exact = mt.match_banded(t, c, 25), mt.match_optimal_exact(t, c)
+        assert banded.pairs == exact.pairs
+        assert banded.total_cost == exact.total_cost
 
 
 class TestSweepAgainstWindowedDP:
@@ -196,28 +246,19 @@ class TestSweepAgainstWindowedDP:
             assert m.total_cost == pytest.approx(dp_cost, rel=1e-12)
 
     def test_tie_rule(self):
-        # equal cost, different controls: the DP keeps the smallest control
-        # position, the sweep frees it when control 1.0 takes over a unit
+        # At its exact window the DP reaches the sweep's cost, and on distinct
+        # scores the same pairs, but on tied scores the two can pick different
+        # optimal sets of controls. The DP puts each pair on the smallest
+        # admissible control position. When a later control in the sweep
+        # takes over one of several equally good matched units, it frees the
+        # one on the smallest sorted control position, so among tied controls
+        # the sweep can keep a later position. Here both cost 1.0: the DP
+        # pairs {0: 0, 1: 1}, the sweep {0: 2, 1: 1}.
         t, c = [0.75, 0.75], [0.0, 1.0, 0.0]
         m = mt.match_optimal_exact(t, c)
         assert m.pairs == {0: 2, 1: 1}
         assert m.total_cost == mt.brute_force_match(t, c).total_cost == 1.0
         assert windowed_dp_match(t, c) == (1.0, {0: 0, 1: 1})
-
-    def test_windowed_dp_runs_only_below_the_surplus(self, monkeypatch):
-        calls = []
-        dp = mt._windowed_dp
-        monkeypatch.setattr(mt, "_windowed_dp",
-                            lambda *args: calls.append(args[2]) or dp(*args))
-        rng = np.random.default_rng(3)
-        t, c = rng.random(20), rng.random(50)
-        mt.match_optimal_exact(t, c)
-        for method in ("auto", "exact", "capacitated"):
-            mt.match_scores(t, c, method, mt.MatchConfig(capacity=2))
-        mt.match_banded(t, c, 30)
-        assert calls == []
-        mt.match_banded(t, c, 29)
-        assert calls == [29]
 
 
 class TestWithReplacement:
@@ -344,7 +385,7 @@ class TestMatchingRepresentation:
     def test_matcher_output(self):
         rng = np.random.default_rng(6)
         t, c = rng.random(7), rng.random(12)
-        cfg = mt.MatchConfig(band=3, capacity=2)
+        cfg = mt.MatchConfig(band=5, capacity=2)
         for method in mt.METHODS:
             m = mt.match_scores(t, c, method, cfg)
             pairs = dict(m.pairs)
@@ -467,15 +508,17 @@ class TestPermutationInvariance:
 
 
 class TestDispatchAndIO:
-    def test_auto_picks_exact_for_small(self):
+    def test_default_is_exact(self):
         rng = np.random.default_rng(2)
         t, c = rng.random(10), rng.random(25)
-        m = mt.match_scores(t, c, "auto")
+        m = mt.match_scores(t, c)
         assert m.method == "exact_dp"
+        assert m == mt.match_scores(t, c, "exact")
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            mt.match_scores([0.1], [0.2], "hungarian")
+        for method in ("hungarian", "auto"):
+            with pytest.raises(ValueError, match="unknown matching method"):
+                mt.match_scores([0.1], [0.2], method)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -51,15 +51,15 @@ class TestRunCell:
 
     def test_deterministic(self):
         spec = pop.make_prognostic_spec(1 / 3)
-        r1 = sim.run_cell(spec, 500, 40, 9, method="auto")
-        r2 = sim.run_cell(spec, 500, 40, 9, method="auto")
+        r1 = sim.run_cell(spec, 500, 40, 9, method="exact")
+        r2 = sim.run_cell(spec, 500, 40, 9, method="exact")
         assert r1 == r2
 
     def test_serial_matches_parallel(self, monkeypatch):
         spec = pop.make_prognostic_spec(0.5)
-        parallel = sim.run_cell(spec, 400, 12, 3, method="auto")
+        parallel = sim.run_cell(spec, 400, 12, 3, method="exact")
         monkeypatch.setenv("MATCHBIAS_THREADS", "1")
-        serial = sim.run_cell(spec, 400, 12, 3, method="auto")
+        serial = sim.run_cell(spec, 400, 12, 3, method="exact")
         assert parallel == serial
 
     def test_unpicklable_spec_falls_back_to_serial(self, monkeypatch, caplog):
@@ -71,7 +71,7 @@ class TestRunCell:
             mu1=spec.mu1, noise0=spec.noise0, noise1=spec.noise1,
             tau_att_true=1.0)
         with caplog.at_level(logging.WARNING, logger="matchbias.simulation"):
-            row = sim.run_cell(local, 200, 4, 3, method="auto")
+            row = sim.run_cell(local, 200, 4, 3, method="exact")
         assert row.reps_done == 4
         assert any(r.levelno == logging.WARNING and "serially" in r.getMessage()
                    for r in caplog.records)
@@ -116,7 +116,7 @@ class TestRunCell:
 
     def test_degenerate_reps_counted(self):
         # 90% treated: without-replacement matching impossible most draws
-        row = sim.run_cell(mostly_treated_spec(), 20, 30, 5, method="auto")
+        row = sim.run_cell(mostly_treated_spec(), 20, 30, 5, method="exact")
         assert row.degenerate_count > 0
         assert row.reps_done == 30
 
@@ -145,7 +145,7 @@ class TestRunCell:
     def test_emp_bias_near_table_value(self):
         # n = 1000 cell of the study grid sits near 0.166
         spec = pop.make_prognostic_spec(1 / 3)
-        row = sim.run_cell(spec, 1000, 120, 2, method="auto")
+        row = sim.run_cell(spec, 1000, 120, 2, method="exact")
         assert row.emp_bias == pytest.approx(0.166, abs=0.03)
 
 
@@ -167,7 +167,7 @@ class TestRunTable:
     def test_grid_shape_and_order(self):
         config = sim.SimConfig(a_values=(1.0, 1 / 3, 4 / 9),
                                n_values=(60, 30), reps=2, master_seed=11,
-                               match_method="auto")
+                               match_method="exact")
         rows = sim.run_table(config)
         assert len(rows) == 6
         keys = [(r.a, r.n) for r in rows]
@@ -179,12 +179,12 @@ class TestRunTable:
 
     def test_deterministic(self):
         config = sim.SimConfig(a_values=(0.5,), n_values=(40,), reps=3,
-                               master_seed=4, match_method="auto")
+                               master_seed=4, match_method="exact")
         assert sim.run_table(config) == sim.run_table(config)
 
     def test_single_cell(self):
         config = sim.SimConfig(a_values=(0.5,), n_values=(50,), reps=2,
-                               master_seed=4, match_method="auto")
+                               master_seed=4, match_method="exact")
         rows = sim.run_table(config)
         assert len(rows) == 1 and rows[0].reps_done == 2
 
@@ -208,7 +208,7 @@ class TestRunTable:
     def test_on_cell_callback(self):
         seen = []
         config = sim.SimConfig(a_values=(0.5,), n_values=(30, 40), reps=1,
-                               master_seed=0, match_method="auto")
+                               master_seed=0, match_method="exact")
         sim.run_table(config, on_cell=lambda row, secs: seen.append((row.n, secs)))
         assert [n for n, _ in seen] == [30, 40]
         assert all(secs >= 0 for _, secs in seen)
@@ -240,7 +240,7 @@ class TestCompareMethods:
 class TestEmission:
     def test_csv_layout_and_bytes_determinism(self, tmp_path):
         config = sim.SimConfig(a_values=(0.5,), n_values=(40,), reps=2,
-                               master_seed=4, match_method="auto")
+                               master_seed=4, match_method="exact")
         rows = sim.run_table(config)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         sim.rows_to_csv(rows, p1)

@@ -179,14 +179,20 @@ class TestBanded:
         exact = mt.match_optimal_exact(t, c)
         assert banded.total_cost == pytest.approx(exact.total_cost, abs=1e-12)
 
-    def test_band_must_cover_the_surplus(self):
+    def test_cost_monotone_in_band(self):
+        # below N0 - N1 = 25 the band is refused; from there on the cost is
+        # flat at the exact optimum
         rng = np.random.default_rng(9)
         t, c = rng.random(20), rng.random(45)
-        with pytest.raises(mt.MatchingError, match=r"band 24 .* N0 - N1 = 25"):
-            mt.match_banded(t, c, 24)
-        banded, exact = mt.match_banded(t, c, 25), mt.match_optimal_exact(t, c)
-        assert banded.pairs == exact.pairs
-        assert banded.total_cost == exact.total_cost
+        for b in range(0, 25):
+            with pytest.raises(mt.MatchingError,
+                               match=rf"band {b} .* N0 - N1 = 25"):
+                mt.match_banded(t, c, b)
+        exact = mt.match_optimal_exact(t, c)
+        for b in range(25, 46):
+            banded = mt.match_banded(t, c, b)
+            assert banded.pairs == exact.pairs
+            assert banded.total_cost == exact.total_cost
 
 
 class TestSweepAgainstWindowedDP:
@@ -259,6 +265,21 @@ class TestSweepAgainstWindowedDP:
         assert m.pairs == {0: 2, 1: 1}
         assert m.total_cost == mt.brute_force_match(t, c).total_cost == 1.0
         assert windowed_dp_match(t, c) == (1.0, {0: 0, 1: 1})
+
+    def test_windowed_dp_runs_only_below_the_surplus(self):
+        # The DP lives on only as this oracle: no matcher runs it, and below
+        # the surplus a band is refused instead of approximated.
+        assert not hasattr(mt, "_windowed_dp")
+        rng = np.random.default_rng(3)
+        t, c = rng.random(20), rng.random(50)
+        exact = mt.match_optimal_exact(t, c)
+        cfg = mt.MatchConfig(capacity=2)
+        assert mt.match_scores(t, c, "exact", cfg).pairs == exact.pairs
+        assert (mt.match_scores(t, c, "capacitated", cfg).total_cost
+                <= exact.total_cost + 1e-12)
+        assert mt.match_banded(t, c, 30).pairs == exact.pairs
+        with pytest.raises(mt.MatchingError, match=r"band 29 .* N0 - N1 = 30"):
+            mt.match_banded(t, c, 29)
 
 
 class TestWithReplacement:

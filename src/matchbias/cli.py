@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 from . import __version__, estimators, matching, population, simulation, theory
-from .matching import MatchConfig, MatchingError
+from .matching import BandError, MatchConfig, MatchingError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -199,6 +199,9 @@ def cmd_match(args) -> int:
     try:
         m = matching.match_scores(smp.treated_scores, smp.control_scores,
                                   method, cfg)
+    except BandError as exc:
+        print(f"matching refused: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
     except MatchingError as exc:
         print(f"degenerate matching problem: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

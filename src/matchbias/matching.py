@@ -30,6 +30,10 @@ class MatchingError(ValueError):
     """Raised when a matching cannot be constructed as requested."""
 
 
+class BandError(MatchingError):
+    """Raised when a band is below the control surplus N0 - N1."""
+
+
 class Pairs(Mapping):
     """Read-only mapping treated position -> control position over two arrays.
 
@@ -122,14 +126,15 @@ def _as_scores(x, side: str) -> np.ndarray:
     return arr
 
 
-def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> bytearray:
+def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray,
+                c_ties: np.ndarray | None) -> bytearray:
     """Controls used by a min-cost matching of every sorted treated unit.
 
     Successive shortest paths on the line, run as one sorted sweep (the
     "mice and holes" exchange argument): scores are visited in order,
-    controls before treated on equal scores, and two min-heaps hold the
-    cheapest moves so far as (value, anchor), where the anchor is the one
-    control whose used flag changes when the move is taken.
+    controls before treated on equal scores, and two priority queues hold
+    the cheapest moves so far as (value, anchor), where the anchor is the
+    one control whose used flag changes when the move is taken.
 
     - `hole`: a treated unit at x can take a control for x + value. A free
       control at y offers -y; a control vacated by a steal offers the
@@ -140,49 +145,126 @@ def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> bytearray:
       controls go to them, which stands in for an infinite cost without
       absorbing any score into it.
 
-    O(N log N) time for N = N0 + N1 and O(N) memory. Requires
-    len(t_sorted) <= len(c_sorted), so that `waiting` ends at zero. Returns
-    one flag per sorted control; exactly len(t_sorted) are set.
+    Each queue is a monotone stack (a list whose top, its last entry, is
+    its smallest tuple; an entry goes on it only when strictly smaller
+    than the top) next to an overflow heap that takes every other entry.
+    A pop takes the smaller of the two tops by tuple order. The pair holds
+    the same multiset as one heap fed the same pushes, so every pop
+    returns the tuple that heap would return, ties included: the used
+    flags are those of a plain two-heap sweep, and the worst case stays
+    O(N log N) time for N = N0 + N1, with O(N) memory.
+
+    The controls between two treated scores are handled in slices: the
+    first go to `waiting`, the next steal while `y + mouse top < 0` (a
+    steal only raises the mouse top and y only grows, so the first control
+    that does not steal ends the steals), and the rest are pushed onto the
+    hole stack with one extend. Ordered by score ascending and, among tied
+    scores, position descending, each of those is smaller than the one
+    before. In exact arithmetic the first is smaller than the top too: the
+    stack holds free controls of lower scores and steal holes, and a steal
+    at y leaves a hole worth more than -y. The first is still compared
+    with the top, and any stack entry it does not undercut moves to the
+    heap, so the stack stays sorted whatever the rounding. `c_ties` is the
+    tie mask of c_sorted (`c_sorted[i] == c_sorted[i + 1]`), or None
+    without ties.
+
+    Requires len(t_sorted) <= len(c_sorted), so that `waiting` ends at
+    zero. Returns one flag per sorted control; exactly len(t_sorted) are
+    set.
     """
-    used = bytearray(c_sorted.size)
+    n0 = c_sorted.size
+    used = bytearray(n0)
+    neg_c = (-c_sorted).tolist()  # a free control's hole value
+    if c_ties is None:
+        order = group_end = None
+    else:
+        # hole push order: within each tie group positions run backwards,
+        # so the smallest anchor lands on top
+        first = np.ones(n0, dtype=bool)
+        first[1:] = ~c_ties
+        starts = np.flatnonzero(first)
+        group = np.cumsum(first) - 1
+        lo, hi = starts[group], np.append(starts[1:], n0)[group]
+        order = (lo + hi - 1 - np.arange(n0)).tolist()
+        group_end = hi.tolist()
     hole: list[tuple[float, int]] = []
+    hole_heap: list[tuple[float, int]] = []
     mouse: list[tuple[float, int]] = []
+    mouse_heap: list[tuple[float, int]] = []
     waiting = 0
-    cs = c_sorted.tolist()
     # controls at or below each treated score come before it
     ends = np.searchsorted(c_sorted, t_sorted, side="right").tolist()
     push, pop = heapq.heappush, heapq.heappop
     j = 0
     for x, end in zip(t_sorted.tolist(), ends):
-        while j < end:
-            y = cs[j]
+        if j < end:
             if waiting:
-                waiting -= 1
-                used[j] = 1
-            elif mouse and y + mouse[0][0] < 0:
-                v, a = pop(mouse)
+                w = min(waiting, end - j)
+                used[j:j + w] = b"\x01" * w
+                waiting -= w
+                j += w
+            while j < end and (mouse or mouse_heap):
+                ny = neg_c[j]
+                if mouse_heap and (not mouse or mouse_heap[0] < mouse[-1]):
+                    v, a = mouse_heap[0]
+                    if v >= ny:
+                        break
+                    pop(mouse_heap)
+                else:
+                    v, a = mouse[-1]
+                    if v >= ny:
+                        break
+                    mouse.pop()
                 used[j] = 1
                 used[a] = 0
-                push(hole, (-2.0 * y - v, a))
-            else:
-                push(hole, (-y, j))
-            j += 1
+                h = (2.0 * ny - v, a)
+                if not hole or h < hole[-1]:
+                    hole.append(h)
+                else:
+                    push(hole_heap, h)
+                j += 1
+            if j < end:
+                if order is None:
+                    rest = list(zip(neg_c[j:end], range(j, end)))
+                else:  # j may split a tie group: push its tail reversed
+                    g = group_end[j]
+                    p = list(range(g - 1, j - 1, -1)) + order[g:end]
+                    rest = list(zip(map(neg_c.__getitem__, p), p))
+                while hole and not rest[0] < hole[-1]:
+                    push(hole_heap, hole.pop())
+                hole += rest
+                j = end
         if hole:
-            v, a = pop(hole)
-            used[a] = 1
-            push(mouse, (-2.0 * x - v, a))
+            if hole_heap and hole_heap[0] < hole[-1]:
+                v, a = pop(hole_heap)
+            else:
+                v, a = hole.pop()
+        elif hole_heap:
+            v, a = pop(hole_heap)
         else:
             waiting += 1
+            continue
+        used[a] = 1
+        m = (-2.0 * x - v, a)
+        if not mouse or m < mouse[-1]:
+            mouse.append(m)
+        else:
+            push(mouse_heap, m)
     # past the last treated unit only waiting units and steals can use a
     # control, and once neither applies no later (larger) control can
-    while j < len(cs):
-        y = cs[j]
-        if waiting:
-            waiting -= 1
-        elif mouse and y + mouse[0][0] < 0:
-            used[pop(mouse)[1]] = 0
+    if waiting:
+        used[j:j + waiting] = b"\x01" * waiting
+        j += waiting
+    while j < n0 and (mouse or mouse_heap):
+        if mouse_heap and (not mouse or mouse_heap[0] < mouse[-1]):
+            if mouse_heap[0][0] >= neg_c[j]:
+                break
+            a = pop(mouse_heap)[1]
         else:
-            break
+            if mouse[-1][0] >= neg_c[j]:
+                break
+            a = mouse.pop()[1]
+        used[a] = 0
         used[j] = 1
         j += 1
     return used
@@ -203,10 +285,16 @@ def _sweep_match(t: np.ndarray, c: np.ndarray, method: str,
         raise MatchingError(
             f"more treated ({t.size}) than controls ({c.size}); matching "
             "without replacement is impossible")
-    t_order, c_order = _argsort_ties_stable(t), _argsort_ties_stable(c)
+    t_order, _ = _argsort_ties_stable(t)
+    c_order, c_ties = _argsort_ties_stable(c)
     t_sorted, c_sorted = t[t_order], np.repeat(c[c_order], k)
-    used = np.flatnonzero(np.frombuffer(_sweep_used(t_sorted, c_sorted),
-                                        dtype=np.uint8))
+    if k > 1:
+        # the k copies of a control tie; neighbouring controls as before
+        ties = np.ones((c.size, k), dtype=bool)
+        ties[:-1, -1] = False if c_ties is None else c_ties
+        c_ties = ties.ravel()[:-1]
+    used = np.flatnonzero(np.frombuffer(
+        _sweep_used(t_sorted, c_sorted, c_ties), dtype=np.uint8))
     c_pos = c_order[used // k]
     cost = float(np.sum(np.abs(t_sorted - c[c_pos])))
     injective = k == 1 or bool(np.bincount(c_pos).max() <= 1)
@@ -216,8 +304,10 @@ def _sweep_match(t: np.ndarray, c: np.ndarray, method: str,
                     method=method, injective=injective)
 
 
-def _argsort_ties_stable(x: np.ndarray) -> np.ndarray:
-    """argsort of x; equal values keep their positions' order.
+def _argsort_ties_stable(
+        x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """argsort of x, equal values keeping their positions' order, and the
+    tie mask of the sorted values (`xs[i] == xs[i + 1]`), None without ties.
 
     The default sort is several times faster than a stable one on floats,
     and gives the same order when no two values are equal, so the stable
@@ -225,16 +315,17 @@ def _argsort_ties_stable(x: np.ndarray) -> np.ndarray:
     """
     order = np.argsort(x)
     xs = x[order]
-    if np.any(xs[1:] == xs[:-1]):
-        return np.argsort(x, kind="stable")
-    return order
+    ties = xs[1:] == xs[:-1]
+    if ties.any():
+        return np.argsort(x, kind="stable"), ties
+    return order, None
 
 
 def match_optimal_exact(treated_scores, control_scores) -> Matching:
     """Optimal matching without replacement, minimizing the summed score gaps."""
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
-    return _sweep_match(t, c, "exact_dp")
+    return _sweep_match(t, c, "exact")
 
 
 def match_banded(treated_scores, control_scores, band: int) -> Matching:
@@ -243,7 +334,7 @@ def match_banded(treated_scores, control_scores, band: int) -> Matching:
     The band bounds the control surplus N0 - N1, the number of controls
     left unmatched. When it covers the surplus the result is that of
     `match_optimal_exact`; below it no approximation runs and the match
-    raises MatchingError.
+    raises BandError, a MatchingError.
     """
     if band < 0:
         raise ValueError("band must be >= 0")
@@ -251,10 +342,10 @@ def match_banded(treated_scores, control_scores, band: int) -> Matching:
     c = _as_scores(control_scores, "control")
     # an empty treated side is left to the sweep's own error
     if t.size and band < c.size - t.size:
-        raise MatchingError(
+        raise BandError(
             f"band {band} is below the control surplus N0 - N1 = "
             f"{c.size - t.size}; raise the band or use method 'exact'")
-    return _sweep_match(t, c, "banded_dp")
+    return _sweep_match(t, c, "banded")
 
 
 def match_with_replacement(treated_scores, control_scores) -> Matching:

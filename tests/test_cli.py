@@ -204,8 +204,9 @@ class TestMatch:
         toy_units_csv(data, [(1, 0.5), (0, 0.4), (0, 0.7), (0, 0.3)])
         assert main(["match", str(data), "--method", "banded", "--band", "0",
                      "--out-dir", str(tmp_path / "m")]) == 3
-        assert "band 0 is below the control surplus N0 - N1 = 2" in \
-            capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "band 0 is below the control surplus N0 - N1 = 2" in err
+        assert "degenerate" not in err
         assert not (tmp_path / "m").exists()
 
     def test_unknown_method_exits_one(self, tmp_path, capsys):

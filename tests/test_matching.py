@@ -1,3 +1,4 @@
+import heapq
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +85,73 @@ def windowed_dp_match(t, c, k=1):
                                k * c.size - t.size)
     c_pos = c_order[(np.arange(t.size) + skips) // k]
     return cost, dict(zip(t_order.tolist(), c_pos.tolist()))
+
+
+def _two_heap_sweep_used(t_sorted: np.ndarray,
+                         c_sorted: np.ndarray) -> bytearray:
+    """Controls used by a min-cost matching of every sorted treated unit.
+
+    Successive shortest paths on the line, run as one sorted sweep (the
+    "mice and holes" exchange argument): scores are visited in order,
+    controls before treated on equal scores, and two min-heaps hold the
+    cheapest moves so far as (value, anchor), where the anchor is the one
+    control whose used flag changes when the move is taken.
+
+    - `hole`: a treated unit at x can take a control for x + value. A free
+      control at y offers -y; a control vacated by a steal offers the
+      cost of sending the stolen treated unit back to it.
+    - `mouse`: a control at y can take over a matched treated unit for
+      y + value, moving it off its anchor; taken only when that is < 0.
+    - `waiting` counts treated units that found `hole` empty. The next
+      controls go to them, which stands in for an infinite cost without
+      absorbing any score into it.
+
+    O(N log N) time for N = N0 + N1 and O(N) memory. Requires
+    len(t_sorted) <= len(c_sorted), so that `waiting` ends at zero. Returns
+    one flag per sorted control; exactly len(t_sorted) are set.
+    """
+    used = bytearray(c_sorted.size)
+    hole: list[tuple[float, int]] = []
+    mouse: list[tuple[float, int]] = []
+    waiting = 0
+    cs = c_sorted.tolist()
+    # controls at or below each treated score come before it
+    ends = np.searchsorted(c_sorted, t_sorted, side="right").tolist()
+    push, pop = heapq.heappush, heapq.heappop
+    j = 0
+    for x, end in zip(t_sorted.tolist(), ends):
+        while j < end:
+            y = cs[j]
+            if waiting:
+                waiting -= 1
+                used[j] = 1
+            elif mouse and y + mouse[0][0] < 0:
+                v, a = pop(mouse)
+                used[j] = 1
+                used[a] = 0
+                push(hole, (-2.0 * y - v, a))
+            else:
+                push(hole, (-y, j))
+            j += 1
+        if hole:
+            v, a = pop(hole)
+            used[a] = 1
+            push(mouse, (-2.0 * x - v, a))
+        else:
+            waiting += 1
+    # past the last treated unit only waiting units and steals can use a
+    # control, and once neither applies no later (larger) control can
+    while j < len(cs):
+        y = cs[j]
+        if waiting:
+            waiting -= 1
+        elif mouse and y + mouse[0][0] < 0:
+            used[pop(mouse)[1]] = 0
+        else:
+            break
+        used[j] = 1
+        j += 1
+    return used
 
 
 @st.composite
@@ -278,8 +346,75 @@ class TestSweepAgainstWindowedDP:
         assert (mt.match_scores(t, c, "capacitated", cfg).total_cost
                 <= exact.total_cost + 1e-12)
         assert mt.match_banded(t, c, 30).pairs == exact.pairs
-        with pytest.raises(mt.MatchingError, match=r"band 29 .* N0 - N1 = 30"):
+        with pytest.raises(mt.BandError, match=r"band 29 .* N0 - N1 = 30"):
             mt.match_banded(t, c, 29)
+
+
+class TestSweepAgainstTwoHeaps:
+    """The stack-and-heap sweep sets the same used flags as two plain heaps.
+
+    Every sweep a matcher runs is checked: its tie mask against the sorted
+    controls, and its used flags against `_two_heap_sweep_used`.
+    """
+
+    @pytest.fixture(autouse=True)
+    def checked_sweep(self, monkeypatch):
+        sweep = mt._sweep_used
+        self.calls = 0
+
+        def checked(t_sorted, c_sorted, c_ties):
+            ties = c_sorted[1:] == c_sorted[:-1]
+            if ties.any():
+                assert np.array_equal(c_ties, ties)
+            else:
+                assert c_ties is None
+            used = sweep(t_sorted, c_sorted, c_ties)
+            assert used == _two_heap_sweep_used(t_sorted, c_sorted)
+            self.calls += 1
+            return used
+
+        monkeypatch.setattr(mt, "_sweep_used", checked)
+
+    def test_seeded_continuous(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            t, c = random_instance(rng, max_n1=30, max_n0=40)
+            mt.match_capacitated(t, c, int(rng.integers(1, 4)))
+        assert self.calls == 300
+
+    def test_quarter_grid_ties(self):
+        rng = np.random.default_rng(32)
+        for _ in range(600):
+            k = int(rng.integers(1, 4))
+            c = rng.integers(0, 5, int(rng.integers(1, 13))) / 4
+            t = rng.integers(0, 5, int(rng.integers(1, k * c.size + 1))) / 4
+            mt.match_capacitated(t, c, k)
+        assert self.calls == 600
+
+    def test_all_equal_scores(self):
+        for k in (1, 2, 3):
+            for n0 in range(1, 6):
+                for n1 in range(1, k * n0 + 1):
+                    mt.match_capacitated(np.full(n1, 0.5), np.full(n0, 0.5), k)
+
+    def test_prognostic_sample(self):
+        smp = population.sample(population.make_prognostic_spec(1 / 3),
+                                20_000, 5)
+        mt.match_optimal_exact(smp.treated_scores, smp.control_scores)
+        assert self.calls == 1
+
+    def test_overflow_heaps(self):
+        # On continuous scores neither overflow heap takes an entry: every
+        # push is a new minimum of its stack, so tied inputs are the only
+        # cover of those branches. The first two push a matched unit onto
+        # the mouse heap. The last two also push a stolen unit's hole onto
+        # the hole heap; on the quarter grid no smaller input does, at k = 1
+        # and at k = 2.
+        mt.match_optimal_exact([0.5, 1.0], [0.0, 1.0])
+        mt.match_optimal_exact([0.5, 0.5], [0.0, 0.0, 0.75, 0.75])
+        mt.match_optimal_exact([0.5, 0.5, 0.75], [0.0, 0.0, 0.75, 0.75])
+        mt.match_capacitated([0.5, 0.5, 0.75], [0.0, 0.75], 2)
+        assert self.calls == 4
 
 
 class TestWithReplacement:
@@ -533,7 +668,7 @@ class TestDispatchAndIO:
         rng = np.random.default_rng(2)
         t, c = rng.random(10), rng.random(25)
         m = mt.match_scores(t, c)
-        assert m.method == "exact_dp"
+        assert m.method == "exact"
         assert m == mt.match_scores(t, c, "exact")
 
     def test_unknown_method(self):
@@ -553,5 +688,5 @@ class TestDispatchAndIO:
         t, c = [0.1, 0.6], [0.12, 0.58]
         m = mt.match_optimal_exact(t, c)
         summary = mt.matching_summary(m, mt.MatchConfig())
-        assert summary["method"] == "exact_dp"
+        assert summary["method"] == "exact"
         assert summary["total_cost"] == pytest.approx(m.total_cost)

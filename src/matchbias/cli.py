@@ -38,10 +38,9 @@ def _load_config(path: str) -> dict:
     for section in ("population", "simulation"):
         if section not in cfg:
             raise ConfigError(f"{path}: missing [{section}] section")
-        if not isinstance(cfg[section], dict):
+    for section in ("population", "simulation", "matching", "output"):
+        if not isinstance(cfg.setdefault(section, {}), dict):
             raise ConfigError(f"{path}: [{section}] must be an object")
-    cfg.setdefault("matching", {})
-    cfg.setdefault("output", {})
     return cfg
 
 
@@ -57,35 +56,37 @@ def _build_sim_config(cfg: dict, args) -> tuple[simulation.SimConfig, object]:
     mat = cfg["matching"]
 
     kind = pop.get("kind", "prognostic")
-    if kind == "prognostic":
-        a_values = args.a if args.a else _need(pop, "population", "a_values")
-        if any(a < 1 / 3 for a in a_values):
-            raise ConfigError("[population] prognostic a_values must be >= 1/3")
-        spec_factory = population.make_prognostic_spec
-    elif kind == "categorical":
-        a_values = [math.nan]
-        params = {k: pop[k] for k in ("mass_a", "p_in_a", "p_out", "mu0_in",
-                                      "mu0_out", "mu1_in", "mu1_out",
-                                      "noise_sd") if k in pop}
-        spec_factory = _categorical_factory(params)
-    else:
+    if kind not in ("prognostic", "categorical"):
         raise ConfigError(f"[population] kind must be 'prognostic' or "
                           f"'categorical', got {kind!r} (custom populations "
                           "are built through the Python API)")
-
     n_values = args.n if args.n else _need(simc, "simulation", "n_values")
     reps = args.reps if args.reps is not None else _need(simc, "simulation", "reps")
     seed = args.seed if args.seed is not None else simc.get("master_seed", 0)
     method = args.method or mat.get("method", "exact")
 
+    # a wrong type or value anywhere below is a config error, not a traceback
     try:
+        if kind == "prognostic":
+            a_values = tuple(float(a) for a in (
+                args.a if args.a else _need(pop, "population", "a_values")))
+            if not all(a >= 1 / 3 for a in a_values):
+                raise ConfigError("[population] prognostic a_values must be >= 1/3")
+            spec_factory = population.make_prognostic_spec
+        else:
+            a_values = (math.nan,)
+            spec_factory = _categorical_factory({
+                k: float(pop[k]) for k in ("mass_a", "p_in_a", "p_out", "mu0_in",
+                                           "mu0_out", "mu1_in", "mu1_out",
+                                           "noise_sd") if k in pop})
+            spec_factory(math.nan)  # reject bad population parameters now
         mcfg = MatchConfig(
             band=args.band if args.band is not None else mat.get("band", matching.DEFAULT_BAND),
             capacity=args.capacity if args.capacity is not None else mat.get("capacity", 1),
             caliper=args.caliper if args.caliper is not None else mat.get("caliper"),
         )
         sim_config = simulation.SimConfig(
-            a_values=tuple(float(a) for a in a_values),
+            a_values=a_values,
             n_values=tuple(int(n) for n in n_values),
             reps=int(reps),
             master_seed=int(seed),
@@ -129,7 +130,7 @@ def cmd_simulate(args) -> int:
     started = time.perf_counter()
     try:
         simulation.run_table(sim_config, spec_factory, on_cell=on_cell)
-    except ValueError as exc:  # bad population parameters surface here
+    except ValueError as exc:  # e.g. a malformed MATCHBIAS_THREADS
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:  # a replication bug: the finished cells are still written
@@ -159,8 +160,7 @@ def cmd_simulate(args) -> int:
     else:
         print(simulation.CSV_HEADER)
         for r in rows:
-            print(f"{r.a!r},{r.n},{r.asymp_bias!r},{r.emp_bias!r},"
-                  f"{r.emp_se!r},{r.reps_done},{r.degenerate_count}")
+            print(simulation.csv_row(r))
     if bug is not None:
         print(f"replication error: {bug}", file=sys.stderr)
         return EXIT_BUG

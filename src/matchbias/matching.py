@@ -4,15 +4,14 @@ All matchers take a sequence of treated scores and a sequence of control
 scores and return pairs keyed by *position* in those sequences (0-based,
 pre-sorting). Matching without replacement minimizes the total within-pair
 absolute score difference. Because some optimal matching on the line is
-order-preserving, the optimum is found by one O(N log N) sweep over the two
-sorted sequences instead of a general assignment solver. That sweep is
-the only algorithm for matching without replacement and capacity-k
-matching; nothing here approximates the optimum.
+order-preserving, the optimum is found by sorting both sequences and one
+sweep over them, O(N) after the sort, instead of a general assignment
+solver. That sweep is the only algorithm for matching without replacement
+and capacity-k matching; nothing here approximates the optimum.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -126,15 +125,14 @@ def _as_scores(x, side: str) -> np.ndarray:
     return arr
 
 
-def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray,
-                c_ties: np.ndarray | None) -> bytearray:
+def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> bytearray:
     """Controls used by a min-cost matching of every sorted treated unit.
 
     Successive shortest paths on the line, run as one sorted sweep (the
     "mice and holes" exchange argument): scores are visited in order,
-    controls before treated on equal scores, and two priority queues hold
-    the cheapest moves so far as (value, anchor), where the anchor is the
-    one control whose used flag changes when the move is taken.
+    controls before treated on equal scores, and two stacks hold the
+    cheapest moves so far as (value, anchor), where the anchor is the one
+    control whose used flag changes when the move is taken.
 
     - `hole`: a treated unit at x can take a control for x + value. A free
       control at y offers -y; a control vacated by a steal offers the
@@ -145,28 +143,38 @@ def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray,
       controls go to them, which stands in for an infinite cost without
       absorbing any score into it.
 
-    Each queue is a monotone stack (a list whose top, its last entry, is
-    its smallest tuple; an entry goes on it only when strictly smaller
-    than the top) next to an overflow heap that takes every other entry.
-    A pop takes the smaller of the two tops by tuple order. The pair holds
-    the same multiset as one heap fed the same pushes, so every pop
-    returns the tuple that heap would return, ties included: the used
-    flags are those of a plain two-heap sweep, and the worst case stays
-    O(N log N) time for N = N0 + N1, with O(N) memory.
+    Each push is no larger than the top it covers, so the top of either
+    stack is a cheapest move and a pop takes it in O(1). On the line an
+    optimal matching can be taken non-crossing, and in the sweep this
+    makes both queues last-in-first-out by value:
+
+    - A free control's hole -y lies below every earlier hole: earlier free
+      controls lie at or below y, and a steal at y' <= y leaves a hole
+      above -y'.
+    - A steal at y takes over the unit matched at x through hole v, whose
+      mouse value is m = -2x - v, and leaves the hole -2y - m =
+      v - 2(y - x). That lies below v and below every steal hole pushed
+      since then, each left at a score no higher by a mouse no larger
+      than m. No free control lies between x and y: with m on the mouse
+      stack it would have stolen first.
+    - A matched unit's reach x + cost(x) never falls from one matched unit
+      to the next, and minus that reach is its mouse value.
+
+    So every pop is a minimum-value move and successive shortest paths
+    stay optimal whichever of several equal moves is taken; floating-point
+    rounding can at most pop a move one ulp dearer than the minimum. On
+    distinct scores the used flags are those of two plain heaps, as the
+    tests check. On tied scores a stack takes the most recent of equally
+    cheap moves where a heap takes the smallest anchor, which can select
+    a different optimal set of controls at the same cost.
 
     The controls between two treated scores are handled in slices: the
     first go to `waiting`, the next steal while `y + mouse top < 0` (a
     steal only raises the mouse top and y only grows, so the first control
     that does not steal ends the steals), and the rest are pushed onto the
-    hole stack with one extend. Ordered by score ascending and, among tied
-    scores, position descending, each of those is smaller than the one
-    before. In exact arithmetic the first is smaller than the top too: the
-    stack holds free controls of lower scores and steal holes, and a steal
-    at y leaves a hole worth more than -y. The first is still compared
-    with the top, and any stack entry it does not undercut moves to the
-    heap, so the stack stays sorted whatever the rounding. `c_ties` is the
-    tie mask of c_sorted (`c_sorted[i] == c_sorted[i + 1]`), or None
-    without ties.
+    hole stack with one extend. Besides the search for each treated
+    unit's place among the controls, O(N) time for N = N0 + N1, and O(N)
+    memory.
 
     Requires len(t_sorted) <= len(c_sorted), so that `waiting` ends at
     zero. Returns one flag per sorted control; exactly len(t_sorted) are
@@ -175,26 +183,11 @@ def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray,
     n0 = c_sorted.size
     used = bytearray(n0)
     neg_c = (-c_sorted).tolist()  # a free control's hole value
-    if c_ties is None:
-        order = group_end = None
-    else:
-        # hole push order: within each tie group positions run backwards,
-        # so the smallest anchor lands on top
-        first = np.ones(n0, dtype=bool)
-        first[1:] = ~c_ties
-        starts = np.flatnonzero(first)
-        group = np.cumsum(first) - 1
-        lo, hi = starts[group], np.append(starts[1:], n0)[group]
-        order = (lo + hi - 1 - np.arange(n0)).tolist()
-        group_end = hi.tolist()
     hole: list[tuple[float, int]] = []
-    hole_heap: list[tuple[float, int]] = []
     mouse: list[tuple[float, int]] = []
-    mouse_heap: list[tuple[float, int]] = []
     waiting = 0
     # controls at or below each treated score come before it
     ends = np.searchsorted(c_sorted, t_sorted, side="right").tolist()
-    push, pop = heapq.heappush, heapq.heappop
     j = 0
     for x, end in zip(t_sorted.tolist(), ends):
         if j < end:
@@ -203,68 +196,27 @@ def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray,
                 used[j:j + w] = b"\x01" * w
                 waiting -= w
                 j += w
-            while j < end and (mouse or mouse_heap):
-                ny = neg_c[j]
-                if mouse_heap and (not mouse or mouse_heap[0] < mouse[-1]):
-                    v, a = mouse_heap[0]
-                    if v >= ny:
-                        break
-                    pop(mouse_heap)
-                else:
-                    v, a = mouse[-1]
-                    if v >= ny:
-                        break
-                    mouse.pop()
+            while j < end and mouse and mouse[-1][0] < neg_c[j]:
+                v, a = mouse.pop()
                 used[j] = 1
                 used[a] = 0
-                h = (2.0 * ny - v, a)
-                if not hole or h < hole[-1]:
-                    hole.append(h)
-                else:
-                    push(hole_heap, h)
+                hole.append((2.0 * neg_c[j] - v, a))
                 j += 1
-            if j < end:
-                if order is None:
-                    rest = list(zip(neg_c[j:end], range(j, end)))
-                else:  # j may split a tie group: push its tail reversed
-                    g = group_end[j]
-                    p = list(range(g - 1, j - 1, -1)) + order[g:end]
-                    rest = list(zip(map(neg_c.__getitem__, p), p))
-                while hole and not rest[0] < hole[-1]:
-                    push(hole_heap, hole.pop())
-                hole += rest
-                j = end
+            hole += zip(neg_c[j:end], range(j, end))
+            j = end
         if hole:
-            if hole_heap and hole_heap[0] < hole[-1]:
-                v, a = pop(hole_heap)
-            else:
-                v, a = hole.pop()
-        elif hole_heap:
-            v, a = pop(hole_heap)
+            v, a = hole.pop()
+            used[a] = 1
+            mouse.append((-2.0 * x - v, a))
         else:
             waiting += 1
-            continue
-        used[a] = 1
-        m = (-2.0 * x - v, a)
-        if not mouse or m < mouse[-1]:
-            mouse.append(m)
-        else:
-            push(mouse_heap, m)
     # past the last treated unit only waiting units and steals can use a
     # control, and once neither applies no later (larger) control can
     if waiting:
         used[j:j + waiting] = b"\x01" * waiting
         j += waiting
-    while j < n0 and (mouse or mouse_heap):
-        if mouse_heap and (not mouse or mouse_heap[0] < mouse[-1]):
-            if mouse_heap[0][0] >= neg_c[j]:
-                break
-            a = pop(mouse_heap)[1]
-        else:
-            if mouse[-1][0] >= neg_c[j]:
-                break
-            a = mouse.pop()[1]
-        used[a] = 0
+    while j < n0 and mouse and mouse[-1][0] < neg_c[j]:
+        used[mouse.pop()[1]] = 0
         used[j] = 1
         j += 1
     return used
@@ -285,16 +237,11 @@ def _sweep_match(t: np.ndarray, c: np.ndarray, method: str,
         raise MatchingError(
             f"more treated ({t.size}) than controls ({c.size}); matching "
             "without replacement is impossible")
-    t_order, _ = _argsort_ties_stable(t)
-    c_order, c_ties = _argsort_ties_stable(c)
+    t_order = _argsort_ties_stable(t)
+    c_order = _argsort_ties_stable(c)
     t_sorted, c_sorted = t[t_order], np.repeat(c[c_order], k)
-    if k > 1:
-        # the k copies of a control tie; neighbouring controls as before
-        ties = np.ones((c.size, k), dtype=bool)
-        ties[:-1, -1] = False if c_ties is None else c_ties
-        c_ties = ties.ravel()[:-1]
     used = np.flatnonzero(np.frombuffer(
-        _sweep_used(t_sorted, c_sorted, c_ties), dtype=np.uint8))
+        _sweep_used(t_sorted, c_sorted), dtype=np.uint8))
     c_pos = c_order[used // k]
     cost = float(np.sum(np.abs(t_sorted - c[c_pos])))
     injective = k == 1 or bool(np.bincount(c_pos).max() <= 1)
@@ -304,10 +251,8 @@ def _sweep_match(t: np.ndarray, c: np.ndarray, method: str,
                     method=method, injective=injective)
 
 
-def _argsort_ties_stable(
-        x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """argsort of x, equal values keeping their positions' order, and the
-    tie mask of the sorted values (`xs[i] == xs[i + 1]`), None without ties.
+def _argsort_ties_stable(x: np.ndarray) -> np.ndarray:
+    """argsort of x, equal values keeping their positions' order.
 
     The default sort is several times faster than a stable one on floats,
     and gives the same order when no two values are equal, so the stable
@@ -315,10 +260,9 @@ def _argsort_ties_stable(
     """
     order = np.argsort(x)
     xs = x[order]
-    ties = xs[1:] == xs[:-1]
-    if ties.any():
-        return np.argsort(x, kind="stable"), ties
-    return order, None
+    if np.any(xs[1:] == xs[:-1]):
+        return np.argsort(x, kind="stable")
+    return order
 
 
 def match_optimal_exact(treated_scores, control_scores) -> Matching:

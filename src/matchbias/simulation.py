@@ -253,13 +253,18 @@ def compare_methods(spec: PopulationSpec, n: int, reps: int, seed: int,
 CSV_HEADER = "a,n,asymp_bias,emp_bias,emp_se,reps,degenerate"
 
 
+def csv_row(r: SimRow) -> str:
+    """One row in the CSV_HEADER layout, without a line ending."""
+    return (f"{r.a!r},{r.n},{r.asymp_bias!r},{r.emp_bias!r},"
+            f"{r.emp_se!r},{r.reps_done},{r.degenerate_count}")
+
+
 def rows_to_csv(rows, path) -> None:
     """Write rows as CSV `a,n,asymp_bias,emp_bias,emp_se,reps,degenerate`."""
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\r\n")
         for r in rows:
-            fh.write(f"{r.a!r},{r.n},{r.asymp_bias!r},{r.emp_bias!r},"
-                     f"{r.emp_se!r},{r.reps_done},{r.degenerate_count}\r\n")
+            fh.write(csv_row(r) + "\r\n")
 
 
 def rows_to_markdown(rows) -> str:

@@ -82,6 +82,25 @@ class TestSimulate:
                      "--method", "auto"]) == 1
         assert "unknown matching method 'auto'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        {"population": {"a_values": 0.5}},
+        {"population": {"a_values": ["x"]}},
+        {"matching": "exact"},
+        {"output": "x"},
+        {"population": {"kind": "categorical", "mass_a": "x",
+                        "p_in_a": 0.4, "p_out": 0.3}},
+    ], ids=["a_values_scalar", "a_values_text", "matching_not_object",
+            "output_not_object", "categorical_text"])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, overrides):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        for section, value in overrides.items():
+            cfg[section] = value if isinstance(value, str) else {
+                **cfg[section], **value}
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_band_below_surplus_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MATCHBIAS_THREADS", "1")
         cfg_path = tmp_path / "cfg.json"

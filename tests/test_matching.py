@@ -299,6 +299,23 @@ class TestSweepAgainstWindowedDP:
         assert m.total_cost == pytest.approx(dp_cost, abs=1e-12)
         assert sorted(m.pairs.values()) == list(range(len(c)))
 
+    def test_tied_non_dyadic_cost_equals_dp(self):
+        # Hole and mouse values on grids of 0.1, 0.01 and thirds carry
+        # rounding, so equal moves may differ in their last bits; the
+        # stack's pick must still reach the DP's cost.
+        rng = np.random.default_rng(41)
+        for step in (0.1, 0.01, 1 / 3):
+            for _ in range(300):
+                k = int(rng.integers(1, 4))
+                top = int(rng.integers(1, 12))
+                c = rng.integers(0, top + 1, int(rng.integers(1, 9))) * step
+                t = rng.integers(0, top + 1,
+                                 int(rng.integers(1, k * c.size + 1))) * step
+                dp_cost, _ = windowed_dp_match(t, c, k)
+                m = mt.match_capacitated(t, c, k)
+                assert m.total_cost == pytest.approx(dp_cost, rel=1e-12)
+                assert np.bincount(m.pairs.control, minlength=c.size).max() <= k
+
     def test_continuous_pairs_identical(self):
         rng = np.random.default_rng(2024)
         for n1, n0 in [(1, 1), (5, 5), (40, 41), (300, 800), (1500, 1600),
@@ -323,10 +340,12 @@ class TestSweepAgainstWindowedDP:
         # At its exact window the DP reaches the sweep's cost, and on distinct
         # scores the same pairs, but on tied scores the two can pick different
         # optimal sets of controls. The DP puts each pair on the smallest
-        # admissible control position. When a later control in the sweep
-        # takes over one of several equally good matched units, it frees the
-        # one on the smallest sorted control position, so among tied controls
-        # the sweep can keep a later position. Here both cost 1.0: the DP
+        # admissible control position. The sweep's queues are stacks: among
+        # equally cheap holes a treated unit takes the last pushed, on the
+        # largest sorted control position, and a later control takes over
+        # the most recently matched unit. Here the first 0.75 takes the 0.0
+        # at position 2, the second the 0.0 at position 0, and the 1.0 takes
+        # over from the second, freeing position 0. Both cost 1.0: the DP
         # pairs {0: 0, 1: 1}, the sweep {0: 2, 1: 1}.
         t, c = [0.75, 0.75], [0.0, 1.0, 0.0]
         m = mt.match_optimal_exact(t, c)
@@ -351,10 +370,13 @@ class TestSweepAgainstWindowedDP:
 
 
 class TestSweepAgainstTwoHeaps:
-    """The stack-and-heap sweep sets the same used flags as two plain heaps.
+    """The stack sweep finds the optimum that two plain heaps find.
 
-    Every sweep a matcher runs is checked: its tie mask against the sorted
-    controls, and its used flags against `_two_heap_sweep_used`.
+    Every sweep a matcher runs is checked against `_two_heap_sweep_used`.
+    When no score value repeats across the two sorted sides, the used
+    flags are equal. Otherwise the stacks may take a different one of
+    several equally cheap moves: exactly N1 flags are set and the cost is
+    the oracle's.
     """
 
     @pytest.fixture(autouse=True)
@@ -362,14 +384,20 @@ class TestSweepAgainstTwoHeaps:
         sweep = mt._sweep_used
         self.calls = 0
 
-        def checked(t_sorted, c_sorted, c_ties):
-            ties = c_sorted[1:] == c_sorted[:-1]
-            if ties.any():
-                assert np.array_equal(c_ties, ties)
+        def cost(t_sorted, c_sorted, used):
+            chosen = c_sorted[np.frombuffer(used, dtype=np.uint8) == 1]
+            return float(np.sum(np.abs(t_sorted - chosen)))
+
+        def checked(t_sorted, c_sorted):
+            used = sweep(t_sorted, c_sorted)
+            oracle = _two_heap_sweep_used(t_sorted, c_sorted)
+            scores = np.concatenate([t_sorted, c_sorted])
+            if np.unique(scores).size == scores.size:
+                assert used == oracle
             else:
-                assert c_ties is None
-            used = sweep(t_sorted, c_sorted, c_ties)
-            assert used == _two_heap_sweep_used(t_sorted, c_sorted)
+                assert sum(used) == t_sorted.size
+                assert cost(t_sorted, c_sorted, used) == pytest.approx(
+                    cost(t_sorted, c_sorted, oracle), rel=1e-12, abs=1e-12)
             self.calls += 1
             return used
 
@@ -404,12 +432,10 @@ class TestSweepAgainstTwoHeaps:
         assert self.calls == 1
 
     def test_overflow_heaps(self):
-        # On continuous scores neither overflow heap takes an entry: every
-        # push is a new minimum of its stack, so tied inputs are the only
-        # cover of those branches. The first two push a matched unit onto
-        # the mouse heap. The last two also push a stolen unit's hole onto
-        # the hole heap; on the quarter grid no smaller input does, at k = 1
-        # and at k = 2.
+        # Tied inputs where a queue holds equally cheap moves, so the stack
+        # takes the most recent one where a heap takes the smallest anchor.
+        # The first two tie the mouse values of two matched units, the last
+        # two also the holes that two steals leave, at k = 1 and at k = 2.
         mt.match_optimal_exact([0.5, 1.0], [0.0, 1.0])
         mt.match_optimal_exact([0.5, 0.5], [0.0, 0.0, 0.75, 0.75])
         mt.match_optimal_exact([0.5, 0.5, 0.75], [0.0, 0.0, 0.75, 0.75])

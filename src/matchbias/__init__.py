@@ -16,7 +16,6 @@ from .estimators import (
     att_matching,
     att_true_sample,
     att_weighted,
-    att_without_replacement,
     control_weights,
     diagnose_overlap,
     match_sample,
@@ -40,11 +39,9 @@ from .population import (
     derive_seed,
     make_categorical_spec,
     make_prognostic_spec,
-    make_prognostic_propensity_spec,
     make_uniform_propensity_spec,
     sample,
     sample_from_csv,
-    sample_prognostic_covariates,
     sample_to_csv,
 )
 from .simulation import (

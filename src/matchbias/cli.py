@@ -87,9 +87,9 @@ def _build_sim_config(cfg: dict, args) -> tuple[simulation.SimConfig, object]:
         )
         sim_config = simulation.SimConfig(
             a_values=a_values,
-            n_values=tuple(int(n) for n in n_values),
-            reps=int(reps),
-            master_seed=int(seed),
+            n_values=tuple(_whole(n, "n_values") for n in n_values),
+            reps=_whole(reps, "reps"),
+            master_seed=_whole(seed, "master_seed"),
             match_method=method,
             match_config=mcfg,
             spec_kind=kind,
@@ -97,6 +97,23 @@ def _build_sim_config(cfg: dict, args) -> tuple[simulation.SimConfig, object]:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     return sim_config, spec_factory
+
+
+def _whole(value, key: str) -> int:
+    """value as an int, refusing a fraction that int() would truncate."""
+    if not float(value).is_integer():
+        raise ConfigError(f"[simulation] {key} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _output_settings(cfg: dict, args) -> tuple[Path, str]:
+    out_dir = args.out_dir or cfg["output"].get("dir", "matchbias-out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"[output] dir must be a path string, got {out_dir!r}")
+    fmt = args.format or cfg["output"].get("format", "csv")
+    if fmt not in ("csv", "md"):
+        raise ConfigError(f"[output] format must be 'csv' or 'md', got {fmt!r}")
+    return Path(out_dir), fmt
 
 
 class _categorical_factory:
@@ -113,13 +130,11 @@ def cmd_simulate(args) -> int:
     try:
         cfg = _load_config(args.config)
         sim_config, spec_factory = _build_sim_config(cfg, args)
+        out_dir, fmt = _output_settings(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    out_dir = Path(args.out_dir or cfg["output"].get("dir", "matchbias-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    fmt = args.format or cfg["output"].get("format", "csv")
 
     rows, cells, bug = [], [], None
 
@@ -224,11 +239,9 @@ def cmd_match(args) -> int:
         for i, j in zip(tp.tolist(), cp.tolist()):
             writer.writerow([treated_ids[i], control_ids[j],
                              repr(abs(ts[i] - cs[j]))])
-    summary = matching.matching_summary(m, cfg)
     with open(out_dir / "summary.csv", "w", newline="") as fh:
         fh.write("method,band,capacity,total_cost\r\n")
-        fh.write(f"{summary['method']},{summary['band']},"
-                 f"{summary['capacity']},{summary['total_cost']!r}\r\n")
+        fh.write(f"{m.method},{cfg.band},{cfg.capacity},{m.total_cost!r}\r\n")
 
     crossing = matching.has_crossing(m, smp.treated_scores, smp.control_scores) \
         if m.injective else None

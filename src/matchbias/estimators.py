@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import WITHOUT_REPLACEMENT, Matching, MatchConfig, match_scores
+from .matching import Matching, MatchConfig, match_scores
 from .population import Sample
 
 
@@ -132,16 +132,3 @@ def diagnose_overlap(smp: Sample, threshold: float = 0.5,
     count = int(np.count_nonzero(values >= threshold))
     return count / smp.n, count
 
-
-def att_without_replacement(smp: Sample, method: str = "exact",
-                            config: MatchConfig | None = None) -> AttEstimate:
-    """Match without replacement and estimate, applying the zero convention.
-
-    The convention covers only the sample's sizes: a band that does not
-    cover the control surplus raises MatchingError like any other refusal.
-    """
-    if method not in WITHOUT_REPLACEMENT:
-        raise ValueError(f"{method!r} is not a without-replacement method")
-    if smp.n1 == 0 or smp.n1 > smp.n0:
-        return att_matching(smp, None)
-    return att_matching(smp, match_sample(smp, method, config))

@@ -235,8 +235,8 @@ def _sweep_match(t: np.ndarray, c: np.ndarray, method: str,
         raise MatchingError("no treated units to match")
     if t.size > k * c.size:
         raise MatchingError(
-            f"more treated ({t.size}) than controls ({c.size}); matching "
-            "without replacement is impossible")
+            f"more treated (N1 = {t.size}) than control places at capacity "
+            f"k = {k} (k * N0 = {k * c.size})")
     t_order = _argsort_ties_stable(t)
     c_order = _argsort_ties_stable(c)
     t_sorted, c_sorted = t[t_order], np.repeat(c[c_order], k)
@@ -335,9 +335,6 @@ def match_capacitated(treated_scores, control_scores, k: int) -> Matching:
         raise ValueError("capacity k must be >= 1")
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
-    if t.size > k * c.size:
-        raise MatchingError(
-            f"capacity too small: {t.size} treated exceed k*N0 = {k * c.size}")
     return _sweep_match(t, c, "capacitated", k)
 
 
@@ -435,13 +432,3 @@ def match_scores(treated_scores, control_scores, method: str = "exact",
         return match_with_replacement(treated_scores, control_scores)
     return match_capacitated(treated_scores, control_scores, cfg.capacity)
 
-
-def matching_summary(matching: Matching, config: MatchConfig | None = None) -> dict:
-    """One-row summary: method, band, capacity, total_cost."""
-    cfg = config if config is not None else MatchConfig()
-    return {
-        "method": matching.method,
-        "band": cfg.band,
-        "capacity": cfg.capacity,
-        "total_cost": matching.total_cost,
-    }

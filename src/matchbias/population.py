@@ -198,8 +198,7 @@ def make_prognostic_spec(a: float) -> PopulationSpec:
     the score is s / (2a + 2); Y(0) = S^2 + e0 and Y(1) = 5/2 + e1 with
     standard-normal noise. The true ATT is 1 for every a. Scores are drawn
     directly from the triangular law rather than via the three covariates
-    (distributionally equivalent, roughly twice as fast); see
-    sample_prognostic_covariates for the covariate-level cross-check.
+    (distributionally equivalent, roughly twice as fast).
     """
     if a < 1.0 / 3.0:
         raise ValueError("prognostic spec requires a >= 1/3")
@@ -216,44 +215,6 @@ def make_prognostic_spec(a: float) -> PopulationSpec:
         score_breakpoints=(1.0,),
         name=f"prognostic(a={a:g})",
     )
-
-
-def make_prognostic_propensity_spec(a: float) -> PopulationSpec:
-    """The prognostic population reparameterized so the score is the propensity.
-
-    With T = S / (2a + 2), assignment is Bernoulli(T); outcome models are
-    rewritten in terms of T. Matching on T is matching on a monotone rescale
-    of S, so the asymptotic bias is unchanged. Used to cross-check the
-    propensity-score bias routine against the score-based one.
-    """
-    if a < 1.0 / 3.0:
-        raise ValueError("prognostic spec requires a >= 1/3")
-    denom = 2.0 * a + 2.0
-    return PopulationSpec(
-        score_sampler=partial(_scaled_triangular_scores, denom=denom),
-        assign_prob=_identity,
-        mu0=partial(_scaled_square, denom=denom),
-        mu1=partial(_const, value=2.5),
-        noise0=_std_normal,
-        noise1=_std_normal,
-        tau_att_true=1.0,
-        score_pdf=partial(_scaled_triangular_pdf, denom=denom),
-        score_support=(0.0, 2.0 / denom),
-        score_breakpoints=(1.0 / denom,),
-        name=f"prognostic-propensity(a={a:g})",
-    )
-
-
-def _scaled_triangular_scores(rng, n, denom):
-    return _triangular_scores(rng, n) / denom
-
-
-def _scaled_triangular_pdf(t, denom):
-    return denom * _triangular_pdf(np.asarray(t, dtype=float) * denom)
-
-
-def _scaled_square(t, denom):
-    return (np.asarray(t, dtype=float) * denom) ** 2
 
 
 def make_uniform_propensity_spec(upper: float,
@@ -315,50 +276,6 @@ def make_categorical_spec(mass_a: float, p_in_a: float, p_out: float,
         score_support=(min(p_in_a, p_out), max(p_in_a, p_out)),
         name=f"categorical(mass_a={mass_a:g}, p_in_a={p_in_a:g}, p_out={p_out:g})",
     )
-
-
-def sample_prognostic_covariates(a: float, n: int, seed: int) -> Sample:
-    """Draw the prognostic population at the covariate level.
-
-    Draws (X1, X2, X3) uniform on the cube, assigns treatment with
-    probability x1 * x2^a, and sets the score to x1 + x3. Distributionally
-    identical to sampling make_prognostic_spec(a); kept as a cross-check.
-    """
-    if a < 1.0 / 3.0:
-        raise ValueError("prognostic spec requires a >= 1/3")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    rng = _rng(seed)
-    x1 = rng.random(n)
-    x2 = rng.random(n)
-    x3 = rng.random(n)
-    w = (rng.random(n) < x1 * x2 ** a).astype(np.int8)
-    s = x1 + x3
-    y0 = s ** 2 + rng.standard_normal(n)
-    y1 = 2.5 + rng.standard_normal(n)
-    y = np.where(w == 1, y1, y0)
-    return Sample(w, s, y0, y1, y)
-
-
-def within_category_match_fraction(p_treated: float) -> float:
-    """Expected fraction of a category's treated units matched inside it.
-
-    With treated share p in the category, controls are the remaining 1 - p,
-    so only (1 - p) / p of the treated find a same-category control once
-    p exceeds one half; below that everyone matches locally.
-    """
-    if not 0.0 <= p_treated <= 1.0:
-        raise ValueError("p_treated must be in [0, 1]")
-    if p_treated == 0.0:
-        return 1.0
-    return min(1.0, (1.0 - p_treated) / p_treated)
-
-
-def cross_category_match_share(mass: float, p_treated: float) -> float:
-    """Share of the whole sample force-matched outside the category."""
-    if not 0.0 <= mass <= 1.0:
-        raise ValueError("mass must be in [0, 1]")
-    return mass * p_treated * (1.0 - within_category_match_fraction(p_treated))
 
 
 CSV_HEADER = ["id", "w", "s", "y0", "y1", "y"]

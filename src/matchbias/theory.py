@@ -2,12 +2,12 @@
 
 The matching problem on a scalar score splits at the point where the
 population above it is exactly half treated: controls are scarce above,
-abundant below. This module locates that partition (as a propensity value
-p* or a score threshold b, by one bisection on the treated fraction of the
-upper region), evaluates the resulting asymptotic bias of the ATT matching
-estimator over that region both numerically and in closed form for the
-prognostic-score example, and provides the order-one transport distance
-that drives the bias.
+abundant below. This module locates that partition (as a score threshold
+b, by one bisection on the treated fraction of the upper region, and as
+the propensity p* = assign_prob(b)), evaluates the resulting asymptotic
+bias of the ATT matching estimator over that region both numerically and
+in closed form for the prognostic-score example, and provides the
+order-one transport distance that drives the bias.
 
 Populations with a score density are integrated by adaptive Gauss–Legendre
 quadrature in numpy; populations without one fall back to a fixed-seed Monte
@@ -23,7 +23,6 @@ import numpy as np
 
 from .population import PopulationSpec
 
-_DENSE_NODES = 20_001
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _MAX_PANELS = 200  # per _quad call; past it the current estimate is kept
 _MC_DRAWS = 1 << 18
@@ -119,54 +118,34 @@ def pi_bar(spec: PopulationSpec) -> float:
     return float(np.mean(spec.assign_prob(s)))
 
 
-def _level_intervals(spec: PopulationSpec, level: float) -> list[tuple[float, float]]:
-    """Intervals of {s : assign_prob(s) >= level}, grid-located and bisection-refined."""
-    lo, hi = _support(spec)
-    s = np.linspace(lo, hi, _DENSE_NODES)
-    inside = np.asarray(spec.assign_prob(s), dtype=float) >= level
-    i = np.flatnonzero(inside[1:] != inside[:-1])
-    a, b = s[i], s[i + 1]
-    for _ in range(40):  # all crossings at once, to below one ulp; a keeps s[i]'s side
-        mid = 0.5 * (a + b)
-        same = (np.asarray(spec.assign_prob(mid), dtype=float) >= level) == inside[i]
-        a, b = np.where(same, mid, a), np.where(same, b, mid)
-    crossings = np.where(inside[i], a, b).tolist()  # the endpoint inside the level set
-    bounds = [lo] * bool(inside[0]) + crossings + [hi] * bool(inside[-1])
-    return list(zip(bounds[0::2], bounds[1::2]))
-
-
-def _tail_masses(spec: PopulationSpec, intervals) -> tuple[float, float]:
-    """Score mass and treated mass of a union of intervals, by quadrature."""
+def _tail_masses(spec: PopulationSpec, x: float, hi: float) -> tuple[float, float]:
+    """Score mass and treated mass of [x, hi], by quadrature."""
     pdf, ap, bp = spec.score_pdf, spec.assign_prob, spec.score_breakpoints
-    mass = treated = 0.0
-    for a, b in intervals:
-        mass += _quad(pdf, a, b, bp)
-        treated += _quad(lambda s: ap(s) * pdf(s), a, b, bp)
-    return mass, treated
+    return _quad(pdf, x, hi, bp), _quad(lambda s: ap(s) * pdf(s), x, hi, bp)
 
 
-def _treated_fraction(spec: PopulationSpec, intervals) -> float:
-    mass, treated = _tail_masses(spec, intervals)
+def _treated_fraction(spec: PopulationSpec, x: float, hi: float) -> float:
+    mass, treated = _tail_masses(spec, x, hi)
     return treated / mass if mass > 0.0 else 1.0  # an empty region counts as treated
 
 
-def _half_treated(spec: PopulationSpec, region, lo: float, hi: float,
-                  tol: float) -> float:
-    """Smallest x in [lo, hi], to within tol, whose region(x) is at least half treated.
+def _half_treated(spec: PopulationSpec, lo: float, hi: float, tol: float) -> float:
+    """Smallest x in [lo, hi], to within tol, whose [x, hi] is at least half treated.
 
-    region(x) is a list of score intervals whose treated fraction never
-    decreases as x rises, and region(hi) must qualify, so bisection finds
-    the boundary.
+    With assign_prob nondecreasing the treated fraction of [x, hi] never
+    decreases as x rises, and the empty [hi, hi] qualifies, so bisection
+    finds the boundary.
     """
-    if _treated_fraction(spec, region(lo)) >= 0.5:
+    if _treated_fraction(spec, lo, hi) >= 0.5:
         return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _treated_fraction(spec, region(mid)) >= 0.5:
-            hi = mid
+    below, above = lo, hi  # [below, hi] under half treated, [above, hi] at least half
+    while above - below > tol:
+        mid = 0.5 * (below + above)
+        if _treated_fraction(spec, mid, hi) >= 0.5:
+            above = mid
         else:
-            lo = mid
-    return hi
+            below = mid
+    return above
 
 
 def _mc_half_treated(keys: np.ndarray, p: np.ndarray) -> float | None:
@@ -185,28 +164,30 @@ def _mc_half_treated(keys: np.ndarray, p: np.ndarray) -> float | None:
 def pstar(spec: PopulationSpec, tol: float = 1e-8) -> PStarResult:
     """Partition point of the matching problem.
 
-    The smallest treatment probability p such that units with probability
-    at least p are at least half treated. Defaults to 1/2 when no unit has
-    probability 1/2 or above. Pr(W=1 | prob >= p) = E[prob | prob >= p]
-    never decreases in p, so the boundary is found by bisection over the
-    level sets {s : assign_prob(s) >= p}.
+    The treatment probability assign_prob(b) at the score threshold b of
+    sstar_threshold: with assign_prob nondecreasing, units with probability
+    at least p* are those with score at least b, and they are exactly half
+    treated. Defaults to 1/2 when no threshold exists or [b, s_max] has
+    zero mass, that is when no mass has probability 1/2 or above. Raises
+    sstar_threshold's ValueError when assign_prob decreases.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
-    p = np.asarray(spec.assign_prob(_score_grid(spec)), dtype=float)
-    cut = None
-    if not _has_density(spec):
-        cut = _mc_half_treated(p, p)
-        tail = float(np.mean(p[p >= cut])) if cut is not None else math.nan
-    elif _tail_masses(spec, _level_intervals(spec, 0.5))[0] > 1e-12:
-        cut = _half_treated(spec, lambda x: _level_intervals(spec, x),
-                            float(p.min()), 1.0, tol)
-        tail = _treated_fraction(spec, _level_intervals(spec, cut))
-    if cut is None:  # default rule: no mass at or above one half
-        return PStarResult(pstar=0.5, tail_treated_prob=math.nan,
-                           defaulted=True, left_closed=True)
-    return PStarResult(pstar=cut, tail_treated_prob=tail,
-                       defaulted=False, left_closed=bool(tail >= 0.5 - 1e-9))
+    default = PStarResult(pstar=0.5, tail_treated_prob=math.nan,
+                          defaulted=True, left_closed=True)
+    try:
+        b = sstar_threshold(spec, tol)
+    except SStarNotFoundError:
+        return default
+    if _has_density(spec):
+        mass, treated = _tail_masses(spec, b, _support(spec)[1])
+        if mass <= 1e-12:
+            return default
+        tail = treated / mass
+    else:  # b is one of the fixed-seed draws, so [b, s_max] has mass
+        s = _mc_scores(spec)
+        tail = float(np.mean(np.asarray(spec.assign_prob(s), dtype=float)[s >= b]))
+    return PStarResult(pstar=float(spec.assign_prob(np.asarray([b]))[0]),
+                       tail_treated_prob=tail, defaulted=False,
+                       left_closed=bool(tail >= 0.5 - 1e-9))
 
 
 def sstar_threshold(spec: PopulationSpec, tol: float = 1e-9) -> float:
@@ -236,7 +217,7 @@ def sstar_threshold(spec: PopulationSpec, tol: float = 1e-9) -> float:
         raise SStarNotFoundError(
             "Pr(W=1 | S >= b) stays below 1/2 on the whole support "
             f"(top value {p_end:.6g}); the upper set has zero mass")
-    return _half_treated(spec, lambda x: [(x, hi)], lo, hi, tol)
+    return _half_treated(spec, lo, hi, tol)
 
 
 def _zero_bias_report(pb: float) -> BiasReport:
@@ -254,7 +235,7 @@ def _upper_region_report(spec: PopulationSpec, cut: float, pb: float) -> BiasRep
     if _has_density(spec):
         hi = _support(spec)[1]
         pdf, ap, mu0, bp = spec.score_pdf, spec.assign_prob, spec.mu0, spec.score_breakpoints
-        prob_upper, den_t = _tail_masses(spec, [(cut, hi)])
+        prob_upper, den_t = _tail_masses(spec, cut, hi)
         if prob_upper <= 0.0:
             return _zero_bias_report(pb)
         den_c = _quad(lambda s: (1.0 - ap(s)) * pdf(s), cut, hi, bp)
@@ -409,7 +390,7 @@ def weighted_wasserstein_objective(spec: PopulationSpec, b: float,
         b = max(b, lo)
         ap = spec.assign_prob
         pb = pi_bar(spec)
-        treated_mass = _tail_masses(spec, [(b, hi)])[1]
+        treated_mass = _tail_masses(spec, b, hi)[1]
         if treated_mass <= 0.0 or pb <= 0.0:
             return 0.0
         q1 = _conditional_quantile_from_density(spec, b, hi, ap)

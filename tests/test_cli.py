@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from matchbias import matching
+from matchbias import matching, simulation
 from matchbias.cli import main
 
 
@@ -89,9 +89,20 @@ class TestSimulate:
         {"output": "x"},
         {"population": {"kind": "categorical", "mass_a": "x",
                         "p_in_a": 0.4, "p_out": 0.3}},
+        {"simulation": {"reps": 2.5}},
+        {"simulation": {"n_values": [60.9]}},
+        {"simulation": {"master_seed": 7.5}},
+        {"output": {"dir": 5}},
+        {"output": {"format": "xml"}},
     ], ids=["a_values_scalar", "a_values_text", "matching_not_object",
-            "output_not_object", "categorical_text"])
-    def test_malformed_value_is_config_error(self, tmp_path, capsys, overrides):
+            "output_not_object", "categorical_text", "fractional_reps",
+            "fractional_n", "fractional_seed", "dir_not_text", "unknown_format"])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                             overrides):
+        # refused before any cell runs, not truncated, ignored or a traceback
+        tables = []
+        monkeypatch.setattr(simulation, "run_table",
+                            lambda *args, **kwargs: tables.append(args))
         cfg_path = tmp_path / "cfg.json"
         cfg = write_config(cfg_path)
         for section, value in overrides.items():
@@ -100,6 +111,7 @@ class TestSimulate:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
+        assert tables == [] and not (tmp_path / "out").exists()
 
     def test_band_below_surplus_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MATCHBIAS_THREADS", "1")
@@ -189,6 +201,8 @@ class TestMatch:
         with open(tmp_path / "m" / "summary.csv", newline="") as fh:
             srows = list(csv.reader(fh))
         assert srows[0] == ["method", "band", "capacity", "total_cost"]
+        assert srows[1][:3] == ["exact", "2000", "1"]
+        assert float(srows[1][3]) == pytest.approx(0.15)
 
     def test_pairs_use_input_ids(self, tmp_path):
         data = tmp_path / "units.csv"

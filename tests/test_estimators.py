@@ -4,6 +4,7 @@ import pytest
 from matchbias import estimators as est
 from matchbias import matching as mt
 from matchbias import population as pop
+from matchbias.simulation import run_cell
 
 
 def make_sample(w, s, y, y0=None, y1=None):
@@ -39,8 +40,11 @@ class TestAttMatching:
         assert out.value == 0.0 and out.degenerate
 
     def test_more_treated_than_controls_convention(self):
+        # the matcher refuses, and the estimate passed no matching is zero
         smp = make_sample([1, 1, 0], [0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
-        out = est.att_without_replacement(smp)
+        with pytest.raises(mt.MatchingError, match="N1 = 2"):
+            est.match_sample(smp)
+        out = est.att_matching(smp, None)
         assert out.value == 0.0 and out.degenerate
 
     def test_rejects_incomplete_pairing(self):
@@ -69,24 +73,10 @@ class TestAttMatching:
     @pytest.mark.parametrize("method", sorted(mt.WITHOUT_REPLACEMENT))
     def test_every_without_replacement_method_estimates(self, method):
         smp = pop.sample(pop.make_prognostic_spec(0.5), 400, 12)
-        out = est.att_without_replacement(smp, method)
+        out = est.att_matching(smp, est.match_sample(smp, method))
         exact = est.att_matching(smp, mt.match_optimal_exact(
             smp.treated_scores, smp.control_scores))
         assert not out.degenerate and out.value == exact.value
-
-    def test_band_refusal_propagates(self):
-        # a band below the surplus is refused, not estimated as zero
-        smp = pop.sample(pop.make_prognostic_spec(0.5), 400, 12)
-        assert 0 < smp.n1 < smp.n0
-        with pytest.raises(mt.MatchingError, match="below the control surplus"):
-            est.att_without_replacement(smp, "banded", mt.MatchConfig(band=0))
-
-    @pytest.mark.parametrize("method", ["exact_dp", "banded_dp", "brute_force",
-                                        "replacement"])
-    def test_rejects_other_method_names(self, method):
-        smp = pop.sample(pop.make_prognostic_spec(0.5), 400, 12)
-        with pytest.raises(ValueError, match="not a without-replacement method"):
-            est.att_without_replacement(smp, method)
 
 
 class TestWeighting:
@@ -216,11 +206,7 @@ class TestZeroBiasSanity:
             score_support=(0.0, 2.0),
             score_breakpoints=(1.0,),
         )
-        errors = []
-        for r in range(500):
-            smp = pop.sample(spec, 1000, pop.derive_seed(5150, r))
-            out = est.att_without_replacement(smp, "exact")
-            errors.append(out.value - 1.0)
-        errors = np.asarray(errors)
-        se = errors.std(ddof=1) / np.sqrt(errors.size)
-        assert abs(errors.mean()) < 4 * se
+        # replication r draws its sample with seed derive_seed(5150, r)
+        row = run_cell(spec, 1000, 500, 5150, "exact")
+        assert row.reps_done == 500 and row.degenerate_count == 0
+        assert abs(row.emp_bias) < 4 * row.emp_se / np.sqrt(row.reps_done)

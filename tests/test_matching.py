@@ -540,6 +540,13 @@ class TestCapacitated:
         with pytest.raises(mt.MatchingError):
             mt.match_capacitated([0.1, 0.2, 0.3], [0.5], 2)
 
+    def test_refusal_states_n1_and_k_n0(self):
+        with pytest.raises(mt.MatchingError) as exc:
+            mt.match_capacitated([0.1, 0.2, 0.3, 0.4, 0.6], [0.5, 0.7], 2)
+        msg = str(exc.value)
+        assert "N1 = 5" in msg and "k * N0 = 4" in msg
+        assert "without replacement" not in msg
+
 
 class TestMatchingRepresentation:
     @staticmethod
@@ -711,8 +718,9 @@ class TestDispatchAndIO:
             mt.MatchConfig(caliper=0.0)
 
     def test_pairs_csv(self):
+        # the pairs and cost that `matchbias match` writes to its two CSVs
         t, c = [0.1, 0.6], [0.12, 0.58]
         m = mt.match_optimal_exact(t, c)
-        summary = mt.matching_summary(m, mt.MatchConfig())
-        assert summary["method"] == "exact"
-        assert summary["total_cost"] == pytest.approx(m.total_cost)
+        assert m.method == "exact"
+        assert dict(m.pairs) == {0: 0, 1: 1}
+        assert m.total_cost == pytest.approx(0.04)

@@ -3,7 +3,27 @@ import math
 import numpy as np
 import pytest
 
+from matchbias import matching
 from matchbias import population as pop
+
+
+def sample_prognostic_covariates(a, n, seed):
+    """Draw the prognostic population at the covariate level.
+
+    Draws (X1, X2, X3) uniform on the cube, assigns treatment with
+    probability x1 * x2^a, and sets the score to x1 + x3: distributionally
+    identical to sampling make_prognostic_spec(a).
+    """
+    rng = pop._rng(seed)
+    x1 = rng.random(n)
+    x2 = rng.random(n)
+    x3 = rng.random(n)
+    w = (rng.random(n) < x1 * x2 ** a).astype(np.int8)
+    s = x1 + x3
+    y0 = s ** 2 + rng.standard_normal(n)
+    y1 = 2.5 + rng.standard_normal(n)
+    y = np.where(w == 1, y1, y0)
+    return pop.Sample(w, s, y0, y1, y)
 
 
 class TestSample:
@@ -87,7 +107,7 @@ class TestPrognosticSpec:
         # covariate-level process is distributionally equivalent
         a = 0.5
         direct = pop.sample(pop.make_prognostic_spec(a), 200_000, 17)
-        via_cov = pop.sample_prognostic_covariates(a, 200_000, 18)
+        via_cov = sample_prognostic_covariates(a, 200_000, 18)
         assert abs(direct.n1 / direct.n - via_cov.n1 / via_cov.n) < 0.006
         assert abs(np.mean(direct.s) - np.mean(via_cov.s)) < 0.01
         treated_s_direct = np.mean(direct.s[direct.treated_idx])
@@ -99,8 +119,13 @@ class TestCategoricalSpec:
     def test_worked_matching_arithmetic(self):
         # 10% in category A, 3/4 of them treated: one third of the treated
         # in A find a control in A, and the rest are 5% of the full sample
-        assert pop.within_category_match_fraction(0.75) == pytest.approx(1 / 3)
-        assert pop.cross_category_match_share(0.1, 0.75) == pytest.approx(0.05)
+        smp = pop.sample(pop.make_categorical_spec(0.1, 0.75, 0.3), 100_000, 4)
+        m = matching.match_optimal_exact(smp.treated_scores, smp.control_scores)
+        tp, cp = m.pair_arrays()
+        from_a = smp.treated_scores[tp] == 0.75
+        within = from_a & (smp.control_scores[cp] == 0.75)
+        assert within.sum() / from_a.sum() == pytest.approx(1 / 3, abs=0.02)
+        assert (from_a & ~within).sum() / smp.n == pytest.approx(0.05, abs=0.003)
 
     def test_spec_draws_two_point_scores(self):
         spec = pop.make_categorical_spec(0.1, 0.75, 0.3)

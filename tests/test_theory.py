@@ -15,6 +15,42 @@ from matchbias import theory
 A_GRID = (1 / 3, 0.4, 4 / 9, 0.6, 0.8, 1.0)
 
 
+def _scaled_triangular_scores(rng, n, denom):
+    return pop._triangular_scores(rng, n) / denom
+
+
+def _scaled_triangular_pdf(t, denom):
+    return denom * pop._triangular_pdf(np.asarray(t, dtype=float) * denom)
+
+
+def _scaled_square(t, denom):
+    return (np.asarray(t, dtype=float) * denom) ** 2
+
+
+def make_prognostic_propensity_spec(a):
+    """The prognostic population reparameterized so the score is the propensity.
+
+    With T = S / (2a + 2), assignment is Bernoulli(T); outcome models are
+    rewritten in terms of T. Matching on T is matching on a monotone rescale
+    of S, so the asymptotic bias is unchanged: an oracle for the propensity
+    route against the score route.
+    """
+    denom = 2.0 * a + 2.0
+    return pop.PopulationSpec(
+        score_sampler=partial(_scaled_triangular_scores, denom=denom),
+        assign_prob=pop._identity,
+        mu0=partial(_scaled_square, denom=denom),
+        mu1=partial(pop._const, value=2.5),
+        noise0=pop._std_normal,
+        noise1=pop._std_normal,
+        tau_att_true=1.0,
+        score_pdf=partial(_scaled_triangular_pdf, denom=denom),
+        score_support=(0.0, 2.0 / denom),
+        score_breakpoints=(1.0 / denom,),
+        name=f"prognostic-propensity(a={a:g})",
+    )
+
+
 class TestClosedForms:
     def test_table_values(self):
         assert theory.prognostic_bias_closed_form(1 / 3) == pytest.approx(
@@ -66,13 +102,23 @@ class TestPStar:
     @pytest.mark.parametrize("spec", [
         pop.make_uniform_propensity_spec(0.6),
         pop.make_uniform_propensity_spec(0.8),
-        pop.make_prognostic_propensity_spec(1 / 3),
-        pop.make_prognostic_propensity_spec(4 / 9),
+        make_prognostic_propensity_spec(1 / 3),
+        make_prognostic_propensity_spec(4 / 9),
     ], ids=lambda spec: spec.name)
-    def test_level_set_route_agrees_with_score_threshold(self, spec):
-        # with assign_prob(s) = s the level set above p* is the interval [b, hi]
+    def test_identity_score_pstar_is_score_threshold(self, spec):
+        # with assign_prob(s) = s the partition point is the threshold b itself
         assert theory.pstar(spec, 1e-9).pstar == pytest.approx(
             theory.sstar_threshold(spec, 1e-9), abs=1e-7)
+
+    @pytest.mark.parametrize("a", [1 / 3, 4 / 9, 0.8])
+    def test_pstar_is_assign_prob_at_threshold(self, a):
+        # the prognostic score is not the propensity: p* = b / (2a + 2)
+        spec = pop.make_prognostic_spec(a)
+        b = theory.sstar_threshold(spec, 1e-8)
+        res = theory.pstar(spec, 1e-8)
+        assert res.pstar == spec.assign_prob(np.asarray([b]))[0]
+        assert res.pstar == pytest.approx((3 * a + 1) / (4 * a + 4), abs=1e-6)
+        assert not res.defaulted and res.left_closed
 
     def test_mc_fallback(self):
         spec = pop.make_uniform_propensity_spec(0.8)
@@ -108,6 +154,8 @@ class TestSStarThreshold:
             score_pdf=pop._triangular_pdf, score_support=(0.0, 2.0))
         with pytest.raises(ValueError, match="monotone"):
             theory.sstar_threshold(bumpy)
+        with pytest.raises(ValueError, match="monotone"):  # p* = assign_prob(b)
+            theory.pstar(bumpy)
 
 
 class TestBiasScore:
@@ -220,7 +268,7 @@ class TestBiasPropensity:
     def test_matches_score_route_on_rescaled_prognostic(self):
         for a in (1 / 3, 4 / 9, 0.8):
             rep = theory.asymptotic_bias_propensity(
-                pop.make_prognostic_propensity_spec(a), 1e-9)
+                make_prognostic_propensity_spec(a), 1e-9)
             assert rep.bias == pytest.approx(
                 theory.prognostic_bias_closed_form(a), abs=1e-3)
 

@@ -105,8 +105,9 @@ class TestPStar:
         make_prognostic_propensity_spec(1 / 3),
         make_prognostic_propensity_spec(4 / 9),
     ], ids=lambda spec: spec.name)
-    def test_identity_score_pstar_is_score_threshold(self, spec):
-        # with assign_prob(s) = s the partition point is the threshold b itself
+    def test_level_set_route_agrees_with_score_threshold(self, spec):
+        # with assign_prob(s) = s the level set {assign_prob >= p*} is the
+        # score tail above b, so the partition point is the threshold b itself
         assert theory.pstar(spec, 1e-9).pstar == pytest.approx(
             theory.sstar_threshold(spec, 1e-9), abs=1e-7)
 

@@ -134,7 +134,11 @@ def cmd_simulate(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     rows, cells, bug = [], [], None
 
@@ -227,7 +231,11 @@ def cmd_match(args) -> int:
             m, smp.treated_scores, smp.control_scores, args.caliper)
 
     out_dir = Path(args.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     # pairs.csv carries the input file's id column, not subset positions
     treated_ids = [unit_ids[i] for i in smp.treated_idx]
     control_ids = [unit_ids[i] for i in smp.control_idx]

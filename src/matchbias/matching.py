@@ -125,14 +125,15 @@ def _as_scores(x, side: str) -> np.ndarray:
     return arr
 
 
-def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> bytearray:
+def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
     """Controls used by a min-cost matching of every sorted treated unit.
 
     Successive shortest paths on the line, run as one sorted sweep (the
     "mice and holes" exchange argument): scores are visited in order,
     controls before treated on equal scores, and two stacks hold the
-    cheapest moves so far as (value, anchor), where the anchor is the one
-    control whose used flag changes when the move is taken.
+    cheapest moves so far. Each move is anchored at one control, the one
+    whose used flag it changes, and the stacks hold only these anchors;
+    `val[a]` is the value of the one move anchored at control a.
 
     - `hole`: a treated unit at x can take a control for x + value. A free
       control at y offers -y; a control vacated by a steal offers the
@@ -142,6 +143,16 @@ def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> bytearray:
     - `waiting` counts treated units that found `hole` empty. The next
       controls go to them, which stands in for an infinite cost without
       absorbing any score into it.
+
+    One slot per control is enough because a control sits on at most one
+    stack at a time, and at most once. It goes onto `hole` when the sweep
+    first sees it free, moves to `mouse` when a pop matches it (its slot
+    becomes the mouse value -2x - val[a]) and back to `hole` when a steal
+    at y frees it (the slot becomes the hole value -2y - val[a]). A
+    control that fills a waiting unit or steals goes onto neither stack
+    and stays used. So `hole` holds exactly the controls seen so far that
+    are free, and the loop writes no flags: at the end the used controls
+    are those the sweep has reached, minus those left on `hole`.
 
     Each push is no larger than the top it covers, so the top of either
     stack is a cheapest move and a pop takes it in O(1). On the line an
@@ -177,14 +188,14 @@ def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> bytearray:
     memory.
 
     Requires len(t_sorted) <= len(c_sorted), so that `waiting` ends at
-    zero. Returns one flag per sorted control; exactly len(t_sorted) are
-    set.
+    zero. Returns a bool array, one flag per sorted control; exactly
+    len(t_sorted) are set.
     """
     n0 = c_sorted.size
-    used = bytearray(n0)
     neg_c = (-c_sorted).tolist()  # a free control's hole value
-    hole: list[tuple[float, int]] = []
-    mouse: list[tuple[float, int]] = []
+    val = neg_c.copy()  # the value of the one move anchored at each control
+    hole: list[int] = []
+    mouse: list[int] = []
     waiting = 0
     # controls at or below each treated score come before it
     ends = np.searchsorted(c_sorted, t_sorted, side="right").tolist()
@@ -193,32 +204,31 @@ def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> bytearray:
         if j < end:
             if waiting:
                 w = min(waiting, end - j)
-                used[j:j + w] = b"\x01" * w
                 waiting -= w
                 j += w
-            while j < end and mouse and mouse[-1][0] < neg_c[j]:
-                v, a = mouse.pop()
-                used[j] = 1
-                used[a] = 0
-                hole.append((2.0 * neg_c[j] - v, a))
+            while j < end and mouse and val[mouse[-1]] < neg_c[j]:
+                a = mouse.pop()
+                val[a] = 2.0 * neg_c[j] - val[a]
+                hole.append(a)
                 j += 1
-            hole += zip(neg_c[j:end], range(j, end))
+            hole += range(j, end)
             j = end
         if hole:
-            v, a = hole.pop()
-            used[a] = 1
-            mouse.append((-2.0 * x - v, a))
+            a = hole.pop()
+            val[a] = -2.0 * x - val[a]
+            mouse.append(a)
         else:
             waiting += 1
     # past the last treated unit only waiting units and steals can use a
-    # control, and once neither applies no later (larger) control can
-    if waiting:
-        used[j:j + waiting] = b"\x01" * waiting
-        j += waiting
-    while j < n0 and mouse and mouse[-1][0] < neg_c[j]:
-        used[mouse.pop()[1]] = 0
-        used[j] = 1
+    # control, and once neither applies no later (larger) control can; a
+    # steal still frees its anchor onto `hole`, but no pop reads its value
+    j += waiting
+    while j < n0 and mouse and val[mouse[-1]] < neg_c[j]:
+        hole.append(mouse.pop())
         j += 1
+    used = np.zeros(n0, dtype=bool)
+    used[:j] = True
+    used[hole] = False
     return used
 
 
@@ -240,8 +250,7 @@ def _sweep_match(t: np.ndarray, c: np.ndarray, method: str,
     t_order = _argsort_ties_stable(t)
     c_order = _argsort_ties_stable(c)
     t_sorted, c_sorted = t[t_order], np.repeat(c[c_order], k)
-    used = np.flatnonzero(np.frombuffer(
-        _sweep_used(t_sorted, c_sorted), dtype=np.uint8))
+    used = np.flatnonzero(_sweep_used(t_sorted, c_sorted))
     c_pos = c_order[used // k]
     cost = float(np.sum(np.abs(t_sorted - c[c_pos])))
     injective = k == 1 or bool(np.bincount(c_pos).max() <= 1)

@@ -113,6 +113,19 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("config error: ")
         assert tables == [] and not (tmp_path / "out").exists()
 
+    def test_uncreatable_output_dir_is_output_error(self, tmp_path, capsys,
+                                                    monkeypatch):
+        tables = []
+        monkeypatch.setattr(simulation, "run_table",
+                            lambda *args, **kwargs: tables.append(args))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, output={"dir": str(blocker / "out")})
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("output error: ")
+        assert tables == []
+
     def test_band_below_surplus_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MATCHBIAS_THREADS", "1")
         cfg_path = tmp_path / "cfg.json"
@@ -241,6 +254,13 @@ class TestMatch:
         assert "band 0 is below the control surplus N0 - N1 = 2" in err
         assert "degenerate" not in err
         assert not (tmp_path / "m").exists()
+
+    def test_uncreatable_out_dir_is_output_error(self, tmp_path, capsys):
+        data = tmp_path / "units.csv"
+        toy_units_csv(data, [(1, 0.5), (0, 0.4)])
+        assert main(["match", str(data), "--out-dir",
+                     str(data / "m")]) == 1
+        assert capsys.readouterr().err.startswith("output error: ")
 
     def test_unknown_method_exits_one(self, tmp_path, capsys):
         data = tmp_path / "units.csv"

@@ -385,17 +385,18 @@ class TestSweepAgainstTwoHeaps:
         self.calls = 0
 
         def cost(t_sorted, c_sorted, used):
-            chosen = c_sorted[np.frombuffer(used, dtype=np.uint8) == 1]
-            return float(np.sum(np.abs(t_sorted - chosen)))
+            return float(np.sum(np.abs(t_sorted - c_sorted[used])))
 
         def checked(t_sorted, c_sorted):
             used = sweep(t_sorted, c_sorted)
-            oracle = _two_heap_sweep_used(t_sorted, c_sorted)
+            oracle = np.frombuffer(_two_heap_sweep_used(t_sorted, c_sorted),
+                                   dtype=np.uint8) == 1
+            assert used.dtype == bool and used.shape == c_sorted.shape
             scores = np.concatenate([t_sorted, c_sorted])
             if np.unique(scores).size == scores.size:
-                assert used == oracle
+                assert np.array_equal(used, oracle)
             else:
-                assert sum(used) == t_sorted.size
+                assert np.count_nonzero(used) == t_sorted.size
                 assert cost(t_sorted, c_sorted, used) == pytest.approx(
                     cost(t_sorted, c_sorted, oracle), rel=1e-12, abs=1e-12)
             self.calls += 1
@@ -441,6 +442,36 @@ class TestSweepAgainstTwoHeaps:
         mt.match_optimal_exact([0.5, 0.5, 0.75], [0.0, 0.0, 0.75, 0.75])
         mt.match_capacitated([0.5, 0.5, 0.75], [0.0, 0.75], 2)
         assert self.calls == 4
+
+
+class TestSweepBranches:
+    """Hand-checked used flags for each path through `_sweep_used`.
+
+    Each instance has one optimal set of controls, which brute force
+    confirms. A control that fills a waiting unit or steals stays used,
+    and a control freed by a steal must go back onto the hole stack, or
+    the flags read off it at the end come out wrong.
+    """
+
+    @pytest.mark.parametrize("t, c, expect", [
+        # 0.1 waits for the first control; 0.7 then takes 0.6
+        ([0.1, 0.7], [0.5, 0.6, 0.9], [1, 1, 0]),
+        # 0.6 takes over 0.5 from 0.0, which stays free; 1.0 takes 0.9
+        ([0.5, 1.0], [0.0, 0.6, 0.9], [0, 1, 1]),
+        # both treated units wait; the first two controls after them go
+        ([0.1, 0.2], [0.5, 0.6, 0.9], [1, 1, 0]),
+        # past the last treated unit 0.6 takes over 0.5 from 0.0
+        ([0.5], [0.0, 0.6], [0, 1]),
+    ], ids=["waiting_in_loop", "steal_in_loop", "waiting_in_tail",
+            "steal_in_tail"])
+    def test_used_flags(self, t, c, expect):
+        t, c = np.asarray(t), np.asarray(c)
+        used = mt._sweep_used(t, c)
+        assert used.dtype == bool
+        assert np.count_nonzero(used) == t.size
+        assert used.tolist() == [bool(f) for f in expect]
+        bf = mt.brute_force_match(t, c)
+        assert sorted(bf.pairs.values()) == np.flatnonzero(used).tolist()
 
 
 class TestWithReplacement:

@@ -338,14 +338,26 @@ class TestWeightedObjective:
             0.0, abs=1e-9)
 
     def test_prognostic_links_to_empirical_matching_cost(self):
-        from matchbias import estimators, matching
-        spec = pop.make_prognostic_spec(1 / 3)
-        w_star = theory.weighted_wasserstein_objective(spec, 1.0)
-        assert w_star > 0.0
-        smp = pop.sample(spec, 100_000, 11)
-        m = matching.match_optimal_exact(smp.treated_scores, smp.control_scores)
-        per_treated = m.total_cost / smp.n1
-        assert per_treated == pytest.approx(w_star, rel=0.15)
+        # The optimal cost per treated unit tends to the objective at the
+        # threshold b = s*. Over seeds 1-20 at n = 1e5 one sample's cost has
+        # mean (sd) 0.05616 (0.0027) at a = 1/3, 0.02722 (0.0024) at a = 4/9
+        # and 4.7e-5 (1.4e-5) at a = 1, where the limit is 0. The test takes
+        # the mean of five seeds, whose sd is below 0.0012: tol is over four
+        # of those sds, and at a = 1 over ten above the mean.
+        from matchbias import matching
+        for a, w_star, tol in [(1 / 3, 0.05556, 0.005), (4 / 9, 0.02679, 0.005),
+                               (1.0, 0.0, 2e-4)]:
+            spec = pop.make_prognostic_spec(a)
+            limit = theory.weighted_wasserstein_objective(
+                spec, theory.sstar_threshold(spec))
+            assert limit == pytest.approx(w_star, abs=1e-5)
+            costs = []
+            for seed in range(11, 16):
+                smp = pop.sample(spec, 100_000, seed)
+                m = matching.match_optimal_exact(smp.treated_scores,
+                                                 smp.control_scores)
+                costs.append(m.total_cost / smp.n1)
+            assert np.mean(costs) == pytest.approx(limit, abs=tol), a
 
 
 class TestReportRendering:

@@ -158,8 +158,6 @@ def cmd_simulate(args) -> int:
 
     csv_path = out_dir / "table.csv"
     md_path = out_dir / "table.md"
-    simulation.rows_to_csv(rows, csv_path)
-    md_path.write_text(simulation.rows_to_markdown(rows))
     manifest = {
         "run_id": f"{int(time.time())}-{sim_config.master_seed}",
         "tool": "matchbias",
@@ -172,7 +170,15 @@ def cmd_simulate(args) -> int:
     }
     if bug is not None:
         manifest["error"] = bug
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    try:
+        simulation.rows_to_csv(rows, csv_path)
+        md_path.write_text(simulation.rows_to_markdown(rows))
+        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        if bug is not None:  # no file holds the bug's rep seed now
+            print(f"replication error: {bug}", file=sys.stderr)
+        return EXIT_CONFIG
 
     if fmt == "md":
         print(simulation.rows_to_markdown(rows), end="")
@@ -231,25 +237,25 @@ def cmd_match(args) -> int:
             m, smp.treated_scores, smp.control_scores, args.caliper)
 
     out_dir = Path(args.out_dir or ".")
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     # pairs.csv carries the input file's id column, not subset positions
     treated_ids = [unit_ids[i] for i in smp.treated_idx]
     control_ids = [unit_ids[i] for i in smp.control_idx]
-    with open(out_dir / "pairs.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["treated_id", "control_id", "gap"])
-        ts, cs = smp.treated_scores.tolist(), smp.control_scores.tolist()
-        tp, cp = m.pair_arrays()
-        for i, j in zip(tp.tolist(), cp.tolist()):
-            writer.writerow([treated_ids[i], control_ids[j],
-                             repr(abs(ts[i] - cs[j]))])
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        fh.write("method,band,capacity,total_cost\r\n")
-        fh.write(f"{m.method},{cfg.band},{cfg.capacity},{m.total_cost!r}\r\n")
+    ts, cs = smp.treated_scores.tolist(), smp.control_scores.tolist()
+    tp, cp = m.pair_arrays()
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / "pairs.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["treated_id", "control_id", "gap"])
+            for i, j in zip(tp.tolist(), cp.tolist()):
+                writer.writerow([treated_ids[i], control_ids[j],
+                                 repr(abs(ts[i] - cs[j]))])
+        with open(out_dir / "summary.csv", "w", newline="") as fh:
+            fh.write("method,band,capacity,total_cost\r\n")
+            fh.write(f"{m.method},{cfg.band},{cfg.capacity},{m.total_cost!r}\r\n")
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     crossing = matching.has_crossing(m, smp.treated_scores, smp.control_scores) \
         if m.injective else None

@@ -49,15 +49,16 @@ def att_matching(smp: Sample, matching: Matching | None) -> AttEstimate:
     if n1 == 0 or matching is None:
         return AttEstimate(0.0, 0, "zero_convention", degenerate=True)
     tp, cp = matching.pair_arrays()
-    if not np.array_equal(tp, np.arange(n1)):
+    if tp.shape != (n1,) or not (tp == np.arange(n1)).all():
         raise ValueError("matching must pair every treated position exactly once")
     bad = cp[(cp < 0) | (cp >= n0)]
     if bad.size:
         raise ValueError(
             f"pair references position {bad[0]}, which is not a control")
-    y_t = smp.y[smp.treated_idx[tp]]
+    # tp is 0..n1-1 in order, so the treated outcomes need no gather through it
+    y_t = smp.y[smp.treated_idx]
     y_c = smp.y[smp.control_idx[cp]]
-    return AttEstimate(float(np.mean(y_t - y_c)), n1, matching.method)
+    return AttEstimate(float((y_t - y_c).mean()), n1, matching.method)
 
 
 def control_weights(matching: Matching, n0: int) -> ControlWeights:

@@ -120,7 +120,7 @@ def _as_scores(x, side: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{side} scores must be one-dimensional")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{side} scores must be finite")
     return arr
 
@@ -198,7 +198,7 @@ def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
     mouse: list[int] = []
     waiting = 0
     # controls at or below each treated score come before it
-    ends = np.searchsorted(c_sorted, t_sorted, side="right").tolist()
+    ends = c_sorted.searchsorted(t_sorted, side="right").tolist()
     j = 0
     for x, end in zip(t_sorted.tolist(), ends):
         if j < end:
@@ -249,10 +249,12 @@ def _sweep_match(t: np.ndarray, c: np.ndarray, method: str,
             f"k = {k} (k * N0 = {k * c.size})")
     t_order = _argsort_ties_stable(t)
     c_order = _argsort_ties_stable(c)
-    t_sorted, c_sorted = t[t_order], np.repeat(c[c_order], k)
-    used = np.flatnonzero(_sweep_used(t_sorted, c_sorted))
-    c_pos = c_order[used // k]
-    cost = float(np.sum(np.abs(t_sorted - c[c_pos])))
+    t_sorted, c_sorted = t[t_order], c[c_order]
+    if k > 1:
+        c_sorted = np.repeat(c_sorted, k)
+    used = _sweep_used(t_sorted, c_sorted).nonzero()[0]
+    c_pos = c_order[used if k == 1 else used // k]
+    cost = float(np.abs(t_sorted - c[c_pos]).sum())
     injective = k == 1 or bool(np.bincount(c_pos).max() <= 1)
     cp = np.empty(t.size, dtype=np.intp)
     cp[t_order] = c_pos
@@ -267,10 +269,10 @@ def _argsort_ties_stable(x: np.ndarray) -> np.ndarray:
     and gives the same order when no two values are equal, so the stable
     sort runs only when the sorted values contain a tie.
     """
-    order = np.argsort(x)
+    order = x.argsort()
     xs = x[order]
-    if np.any(xs[1:] == xs[:-1]):
-        return np.argsort(x, kind="stable")
+    if (xs[1:] == xs[:-1]).any():
+        return x.argsort(kind="stable")
     return order
 
 

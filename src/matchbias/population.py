@@ -68,13 +68,13 @@ class Sample:
 
     @cached_property
     def treated_idx(self) -> np.ndarray:
-        idx = np.flatnonzero(self.w == 1)
+        idx = (self.w == 1).nonzero()[0]
         idx.flags.writeable = False
         return idx
 
     @cached_property
     def control_idx(self) -> np.ndarray:
-        idx = np.flatnonzero(self.w == 0)
+        idx = (self.w == 0).nonzero()[0]
         idx.flags.writeable = False
         return idx
 
@@ -127,7 +127,7 @@ def sample(spec: PopulationSpec, n: int, seed: int) -> Sample:
                       empty.copy(), empty.copy())
     s = np.asarray(spec.score_sampler(rng, n), dtype=float)
     p = np.asarray(spec.assign_prob(s), dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if (p < 0.0).any() or (p > 1.0).any():
         raise ValueError("assign_prob left [0, 1] on the drawn scores")
     w = (rng.random(n) < p).astype(np.int8)
     y0 = np.asarray(spec.mu0(s), dtype=float) + spec.noise0(rng, n)

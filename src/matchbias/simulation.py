@@ -69,13 +69,17 @@ class SimRow:
 
 
 def _rep_task(args):
-    """One replication; returns (ok, tau_hat, err, degenerate, message).
+    """Replication r of a cell; returns (ok, tau_hat, err, degenerate, message).
 
-    Only a ValueError from sampling and a MatchingError from the matcher
-    count as a failed replication. Any other error is a bug: it is re-raised
-    as RuntimeError naming the spec, n and the seed that reproduces it.
+    A task carries the cell seed and the replication index r, and the
+    replication's own seed, derive_seed(seed, r), is derived here, in the
+    process that runs it. Only a ValueError from sampling and a
+    MatchingError from the matcher count as a failed replication. Any other
+    error is a bug: it is re-raised as RuntimeError naming the spec, n and
+    the rep seed that reproduces it.
     """
-    spec, n, rep_seed, method, config = args
+    spec, n, seed, r, method, config = args
+    rep_seed = derive_seed(seed, r)
     try:
         return _replicate(spec, n, rep_seed, method, config)
     except Exception as exc:
@@ -129,15 +133,18 @@ def _worker_count() -> int:
 def _run_reps(spec, n, reps, seed, method, config):
     """Run the replications on a process pool, or serially with one worker.
 
-    The cell runs serially also when its tasks cannot be pickled or the pool
-    cannot be created; errors raised inside the workers propagate.
+    Task r carries the cell seed and the index r, and `_rep_task` derives
+    the replication's seed from them wherever it runs, so the parent
+    derives no replication seeds and the results do not depend on the
+    worker count. The cell runs serially also when its tasks cannot be
+    pickled or the pool cannot be created; errors raised inside the workers
+    propagate.
     """
-    tasks = [(spec, n, derive_seed(seed, r), method, config)
-             for r in range(reps)]
+    tasks = [(spec, n, seed, r, method, config) for r in range(reps)]
     workers = min(_worker_count(), reps)
     if workers > 1:
         try:
-            pickle.dumps(tasks[0])  # the tasks differ only in their seed
+            pickle.dumps(tasks[0])  # the tasks differ only in their index
             pool = ProcessPoolExecutor(max_workers=workers)
         except (pickle.PicklingError, AttributeError, TypeError, OSError) as exc:
             log.warning("process pool unavailable (%s); running %d replications "
@@ -160,11 +167,13 @@ def run_cell(spec: PopulationSpec, n: int, reps: int, seed: int,
     sample-level mean of y1 - y0 over treated otherwise). Empirical SE is
     the standard deviation of the estimator across replications. The cell
     fails only if every replication fails; an error that is not a failed
-    replication (see _rep_task) propagates as RuntimeError.
+    replication (see _rep_task) propagates as RuntimeError. A seed that
+    derive_seed refuses (a negative one) raises before any replication runs.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     check_method(method)
+    derive_seed(seed, 0)  # a bad seed is refused here, before any replication
     cfg = config if config is not None else MatchConfig()
     results = _run_reps(spec, n, reps, seed, method, cfg)
     oks = [r for r in results if r[0]]

@@ -1,6 +1,7 @@
 import csv
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +127,31 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("output error: ")
         assert tables == []
 
+    @pytest.mark.parametrize("name", ["table.csv", "table.md", "manifest.json"])
+    def test_unwritable_output_file_is_output_error(self, tmp_path, capsys,
+                                                    name):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, simulation={"n_values": [60], "reps": 1})
+        (tmp_path / "out" / name).mkdir(parents=True)
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("output error: ")
+
+    def test_output_independent_of_worker_count(self, tmp_path, monkeypatch):
+        # 40 reps on two workers put two replications in every pool.map chunk
+        desk = Path(__file__).resolve().parents[1] / "configs" / "table_s1_desk.json"
+        outputs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+            out = tmp_path / threads
+            assert main(["simulate", "--config", str(desk), "--n", "100",
+                         "--reps", "40", "--out-dir", str(out)]) == 0
+            cells = json.loads((out / "manifest.json").read_text())["cells"]
+            outputs[threads] = (
+                (out / "table.csv").read_bytes(),
+                [{k: v for k, v in c.items() if k != "seconds"} for c in cells])
+        assert outputs["1"] == outputs["2"]
+        assert len(outputs["1"][1]) == 3
+
     def test_band_below_surplus_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MATCHBIAS_THREADS", "1")
         cfg_path = tmp_path / "cfg.json"
@@ -179,6 +205,23 @@ class TestSimulate:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert "rep seed" in manifest["error"] and "n=80" in manifest["error"]
         assert [c["n"] for c in manifest["cells"]] == [60]
+
+    def test_replication_bug_reported_when_output_unwritable(
+            self, tmp_path, capsys, monkeypatch):
+        def dropping(*args, **kwargs):
+            m = match_scores(*args, **kwargs)
+            return replace(m, pairs=dict(list(m.pairs.items())[1:]))
+
+        match_scores = matching.match_scores
+        monkeypatch.setattr(matching, "match_scores", dropping)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, simulation={"n_values": [60]})
+        (tmp_path / "out" / "manifest.json").mkdir(parents=True)
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ")
+        assert "replication error: " in err and "rep seed" in err
 
     def test_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -260,6 +303,15 @@ class TestMatch:
         toy_units_csv(data, [(1, 0.5), (0, 0.4)])
         assert main(["match", str(data), "--out-dir",
                      str(data / "m")]) == 1
+        assert capsys.readouterr().err.startswith("output error: ")
+
+    @pytest.mark.parametrize("name", ["pairs.csv", "summary.csv"])
+    def test_unwritable_output_file_is_output_error(self, tmp_path, capsys,
+                                                    name):
+        data = tmp_path / "units.csv"
+        toy_units_csv(data, [(1, 0.5), (0, 0.4)])
+        (tmp_path / "m" / name).mkdir(parents=True)
+        assert main(["match", str(data), "--out-dir", str(tmp_path / "m")]) == 1
         assert capsys.readouterr().err.startswith("output error: ")
 
     def test_unknown_method_exits_one(self, tmp_path, capsys):

@@ -90,29 +90,47 @@ class TestRunCell:
         cfg = sim.SimConfig(a_values=(0.5,), n_values=(60,), reps=1, master_seed=0)
         assert cfg.match_method == "exact"
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_matcher_bug_fails_loudly(self, monkeypatch, threads):
-        # a matcher that drops one pair on every other call breaks the
+    @pytest.mark.parametrize("threads, reps", [
+        pytest.param("1", 6, id="1"), pytest.param("2", 6, id="2"),
+        pytest.param("1", 40, id="1-reps40"),
+        # two workers at 40 reps: every pool.map chunk holds two replications
+        pytest.param("2", 40, id="2-reps40")])
+    def test_matcher_bug_fails_loudly(self, monkeypatch, threads, reps):
+        # a matcher that drops one pair whenever N1 is even breaks the
         # exactly-once check in att_matching; that is a bug, not a failed rep
         if threads != "1" and multiprocessing.get_start_method() != "fork":
             pytest.skip("workers see the patched matcher only when forked")
         match_scores = matching.match_scores
-        calls = []
 
-        def dropping(*args, **kwargs):
-            m = match_scores(*args, **kwargs)
-            calls.append(None)
-            if len(calls) % 2:
+        def dropping(t, *args, **kwargs):
+            m = match_scores(t, *args, **kwargs)
+            if len(t) % 2 == 0:
                 m = replace(m, pairs=dict(list(m.pairs.items())[1:]))
             return m
 
         monkeypatch.setattr(matching, "match_scores", dropping)
         monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+        spec = pop.make_prognostic_spec(0.5)
         with pytest.raises(RuntimeError, match="rep seed") as exc:
-            sim.run_cell(pop.make_prognostic_spec(0.5), 200, 6, 3, method="exact")
-        seeds = [str(pop.derive_seed(3, r)) for r in range(6)]
-        assert any(seed in str(exc.value) for seed in seeds)
+            sim.run_cell(spec, 200, reps, 3, method="exact")
+        # results are read in replication order, so the error names the
+        # first failing r; at seed 3 that is r = 1, second in its chunk
+        failing = [r for r in range(reps)
+                   if pop.sample(spec, 200, pop.derive_seed(3, r)).n1 % 2 == 0]
+        assert failing[0] == 1
+        assert f"rep seed {pop.derive_seed(3, 1)} failed" in str(exc.value)
         assert "prognostic(a=0.5)" in str(exc.value) and "n=200" in str(exc.value)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_negative_seed_fails_before_any_rep(self, monkeypatch, threads):
+        started = []
+        monkeypatch.setattr(pop, "sample", lambda *args: started.append(args))
+        monkeypatch.setattr(sim, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: started.append(kwargs))
+        monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+        with pytest.raises(ValueError, match="non-negative"):
+            sim.run_cell(pop.make_prognostic_spec(0.5), 50, 4, -1)
+        assert started == []
 
     def test_degenerate_reps_counted(self):
         # 90% treated: without-replacement matching impossible most draws
@@ -141,6 +159,25 @@ class TestRunCell:
         calipered = sim.run_cell(spec, 400, 10, 7, method="exact",
                                  config=MatchConfig(caliper=0.01))
         assert plain != calipered
+
+    @pytest.mark.parametrize("method, n, reps, a, caliper, expected", [
+        ("exact", 2000, 4, 1 / 3, None,
+         ("0.1428465949431812", "0.0738443717936675", 4, 0)),
+        ("banded", 100, 30, 4 / 9, None,
+         ("0.12665547399452012", "0.24581250134589097", 30, 0)),
+        ("replacement", 2000, 4, 1 / 3, 1e-4,
+         ("0.27916258409875444", "0.14639556783937513", 4, 0)),
+        # n = 6: three replications are degenerate (zero convention)
+        ("exact", 6, 30, 1 / 3, None,
+         ("0.5840782043497028", "1.198784387483286", 30, 3)),
+    ])
+    def test_pinned_numbers(self, method, n, reps, a, caliper, expected):
+        # computed before the call-overhead trims in population, matching
+        # and estimators; a change that moves any float breaks them
+        row = sim.run_cell(pop.make_prognostic_spec(a), n, reps, 13, method,
+                           MatchConfig(caliper=caliper))
+        assert (repr(row.emp_bias), repr(row.emp_se), row.reps_done,
+                row.degenerate_count) == expected
 
     def test_emp_bias_near_table_value(self):
         # n = 1000 cell of the study grid sits near 0.166

@@ -148,6 +148,7 @@ def cmd_simulate(args) -> int:
 
     started = time.perf_counter()
     try:
+        workers = simulation._worker_count(sim_config.reps)
         simulation.run_table(sim_config, spec_factory, on_cell=on_cell)
     except ValueError as exc:  # e.g. a malformed MATCHBIAS_THREADS
         print(f"config error: {exc}", file=sys.stderr)
@@ -166,6 +167,7 @@ def cmd_simulate(args) -> int:
         "config": cfg,
         "files": [csv_path.name, md_path.name],
         "wall_clock_s": round(wall, 3),
+        "workers": workers,
         "cells": cells,
     }
     if bug is not None:

@@ -127,7 +127,7 @@ def sample(spec: PopulationSpec, n: int, seed: int) -> Sample:
                       empty.copy(), empty.copy())
     s = np.asarray(spec.score_sampler(rng, n), dtype=float)
     p = np.asarray(spec.assign_prob(s), dtype=float)
-    if (p < 0.0).any() or (p > 1.0).any():
+    if not ((p >= 0.0) & (p <= 1.0)).all():  # NaN fails both comparisons
         raise ValueError("assign_prob left [0, 1] on the drawn scores")
     w = (rng.random(n) < p).astype(np.int8)
     y0 = np.asarray(spec.mu0(s), dtype=float) + spec.noise0(rng, n)

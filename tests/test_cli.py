@@ -152,6 +152,15 @@ class TestSimulate:
         assert outputs["1"] == outputs["2"]
         assert len(outputs["1"][1]) == 3
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_manifest_records_workers(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, simulation={"n_values": [100], "reps": 40})
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["workers"] == int(threads)
+
     def test_band_below_surplus_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MATCHBIAS_THREADS", "1")
         cfg_path = tmp_path / "cfg.json"

@@ -1,6 +1,8 @@
+import ctypes
 import logging
 import math
 import multiprocessing
+import os
 from dataclasses import replace
 from functools import partial
 
@@ -39,6 +41,27 @@ def mostly_treated_spec():
         noise1=pop._no_noise,
         tau_att_true=0.0,
     )
+
+
+def nan_assign_above(s, assign_prob, cut):
+    return np.where(s > cut, math.nan, assign_prob(s))
+
+
+def fault_counts(task):
+    """Minor faults of two allocate-touch-free cycles of a 4 MB array.
+
+    4 MB stays below numpy's 4 MiB huge-page advice, so each page touched
+    that the process does not already hold is one minor fault.
+    """
+    import resource  # POSIX only; this runs only where the test does
+
+    counts = []
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arr = np.ones(500_000)
+        del arr
+        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return counts
 
 
 class TestRunCell:
@@ -132,6 +155,19 @@ class TestRunCell:
             sim.run_cell(pop.make_prognostic_spec(0.5), 50, 4, -1)
         assert started == []
 
+    def test_nan_assignment_probability_fails_every_rep(self, monkeypatch):
+        # NaN fails both range comparisons; before, rng.random(n) < nan made
+        # every unit above the cut a control and no error was raised
+        base = pop.make_prognostic_spec(0.5)
+        spec = replace(base, assign_prob=partial(
+            nan_assign_above, assign_prob=base.assign_prob, cut=1.5))
+        with pytest.raises(ValueError, match=r"left \[0, 1\]"):
+            pop.sample(spec, 1000, 3)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        with pytest.raises(sim.SimulationError,
+                           match=r"all 4 replications failed: assign_prob left"):
+            sim.run_cell(spec, 1000, 4, 3)
+
     def test_degenerate_reps_counted(self):
         # 90% treated: without-replacement matching impossible most draws
         row = sim.run_cell(mostly_treated_spec(), 20, 30, 5, method="exact")
@@ -184,6 +220,53 @@ class TestRunCell:
         spec = pop.make_prognostic_spec(1 / 3)
         row = sim.run_cell(spec, 1000, 120, 2, method="exact")
         assert row.emp_bias == pytest.approx(0.166, abs=0.03)
+
+
+class TestWorkerHeap:
+    @pytest.mark.skipif(not hasattr(os, "confstr")
+                        or not os.confstr("CS_GNU_LIBC_VERSION")
+                        or multiprocessing.get_start_method() != "fork",
+                        reason="needs glibc, and workers that see the patched "
+                               "task, which only fork gives")
+    def test_pool_workers_keep_freed_heap(self, monkeypatch):
+        # with glibc's defaults a freed 4 MB array is unmapped, so the
+        # second cycle faults every page back in like the first
+        monkeypatch.setattr(sim, "_rep_task", fault_counts)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "2")
+        results = sim._run_reps(pop.make_prognostic_spec(0.5), 10, 2, 1,
+                                "exact", MatchConfig())
+        assert len(results) == 2
+        for first, second in results:
+            assert first > 500  # 977 pages of 4 KiB
+            assert second < 0.1 * first
+
+    def test_serial_path_leaves_allocator_alone(self, monkeypatch):
+        def refuse():
+            raise AssertionError("the initializer ran in the calling process")
+
+        monkeypatch.setattr(sim, "_keep_freed_heap", refuse)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        row = sim.run_cell(pop.make_prognostic_spec(0.5), 200, 4, 3)
+        assert row.reps_done == 4
+
+    def test_pool_gets_the_initializer(self, monkeypatch):
+        created = []
+
+        def unavailable(*args, **kwargs):
+            created.append(kwargs)
+            raise OSError("no pool in this test")
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", unavailable)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "2")
+        row = sim.run_cell(pop.make_prognostic_spec(0.5), 200, 4, 3)
+        assert row.reps_done == 4  # ran serially after the refused pool
+        assert created == [{"max_workers": 2,
+                            "initializer": sim._keep_freed_heap}]
+
+    def test_initializer_never_raises(self, monkeypatch):
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.0")
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert sim._keep_freed_heap() is None  # AttributeError: no mallopt
 
 
 class TestSimConfig:
@@ -301,10 +384,11 @@ class TestEmission:
 class TestWorkerCount:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("MATCHBIAS_THREADS", "3")
-        assert sim._worker_count() == 3
+        assert sim._worker_count(8) == 3
+        assert sim._worker_count(2) == 2  # never more workers than reps
         monkeypatch.setenv("MATCHBIAS_THREADS", "zero")
         with pytest.raises(ValueError):
-            sim._worker_count()
+            sim._worker_count(8)
         monkeypatch.setenv("MATCHBIAS_THREADS", "0")
         with pytest.raises(ValueError):
-            sim._worker_count()
+            sim._worker_count(8)

@@ -80,16 +80,18 @@ def _build_sim_config(cfg: dict, args) -> tuple[simulation.SimConfig, object]:
                                            "mu0_out", "mu1_in", "mu1_out",
                                            "noise_sd") if k in pop})
             spec_factory(math.nan)  # reject bad population parameters now
+        band = args.band if args.band is not None else mat.get("band", matching.DEFAULT_BAND)
+        capacity = args.capacity if args.capacity is not None else mat.get("capacity", 1)
         mcfg = MatchConfig(
-            band=args.band if args.band is not None else mat.get("band", matching.DEFAULT_BAND),
-            capacity=args.capacity if args.capacity is not None else mat.get("capacity", 1),
+            band=_whole(band, "matching", "band"),
+            capacity=_whole(capacity, "matching", "capacity"),
             caliper=args.caliper if args.caliper is not None else mat.get("caliper"),
         )
         sim_config = simulation.SimConfig(
             a_values=a_values,
-            n_values=tuple(_whole(n, "n_values") for n in n_values),
-            reps=_whole(reps, "reps"),
-            master_seed=_whole(seed, "master_seed"),
+            n_values=tuple(_whole(n, "simulation", "n_values") for n in n_values),
+            reps=_whole(reps, "simulation", "reps"),
+            master_seed=_whole(seed, "simulation", "master_seed"),
             match_method=method,
             match_config=mcfg,
             spec_kind=kind,
@@ -99,10 +101,10 @@ def _build_sim_config(cfg: dict, args) -> tuple[simulation.SimConfig, object]:
     return sim_config, spec_factory
 
 
-def _whole(value, key: str) -> int:
-    """value as an int, refusing a fraction that int() would truncate."""
-    if not float(value).is_integer():
-        raise ConfigError(f"[simulation] {key} must be a whole number, got {value!r}")
+def _whole(value, section: str, key: str) -> int:
+    """value as an int, refusing a bool and a fraction that int() would truncate."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ConfigError(f"[{section}] {key} must be a whole number, got {value!r}")
     return int(value)
 
 

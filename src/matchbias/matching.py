@@ -13,6 +13,7 @@ and capacity-k matching; nothing here approximates the optimum.
 from __future__ import annotations
 
 import itertools
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -108,12 +109,16 @@ class MatchConfig:
     caliper: float | None = None
 
     def __post_init__(self):
-        if self.band < 0:
-            raise ValueError("band must be >= 0")
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if self.caliper is not None and not self.caliper > 0.0:
-            raise ValueError("caliper must be > 0")
+        for key, least in (("band", 0), ("capacity", 1)):
+            value = getattr(self, key)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < least):
+                raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+        caliper = self.caliper
+        if caliper is not None and (isinstance(caliper, bool)
+                                    or not isinstance(caliper, numbers.Real)
+                                    or not caliper > 0.0):
+            raise ValueError(f"caliper must be a number > 0, got {caliper!r}")
 
 
 def _as_scores(x, side: str) -> np.ndarray:

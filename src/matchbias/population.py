@@ -217,22 +217,20 @@ def make_prognostic_spec(a: float) -> PopulationSpec:
     )
 
 
-def make_uniform_propensity_spec(upper: float,
-                                 mu0: ScoreFunc = _identity,
-                                 mu1: ScoreFunc = _identity,
-                                 noise_sd: float = 0.0) -> PopulationSpec:
-    """Population whose propensity score is Uniform[0, upper] and is the score itself."""
+def make_uniform_propensity_spec(upper: float) -> PopulationSpec:
+    """Population whose propensity score is Uniform[0, upper] and is the score itself.
+
+    Both potential outcomes equal the score, without noise.
+    """
     if not 0.0 < upper <= 1.0:
         raise ValueError("upper must be in (0, 1]")
-    noise = _std_normal if noise_sd == 1.0 else (
-        _no_noise if noise_sd == 0.0 else partial(_scaled_normal, sd=noise_sd))
     return PopulationSpec(
         score_sampler=partial(_uniform_scores, upper=upper),
         assign_prob=_identity,
-        mu0=mu0,
-        mu1=mu1,
-        noise0=noise,
-        noise1=noise,
+        mu0=_identity,
+        mu1=_identity,
+        noise0=_no_noise,
+        noise1=_no_noise,
         score_pdf=partial(_uniform_pdf, upper=upper),
         score_support=(0.0, upper),
         name=f"uniform-propensity[0,{upper:g}]",

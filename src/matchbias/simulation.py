@@ -46,6 +46,8 @@ class SimConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if not self.a_values:
+            raise ValueError("a_values must be nonempty")
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
         if any(n < 0 for n in self.n_values):

@@ -9,9 +9,10 @@ bias of the ATT matching estimator over that region both numerically and
 in closed form for the prognostic-score example, and provides the
 order-one transport distance that drives the bias.
 
-Populations with a score density are integrated by adaptive Gauss–Legendre
-quadrature in numpy; populations without one fall back to a fixed-seed Monte
-Carlo measure, so results stay deterministic either way.
+Every integral over an upper region {S >= cut} goes through one routine:
+adaptive Gauss–Legendre quadrature in numpy for populations with a score
+density, a mean over fixed-seed draws for populations without one, so
+results stay deterministic either way.
 """
 
 from __future__ import annotations
@@ -108,24 +109,30 @@ def _score_grid(spec: PopulationSpec, points: int = 4097) -> np.ndarray:
     return np.sort(_mc_scores(spec))
 
 
-def pi_bar(spec: PopulationSpec) -> float:
-    """Overall treated fraction E[assign_prob(S)]."""
+def _upper_integrals(spec: PopulationSpec, cut: float, *weights) -> list[float]:
+    """E[weight(S); S >= cut] for each vectorized weight.
+
+    With a density, quadrature of weight(s) * pdf(s) over [max(cut, lo), hi];
+    without one, the mean over the fixed-seed draws, those below cut
+    counting as zero.
+    """
     if _has_density(spec):
         lo, hi = _support(spec)
-        return _quad(lambda s: spec.assign_prob(s) * spec.score_pdf(s),
-                     lo, hi, spec.score_breakpoints)
+        pdf, bp = spec.score_pdf, spec.score_breakpoints
+        return [_quad(lambda s, w=w: w(s) * pdf(s), max(cut, lo), hi, bp)
+                for w in weights]
     s = _mc_scores(spec)
-    return float(np.mean(spec.assign_prob(s)))
+    upper = s >= cut
+    return [float(np.mean(np.where(upper, w(s), 0.0))) for w in weights]
 
 
-def _tail_masses(spec: PopulationSpec, x: float, hi: float) -> tuple[float, float]:
-    """Score mass and treated mass of [x, hi], by quadrature."""
-    pdf, ap, bp = spec.score_pdf, spec.assign_prob, spec.score_breakpoints
-    return _quad(pdf, x, hi, bp), _quad(lambda s: ap(s) * pdf(s), x, hi, bp)
+def pi_bar(spec: PopulationSpec) -> float:
+    """Overall treated fraction E[assign_prob(S)]."""
+    return _upper_integrals(spec, -math.inf, spec.assign_prob)[0]
 
 
-def _treated_fraction(spec: PopulationSpec, x: float, hi: float) -> float:
-    mass, treated = _tail_masses(spec, x, hi)
+def _treated_fraction(spec: PopulationSpec, x: float) -> float:
+    mass, treated = _upper_integrals(spec, x, np.ones_like, spec.assign_prob)
     return treated / mass if mass > 0.0 else 1.0  # an empty region counts as treated
 
 
@@ -136,12 +143,12 @@ def _half_treated(spec: PopulationSpec, lo: float, hi: float, tol: float) -> flo
     decreases as x rises, and the empty [hi, hi] qualifies, so bisection
     finds the boundary.
     """
-    if _treated_fraction(spec, lo, hi) >= 0.5:
+    if _treated_fraction(spec, lo) >= 0.5:
         return lo
     below, above = lo, hi  # [below, hi] under half treated, [above, hi] at least half
     while above - below > tol:
         mid = 0.5 * (below + above)
-        if _treated_fraction(spec, mid, hi) >= 0.5:
+        if _treated_fraction(spec, mid) >= 0.5:
             above = mid
         else:
             below = mid
@@ -177,14 +184,10 @@ def pstar(spec: PopulationSpec, tol: float = 1e-8) -> PStarResult:
         b = sstar_threshold(spec, tol)
     except SStarNotFoundError:
         return default
-    if _has_density(spec):
-        mass, treated = _tail_masses(spec, b, _support(spec)[1])
-        if mass <= 1e-12:
-            return default
-        tail = treated / mass
-    else:  # b is one of the fixed-seed draws, so [b, s_max] has mass
-        s = _mc_scores(spec)
-        tail = float(np.mean(np.asarray(spec.assign_prob(s), dtype=float)[s >= b]))
+    mass, treated = _upper_integrals(spec, b, np.ones_like, spec.assign_prob)
+    if mass <= 1e-12:
+        return default
+    tail = treated / mass
     return PStarResult(pstar=float(spec.assign_prob(np.asarray([b]))[0]),
                        tail_treated_prob=tail, defaulted=False,
                        left_closed=bool(tail >= 0.5 - 1e-9))
@@ -229,33 +232,18 @@ def _upper_region_report(spec: PopulationSpec, cut: float, pb: float) -> BiasRep
     """BiasReport of the upper region {S >= cut}.
 
     Treated and control units inside the region carry weights assign_prob(s)
-    and 1 - assign_prob(s). Integrates by quadrature with a density and
-    averages the fixed-seed draws without one.
+    and 1 - assign_prob(s).
     """
-    if _has_density(spec):
-        hi = _support(spec)[1]
-        pdf, ap, mu0, bp = spec.score_pdf, spec.assign_prob, spec.mu0, spec.score_breakpoints
-        prob_upper, den_t = _tail_masses(spec, cut, hi)
-        if prob_upper <= 0.0:
-            return _zero_bias_report(pb)
-        den_c = _quad(lambda s: (1.0 - ap(s)) * pdf(s), cut, hi, bp)
-        num_t = _quad(lambda s: mu0(s) * ap(s) * pdf(s), cut, hi, bp)
-        num_c = _quad(lambda s: mu0(s) * (1.0 - ap(s)) * pdf(s), cut, hi, bp)
-    else:
-        s = _mc_scores(spec)
-        upper = s >= cut
-        prob_upper = float(np.mean(upper))
-        if prob_upper <= 0.0:
-            return _zero_bias_report(pb)
-        wt = np.asarray(spec.assign_prob(s), dtype=float)[upper]
-        wc = 1.0 - wt
-        m0 = np.asarray(spec.mu0(s), dtype=float)[upper]
-        den_t, den_c = wt.sum(), wc.sum()
-        num_t, num_c = np.dot(wt, m0), np.dot(wc, m0)
-    e_t = float(num_t / den_t) if den_t > 0.0 else 0.0
-    e_c = float(num_c / den_c) if den_c > 0.0 else 0.0
-    return BiasReport(bias=float(prob_upper / (2.0 * pb) * (e_t - e_c)),
-                      prob_upper=float(prob_upper), pi_bar=float(pb),
+    ap, mu0 = spec.assign_prob, spec.mu0
+    prob_upper, den_t, den_c, num_t, num_c = _upper_integrals(
+        spec, cut, np.ones_like, ap, lambda s: 1.0 - ap(s),
+        lambda s: mu0(s) * ap(s), lambda s: mu0(s) * (1.0 - ap(s)))
+    if prob_upper <= 0.0:
+        return _zero_bias_report(pb)
+    e_t = num_t / den_t if den_t > 0.0 else 0.0
+    e_c = num_c / den_c if den_c > 0.0 else 0.0
+    return BiasReport(bias=prob_upper / (2.0 * pb) * (e_t - e_c),
+                      prob_upper=prob_upper, pi_bar=pb,
                       e_y0_treated_upper=e_t, e_y0_control_upper=e_c)
 
 
@@ -372,8 +360,7 @@ def _conditional_quantile_from_density(spec, b, hi, weight, nodes=8193):
     return lambda u: np.interp(u, cdf, s)
 
 
-def weighted_wasserstein_objective(spec: PopulationSpec, b: float,
-                                   grid: int = 4096) -> float:
+def weighted_wasserstein_objective(spec: PopulationSpec, b: float) -> float:
     """Treated mass of the upper region times its internal transport cost.
 
     For the region Q = [b, s_max], this is the population value of the
@@ -381,35 +368,25 @@ def weighted_wasserstein_objective(spec: PopulationSpec, b: float,
     times the order-one distance between the treated and control score
     laws conditional on Q.
     """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    ap = spec.assign_prob
+    pb = pi_bar(spec)
+    treated_mass = _upper_integrals(spec, b, ap)[0]
+    if treated_mass <= 0.0 or pb <= 0.0:
+        return 0.0
     if _has_density(spec):
         lo, hi = _support(spec)
-        if b >= hi:
-            return 0.0
         b = max(b, lo)
-        ap = spec.assign_prob
-        pb = pi_bar(spec)
-        treated_mass = _tail_masses(spec, b, hi)[1]
-        if treated_mass <= 0.0 or pb <= 0.0:
-            return 0.0
         q1 = _conditional_quantile_from_density(spec, b, hi, ap)
         q0 = _conditional_quantile_from_density(spec, b, hi, lambda s: 1.0 - ap(s))
-        if q1 is None or q0 is None:
-            return 0.0
-        return (treated_mass / pb) * wasserstein_1d(q1, q0, grid)
-
-    s = _mc_scores(spec)
-    p = np.asarray(spec.assign_prob(s), dtype=float)
-    upper = s >= b
-    if not upper.any() or p.sum() <= 0.0:
-        return 0.0
-    share = float(p[upper].sum() / p.sum())
-    q1 = _weighted_quantile_fn(s[upper], p[upper])
-    q0 = _weighted_quantile_fn(s[upper], 1.0 - p[upper])
+    else:
+        s = _mc_scores(spec)
+        p = np.asarray(ap(s), dtype=float)
+        upper = s >= b
+        q1 = _weighted_quantile_fn(s[upper], p[upper])
+        q0 = _weighted_quantile_fn(s[upper], 1.0 - p[upper])
     if q1 is None or q0 is None:
         return 0.0
-    return share * wasserstein_1d(q1, q0, grid)
+    return (treated_mass / pb) * wasserstein_1d(q1, q0)
 
 
 def _weighted_quantile_fn(values: np.ndarray, weights: np.ndarray):

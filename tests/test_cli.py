@@ -86,6 +86,7 @@ class TestSimulate:
     @pytest.mark.parametrize("overrides", [
         {"population": {"a_values": 0.5}},
         {"population": {"a_values": ["x"]}},
+        {"population": {"a_values": []}},
         {"matching": "exact"},
         {"output": "x"},
         {"population": {"kind": "categorical", "mass_a": "x",
@@ -93,11 +94,17 @@ class TestSimulate:
         {"simulation": {"reps": 2.5}},
         {"simulation": {"n_values": [60.9]}},
         {"simulation": {"master_seed": 7.5}},
+        {"simulation": {"reps": True}},
+        {"matching": {"capacity": 1.5}},
+        {"matching": {"band": 40.5}},
+        {"matching": {"capacity": True}},
         {"output": {"dir": 5}},
         {"output": {"format": "xml"}},
-    ], ids=["a_values_scalar", "a_values_text", "matching_not_object",
-            "output_not_object", "categorical_text", "fractional_reps",
-            "fractional_n", "fractional_seed", "dir_not_text", "unknown_format"])
+    ], ids=["a_values_scalar", "a_values_text", "empty_a_values",
+            "matching_not_object", "output_not_object", "categorical_text",
+            "fractional_reps", "fractional_n", "fractional_seed", "bool_reps",
+            "fractional_capacity", "fractional_band", "bool_capacity",
+            "dir_not_text", "unknown_format"])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, monkeypatch,
                                              overrides):
         # refused before any cell runs, not truncated, ignored or a traceback

@@ -747,6 +747,13 @@ class TestDispatchAndIO:
             mt.MatchConfig(capacity=0)
         with pytest.raises(ValueError):
             mt.MatchConfig(caliper=0.0)
+        for bad in ({"capacity": 1.5}, {"band": 40.5}, {"capacity": True},
+                    {"band": True}, {"caliper": True}, {"caliper": "0.1"}):
+            with pytest.raises(ValueError):
+                mt.MatchConfig(**bad)
+        cfg = mt.MatchConfig(band=np.int64(5), capacity=np.int32(2),
+                             caliper=np.float64(0.1))
+        assert (cfg.band, cfg.capacity, cfg.caliper) == (5, 2, 0.1)
 
     def test_pairs_csv(self):
         # the pairs and cost that `matchbias match` writes to its two CSVs

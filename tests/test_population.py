@@ -152,6 +152,14 @@ class TestCategoricalSpec:
             pop.make_categorical_spec(1.5, 0.5, 0.5)
 
 
+class TestUniformPropensitySpec:
+    def test_outcomes_are_the_score_without_noise(self):
+        smp = pop.sample(pop.make_uniform_propensity_spec(0.8), 5000, 12345)
+        assert smp.s.min() >= 0.0 and smp.s.max() <= 0.8
+        assert np.array_equal(smp.y0, smp.s) and np.array_equal(smp.y1, smp.s)
+        assert abs(smp.w.mean() - 0.4) < 0.02
+
+
 class TestSeedDerivation:
     def test_deterministic_and_distinct(self):
         s1 = pop.derive_seed(42, 0)

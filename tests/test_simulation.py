@@ -273,6 +273,8 @@ class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             sim.SimConfig(a_values=(1.0,), n_values=(), reps=1, master_seed=0)
+        with pytest.raises(ValueError, match="a_values"):
+            sim.SimConfig(a_values=(), n_values=(10,), reps=1, master_seed=0)
         with pytest.raises(ValueError):
             sim.SimConfig(a_values=(1.0,), n_values=(10,), reps=0, master_seed=0)
         with pytest.raises(ValueError):

@@ -51,6 +51,13 @@ def make_prognostic_propensity_spec(a):
     )
 
 
+def _without_density(spec):
+    """spec with no density or support, so the theory routines use fixed-seed draws."""
+    return pop.PopulationSpec(
+        score_sampler=spec.score_sampler, assign_prob=spec.assign_prob,
+        mu0=spec.mu0, mu1=spec.mu1, noise0=spec.noise0, noise1=spec.noise1)
+
+
 class TestClosedForms:
     def test_table_values(self):
         assert theory.prognostic_bias_closed_form(1 / 3) == pytest.approx(
@@ -122,10 +129,7 @@ class TestPStar:
         assert not res.defaulted and res.left_closed
 
     def test_mc_fallback(self):
-        spec = pop.make_uniform_propensity_spec(0.8)
-        stripped = pop.PopulationSpec(
-            score_sampler=spec.score_sampler, assign_prob=spec.assign_prob,
-            mu0=spec.mu0, mu1=spec.mu1, noise0=spec.noise0, noise1=spec.noise1)
+        stripped = _without_density(pop.make_uniform_propensity_spec(0.8))
         res = theory.pstar(stripped, 1e-8)
         assert res.pstar == pytest.approx(0.2, abs=0.005)
 
@@ -194,10 +198,7 @@ class TestBiasScore:
                    for i in range(len(biases) - 1))
 
     def test_mc_fallback_close(self):
-        spec = pop.make_prognostic_spec(1 / 3)
-        stripped = pop.PopulationSpec(
-            score_sampler=spec.score_sampler, assign_prob=spec.assign_prob,
-            mu0=spec.mu0, mu1=spec.mu1, noise0=spec.noise0, noise1=spec.noise1)
+        stripped = _without_density(pop.make_prognostic_spec(1 / 3))
         rep = theory.asymptotic_bias_score(stripped)
         assert rep.bias == pytest.approx(7 / 45, abs=0.01)
 
@@ -261,8 +262,8 @@ class TestBiasPropensity:
         assert rep.bias == 0.0 and rep.prob_upper == 0.0
 
     def test_constant_mu0_gives_zero(self):
-        spec = pop.make_uniform_propensity_spec(
-            0.8, mu0=partial(pop._const, value=2.0))
+        spec = dataclasses.replace(pop.make_uniform_propensity_spec(0.8),
+                                   mu0=partial(pop._const, value=2.0))
         rep = theory.asymptotic_bias_propensity(spec)
         assert rep.bias == pytest.approx(0.0, abs=1e-9)
 
@@ -365,3 +366,109 @@ class TestReportRendering:
         rep = theory.asymptotic_bias_score(pop.make_prognostic_spec(1 / 3))
         text = theory.format_bias_report(rep)
         assert "asymptotic bias" in text and "pi_bar" in text
+
+
+def _theory_outputs(spec):
+    """pi_bar, the threshold, the pstar and bias-report fields and the objective.
+
+    The threshold is None when there is none; the objective is then taken
+    over the whole support.
+    """
+    try:
+        b = theory.sstar_threshold(spec)
+    except theory.SStarNotFoundError:
+        b = None
+    ps, rep = theory.pstar(spec), theory.asymptotic_bias_score(spec)
+    cut = b if b is not None else spec.score_support[0]
+    return (theory.pi_bar(spec), b,
+            ps.pstar, ps.tail_treated_prob, ps.defaulted, ps.left_closed,
+            rep.bias, rep.prob_upper,
+            rep.pi_bar, rep.e_y0_treated_upper, rep.e_y0_control_upper,
+            theory.weighted_wasserstein_objective(spec, cut))
+
+
+# The outputs of _theory_outputs, floats as float.hex()
+PINNED = {
+    "prognostic-1/3": (
+        "0x1.8000000000000p-2", "0x1.0000000000000p+0",
+        "0x1.8000000000000p-2", "0x1.0000000000000p-1", False, True,
+        "0x1.3e93e93e93e95p-3", "0x1.0000000000000p-1",
+        "0x1.8000000000000p-2", "0x1.f333333333336p+0", "0x1.b77777777777ap+0",
+        "0x1.c71ca1d7a9440p-5"),
+    "prognostic-4/9": (
+        "0x1.6276276276276p-2", "0x1.2aaaaaac00000p+0",
+        "0x1.9d89d8bb13b14p-2", "0x1.00000009d89d9p-1", False, True,
+        "0x1.4937d5d4a2f25p-4", "0x1.638e38df1c71cp-2",
+        "0x1.6276276276276p-2", "0x1.1a41a41b58de5p+1", "0x1.05be5be70c497p+1",
+        "0x1.b6f54817992e0p-6"),
+    "prognostic-1": (
+        "0x1.0000000000000p-2", "0x1.0000000000000p+1",
+        "0x1.0000000000000p-1", "nan", True, True,
+        "0x0.0p+0", "0x0.0p+0",
+        "0x1.0000000000000p-2", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0"),
+    "prognostic-2": (
+        "0x1.5555555555555p-3", None,
+        "0x1.0000000000000p-1", "nan", True, True,
+        "0x0.0p+0", "0x0.0p+0",
+        "0x1.5555555555555p-3", "0x0.0p+0", "0x0.0p+0",
+        "0x1.999a2aba81d61p-3"),
+    "uniform-0.4": (
+        "0x1.999999999999cp-3", None,
+        "0x1.0000000000000p-1", "nan", True, True,
+        "0x0.0p+0", "0x0.0p+0",
+        "0x1.999999999999cp-3", "0x0.0p+0", "0x0.0p+0",
+        "0x1.55556df1a8ee7p-4"),
+    "uniform-0.8": (
+        "0x1.999999999999cp-2", "0x1.999999999999ap-3",
+        "0x1.999999999999ap-3", "0x1.0000000000000p-1", False, True,
+        "0x1.cccccccccccbep-4", "0x1.8000000000000p-1",
+        "0x1.999999999999cp-2", "0x1.1eb851eb851ebp-1", "0x1.c28f5c28f5c2bp-2",
+        "0x1.cccccdc060ca3p-4"),
+    "draws-uniform-0.8": (
+        "0x1.9903306b6e724p-2", "0x1.9c1fae869407ap-3",
+        "0x1.9c1fae869407ap-3", "0x1.00002597889b6p-1", False, True,
+        "0x1.ca83b37affa4ep-4", "0x1.7f0e800000000p-1",
+        "0x1.9903306b6e724p-2", "0x1.1e99763299dd8p-1", "0x1.c2cd97ffd66abp-2",
+        "0x1.ca841f8696a7ep-4"),
+    "draws-prognostic-1/3": (
+        "0x1.7f9997fe7ec4ap-2", "0x1.003cfa189b7d9p+0",
+        "0x1.805b7724e93c6p-2", "0x1.00000d4026fb7p-1", False, True,
+        "0x1.3be661bb63e74p-3", "0x1.fdea000000000p-2",
+        "0x1.7f9997fe7ec4ap-2", "0x1.f2f6392feac1fp+0", "0x1.b78cdbbc9d3c5p+0",
+        "0x1.c33ddc2c3a951p-5"),
+    "categorical": (
+        "0x1.615d199999998p-2", "0x1.3333333333333p-2",
+        "0x1.3333333333333p-2", "0x1.615d199999998p-2", False, False,
+        "0x1.0a506b770945ap-2", "0x1.0000000000000p+0",
+        "0x1.615d199999998p-2", "0x1.bdeb925e79246p-3", "0x1.3947515a9b11cp-5",
+        "0x1.4ac0000000002p-4"),
+}
+
+
+PINNED_SPECS = {
+    "prognostic-1/3": lambda: pop.make_prognostic_spec(1 / 3),
+    "prognostic-4/9": lambda: pop.make_prognostic_spec(4 / 9),
+    "prognostic-1": lambda: pop.make_prognostic_spec(1.0),
+    "prognostic-2": lambda: pop.make_prognostic_spec(2.0),
+    "uniform-0.4": lambda: pop.make_uniform_propensity_spec(0.4),
+    "uniform-0.8": lambda: pop.make_uniform_propensity_spec(0.8),
+    "draws-uniform-0.8": lambda: _without_density(pop.make_uniform_propensity_spec(0.8)),
+    "draws-prognostic-1/3": lambda: _without_density(pop.make_prognostic_spec(1 / 3)),
+    "categorical": lambda: pop.make_categorical_spec(0.1, 0.75, 0.3, mu0_in=1.0),
+}
+
+
+class TestPinnedNumbers:
+    @pytest.mark.parametrize("key", list(PINNED))
+    def test_outputs_unchanged(self, key):
+        spec = PINNED_SPECS[key]()
+        # the same bits with a density; draws may move in their last bits
+        rel = 0.0 if spec.score_pdf is not None else 1e-12
+        for got, want in zip(_theory_outputs(spec), PINNED[key], strict=True):
+            if not isinstance(want, str):  # a bool, or None for no threshold
+                assert got == want
+            elif rel == 0.0:
+                assert got.hex() == want
+            else:
+                assert got == pytest.approx(float.fromhex(want), rel=rel, nan_ok=True)

@@ -21,6 +21,7 @@ from .estimators import (
     match_sample,
 )
 from .matching import (
+    InfeasibleError,
     Matching,
     MatchConfig,
     MatchingError,
@@ -42,7 +43,6 @@ from .population import (
     make_uniform_propensity_spec,
     sample,
     sample_from_csv,
-    sample_to_csv,
 )
 from .simulation import (
     SimConfig,
@@ -62,10 +62,7 @@ from .theory import (
     asymptotic_bias_score,
     pi_bar,
     prognostic_bias_closed_form,
-    prognostic_outcome_gap,
     prognostic_sstar_lower,
-    prognostic_treated_upper_mean,
-    prognostic_upper_mass_ratio,
     pstar,
     sstar_threshold,
     wasserstein_1d,

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 from . import __version__, estimators, matching, population, simulation, theory
-from .matching import BandError, MatchConfig, MatchingError
+from .matching import InfeasibleError, MatchConfig, MatchingError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -218,21 +218,15 @@ def cmd_match(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if method in matching.WITHOUT_REPLACEMENT and smp.n1 > smp.n0:
-        print(f"cannot match without replacement: {smp.n1} treated exceed "
-              f"{smp.n0} controls, so some treated unit would be left "
-              "unmatched; the ATT matching estimator is defined to be zero "
-              "in this case. Rerun with --with-replacement to allow "
-              "controls to be reused.", file=sys.stderr)
-        return EXIT_DEGENERATE
     try:
         m = matching.match_scores(smp.treated_scores, smp.control_scores,
                                   method, cfg)
-    except BandError as exc:
-        print(f"matching refused: {exc}", file=sys.stderr)
+    except InfeasibleError as exc:
+        print(f"no matching exists: {exc}; the ATT matching estimator is "
+              "defined to be zero in this case.", file=sys.stderr)
         return EXIT_DEGENERATE
     except MatchingError as exc:
-        print(f"degenerate matching problem: {exc}", file=sys.stderr)
+        print(f"matching refused: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 
     dropped: set[int] = set()

@@ -3,8 +3,11 @@
 Matcher pairs are positions into the treated/control score sequences; the
 helpers here translate them through a Sample's treated/control index sets.
 The matching estimator follows the convention of being exactly zero when
-the sample has no treated units or (without replacement) more treated than
-controls; `degenerate` records that the convention fired.
+no matching exists, which the matcher alone decides by raising
+InfeasibleError (no treated units, more treated than control places, or
+no controls to reuse); `degenerate` records that the convention fired.
+The caliper estimator averages over the matching that `apply_caliper`
+retained.
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ def match_sample(smp: Sample, method: str = "exact",
 def att_matching(smp: Sample, matching: Matching | None) -> AttEstimate:
     """Average within-pair outcome difference over the treated units.
 
-    Pass matching=None to signal that no matching without replacement was
-    possible (no treated units, or more treated than controls); the
+    Pass matching=None when the matcher raised InfeasibleError; the
     estimate is then zero by convention, flagged degenerate.
     """
     n1, n0 = smp.n1, smp.n0
@@ -88,26 +90,20 @@ def att_weighted(smp: Sample, weights: ControlWeights) -> AttEstimate:
     return AttEstimate(value, n1, "weighted")
 
 
-def att_caliper(smp: Sample, matching: Matching, dropped: set[int]) -> AttEstimate:
-    """ATT over the caliper-retained pairs only.
+def att_caliper(smp: Sample, retained: Matching) -> AttEstimate:
+    """ATT over the pairs of `retained`, the matching a caliper kept.
 
     Dropping pairs reweights the treated units: the estimand is the
     treatment effect among the caliper-retained subpopulation, not the full
-    treated population.
+    treated population. With no pair retained the estimate is zero,
+    flagged degenerate.
     """
-    n1 = smp.n1
-    drop = np.fromiter(dropped, dtype=np.intp, count=len(dropped))
-    if drop.size and (drop.min() < 0 or drop.max() >= n1):
-        raise ValueError("dropped indices must be treated positions")
-    is_dropped = np.zeros(n1, dtype=bool)
-    is_dropped[drop] = True
-    tp, cp = matching.pair_arrays()
-    keep = ~is_dropped[tp]
-    if not keep.any():
+    tp, cp = retained.pair_arrays()
+    if not tp.size:
         return AttEstimate(0.0, 0, "caliper", degenerate=True)
-    y_t = smp.y[smp.treated_idx[tp[keep]]]
-    y_c = smp.y[smp.control_idx[cp[keep]]]
-    return AttEstimate(float(np.mean(y_t - y_c)), int(keep.sum()), "caliper")
+    y_t = smp.y[smp.treated_idx[tp]]
+    y_c = smp.y[smp.control_idx[cp]]
+    return AttEstimate(float(np.mean(y_t - y_c)), tp.size, "caliper")
 
 
 def att_true_sample(smp: Sample) -> float:

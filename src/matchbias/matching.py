@@ -8,6 +8,10 @@ order-preserving, the optimum is found by sorting both sequences and one
 sweep over them, O(N) after the sort, instead of a general assignment
 solver. That sweep is the only algorithm for matching without replacement
 and capacity-k matching; nothing here approximates the optimum.
+
+Every matcher decides for itself whether a matching exists and raises
+InfeasibleError when none does; callers need not know which methods reuse
+controls.
 """
 
 from __future__ import annotations
@@ -21,13 +25,20 @@ import numpy as np
 
 DEFAULT_BAND = 2000
 
-# every name match_scores accepts, and the ones that match without replacement
+# every name match_scores accepts
 METHODS = ("exact", "banded", "replacement", "capacitated")
-WITHOUT_REPLACEMENT = frozenset({"exact", "banded"})
 
 
 class MatchingError(ValueError):
     """Raised when a matching cannot be constructed as requested."""
+
+
+class InfeasibleError(MatchingError):
+    """Raised when no matching of the requested kind exists.
+
+    That is when there is no treated unit, more treated units than control
+    places (N1 > k * N0), or, with replacement, no control at all.
+    """
 
 
 class BandError(MatchingError):
@@ -72,14 +83,12 @@ class Matching:
     `pairs` maps each treated position to the control position it is
     matched with; any mapping passed in is stored as `Pairs`, two read-only
     intp arrays sorted by treated position. `total_cost` is the sum of
-    within-pair absolute score differences; `injective` records whether no
-    control is used twice.
+    within-pair absolute score differences.
     """
 
     pairs: Mapping[int, int]
     total_cost: float
     method: str
-    injective: bool
 
     def __post_init__(self):
         if not isinstance(self.pairs, Pairs):
@@ -92,6 +101,12 @@ class Matching:
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (treated_positions, control_positions), sorted by treated."""
         return self.pairs.treated, self.pairs.control
+
+    @property
+    def injective(self) -> bool:
+        """Whether no control is used twice."""
+        cp = self.pairs.control
+        return np.unique(cp).size == cp.size
 
 
 @dataclass(frozen=True)
@@ -128,6 +143,20 @@ def _as_scores(x, side: str) -> np.ndarray:
     if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{side} scores must be finite")
     return arr
+
+
+def _require_feasible(n1: int, n0: int, k: int | None) -> None:
+    """Raise InfeasibleError unless n1 treated units fit into n0 controls
+    that take at most k treated units each (k None: any number)."""
+    if n1 == 0:
+        raise InfeasibleError("no treated units to match")
+    if k is None:
+        if n0 == 0:
+            raise InfeasibleError("no controls to match against")
+    elif n1 > k * n0:
+        raise InfeasibleError(
+            f"more treated (N1 = {n1}) than control places at capacity "
+            f"k = {k} (k * N0 = {k * n0})")
 
 
 def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
@@ -246,12 +275,7 @@ def _sweep_match(t: np.ndarray, c: np.ndarray, method: str,
     (repeated) controls, which are paired in stable sorted order with the
     stable-sorted treated units.
     """
-    if t.size < 1:
-        raise MatchingError("no treated units to match")
-    if t.size > k * c.size:
-        raise MatchingError(
-            f"more treated (N1 = {t.size}) than control places at capacity "
-            f"k = {k} (k * N0 = {k * c.size})")
+    _require_feasible(t.size, c.size, k)
     t_order = _argsort_ties_stable(t)
     c_order = _argsort_ties_stable(c)
     t_sorted, c_sorted = t[t_order], c[c_order]
@@ -260,11 +284,10 @@ def _sweep_match(t: np.ndarray, c: np.ndarray, method: str,
     used = _sweep_used(t_sorted, c_sorted).nonzero()[0]
     c_pos = c_order[used if k == 1 else used // k]
     cost = float(np.abs(t_sorted - c[c_pos]).sum())
-    injective = k == 1 or bool(np.bincount(c_pos).max() <= 1)
     cp = np.empty(t.size, dtype=np.intp)
     cp[t_order] = c_pos
     return Matching(pairs=Pairs(np.arange(t.size), cp), total_cost=cost,
-                    method=method, injective=injective)
+                    method=method)
 
 
 def _argsort_ties_stable(x: np.ndarray) -> np.ndarray:
@@ -294,13 +317,13 @@ def match_banded(treated_scores, control_scores, band: int) -> Matching:
     The band bounds the control surplus N0 - N1, the number of controls
     left unmatched. When it covers the surplus the result is that of
     `match_optimal_exact`; below it no approximation runs and the match
-    raises BandError, a MatchingError.
+    raises BandError, a MatchingError that is not an InfeasibleError.
     """
     if band < 0:
         raise ValueError("band must be >= 0")
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
-    # an empty treated side is left to the sweep's own error
+    # an empty treated side is left to the sweep's InfeasibleError
     if t.size and band < c.size - t.size:
         raise BandError(
             f"band {band} is below the control surplus N0 - N1 = "
@@ -315,10 +338,7 @@ def match_with_replacement(treated_scores, control_scores) -> Matching:
     """
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
-    if c.size == 0:
-        raise MatchingError("no controls to match against")
-    if t.size == 0:
-        raise MatchingError("no treated units to match")
+    _require_feasible(t.size, c.size, None)
     c_order = np.argsort(c)
     cs = c[c_order]
     # one entry per distinct control score, with its lowest position
@@ -335,9 +355,8 @@ def match_with_replacement(treated_scores, control_scores) -> Matching:
     c_pos = np.empty(t.size, dtype=np.intp)
     c_pos[t_order] = lowest[np.where(use_left, left, right)]
     cost = float(np.sum(np.abs(t - c[c_pos])))
-    injective = bool(np.bincount(c_pos).max() <= 1)
     return Matching(pairs=Pairs(np.arange(t.size), c_pos), total_cost=cost,
-                    method="with_replacement", injective=injective)
+                    method="with_replacement")
 
 
 def match_capacitated(treated_scores, control_scores, k: int) -> Matching:
@@ -364,10 +383,7 @@ def brute_force_match(treated_scores, control_scores) -> Matching:
     """
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
-    if t.size < 1:
-        raise MatchingError("no treated units to match")
-    if t.size > c.size:
-        raise MatchingError("more treated than controls")
+    _require_feasible(t.size, c.size, 1)
     if c.size > BRUTE_FORCE_LIMIT:
         raise MatchingError(
             f"brute force limited to N0 <= {BRUTE_FORCE_LIMIT}")
@@ -382,7 +398,7 @@ def brute_force_match(treated_scores, control_scores) -> Matching:
             best = perm
     pairs = {i: j for i, j in enumerate(best)}
     return Matching(pairs=pairs, total_cost=float(best_cost),
-                    method="brute_force", injective=True)
+                    method="brute_force")
 
 
 def has_crossing(matching: Matching, treated_scores, control_scores) -> bool:
@@ -423,8 +439,7 @@ def apply_caliper(matching: Matching, treated_scores, control_scores,
     gap = np.abs(t[ti] - c[ci])
     keep = gap <= caliper
     retained = Matching(pairs=Pairs(ti[keep], ci[keep]),
-                        total_cost=float(gap[keep].sum()), method=matching.method,
-                        injective=matching.injective)
+                        total_cost=float(gap[keep].sum()), method=matching.method)
     return retained, set(ti[~keep].tolist())
 
 

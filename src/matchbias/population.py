@@ -276,20 +276,6 @@ def make_categorical_spec(mass_a: float, p_in_a: float, p_out: float,
     )
 
 
-CSV_HEADER = ["id", "w", "s", "y0", "y1", "y"]
-
-
-def sample_to_csv(smp: Sample, path) -> None:
-    """Write a sample as CSV with header id,w,s,y0,y1,y."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for i in range(smp.n):
-            writer.writerow([i, int(smp.w[i]), repr(float(smp.s[i])),
-                             repr(float(smp.y0[i])), repr(float(smp.y1[i])),
-                             repr(float(smp.y[i]))])
-
-
 def sample_from_csv(path) -> Sample:
     """Read a sample from CSV.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import estimators, matching, population, theory
-from .matching import WITHOUT_REPLACEMENT, MatchConfig, check_method
+from .matching import MatchConfig, check_method
 from .population import PopulationSpec, derive_seed
 
 log = logging.getLogger(__name__)
@@ -77,7 +77,8 @@ def _rep_task(args):
     A task carries the cell seed and the replication index r, and the
     replication's own seed, derive_seed(seed, r), is derived here, in the
     process that runs it. Only a ValueError from sampling and a
-    MatchingError from the matcher count as a failed replication. Any other
+    MatchingError from the matcher other than InfeasibleError, which applies
+    the zero convention, count as a failed replication. Any other
     error is a bug: it is re-raised as RuntimeError naming the spec, n and
     the rep seed that reproduces it.
     """
@@ -95,20 +96,17 @@ def _replicate(spec, n, rep_seed, method, config):
         smp = population.sample(spec, n, rep_seed)
     except ValueError as exc:
         return False, math.nan, math.nan, False, str(exc)
-    degenerate = smp.n1 == 0 or (
-        method in WITHOUT_REPLACEMENT and smp.n1 > smp.n0)
-    if degenerate:
+    t_scores, c_scores = smp.treated_scores, smp.control_scores
+    try:
+        m = matching.match_scores(t_scores, c_scores, method, config)
+    except matching.InfeasibleError:
         est = estimators.att_matching(smp, None)
+    except matching.MatchingError as exc:
+        return False, math.nan, math.nan, False, str(exc)
     else:
-        t_scores, c_scores = smp.treated_scores, smp.control_scores
-        try:
-            m = matching.match_scores(t_scores, c_scores, method, config)
-        except matching.MatchingError as exc:
-            return False, math.nan, math.nan, False, str(exc)
         if config.caliper is not None:
-            m, dropped = matching.apply_caliper(
-                m, t_scores, c_scores, config.caliper)
-            est = estimators.att_caliper(smp, m, dropped)
+            m, _ = matching.apply_caliper(m, t_scores, c_scores, config.caliper)
+            est = estimators.att_caliper(smp, m)
         else:
             est = estimators.att_matching(smp, m)
     if spec.tau_att_true is not None:

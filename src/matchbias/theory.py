@@ -297,24 +297,6 @@ def prognostic_sstar_lower(a: float) -> float:
     return (3.0 * a + 1.0) / 2.0
 
 
-def prognostic_upper_mass_ratio(a: float) -> float:
-    """Pr(S in upper region) / (2 pi_bar) = 9 (a-1)^2 (a+1) / 8."""
-    _check_prognostic_a(a)
-    return 9.0 * (a - 1.0) ** 2 * (a + 1.0) / 8.0
-
-
-def prognostic_treated_upper_mean(a: float) -> float:
-    """E[Y(0) | W=1, upper region] = (27a^3 + 54a^2 + 51a + 28) / (20a + 20)."""
-    _check_prognostic_a(a)
-    return (27.0 * a ** 3 + 54.0 * a ** 2 + 51.0 * a + 28.0) / (20.0 * a + 20.0)
-
-
-def prognostic_outcome_gap(a: float) -> float:
-    """Conditional Y(0) gap in the upper region: (a-1)^2 (9a + 11) / (20a + 20)."""
-    _check_prognostic_a(a)
-    return (a - 1.0) ** 2 * (9.0 * a + 11.0) / (20.0 * a + 20.0)
-
-
 def prognostic_bias_closed_form(a: float) -> float:
     """Asymptotic bias of the prognostic example: 9 (a-1)^4 (9a + 11) / 160."""
     _check_prognostic_a(a)
@@ -324,13 +306,11 @@ def prognostic_bias_closed_form(a: float) -> float:
 # --- order-one transport on the line ---
 
 def _eval_quantile(fn, u: np.ndarray) -> np.ndarray:
-    try:
-        q = np.asarray(fn(u), dtype=float)
-        if q.shape == u.shape:
-            return q
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([float(fn(x)) for x in u], dtype=float)
+    q = np.asarray(fn(u), dtype=float)
+    if q.shape != u.shape:
+        raise ValueError(f"a quantile function must map an array of shape "
+                         f"{u.shape} to one of the same shape, got {q.shape}")
+    return q
 
 
 def wasserstein_1d(treated_quantile, control_quantile, grid: int = 4096) -> float:
@@ -338,7 +318,8 @@ def wasserstein_1d(treated_quantile, control_quantile, grid: int = 4096) -> floa
 
     Midpoint-rule integral of the absolute difference of the two quantile
     functions over (0, 1), which is the optimal-coupling cost in one
-    dimension.
+    dimension. Each quantile function takes the array of grid points and
+    returns an array of the same shape; any other shape is a ValueError.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")

@@ -290,6 +290,14 @@ class TestMatch:
         assert main(["match", str(data)]) == 3
         assert "zero" in capsys.readouterr().err
 
+    def test_all_treated_at_capacity_one_exits_three_as_exact(self, tmp_path,
+                                                              capsys):
+        data = tmp_path / "units.csv"
+        toy_units_csv(data, [(1, 0.5), (1, 0.4)])
+        assert main(["match", str(data), "--method", "capacitated",
+                     "--capacity", "1"]) == 3
+        assert "zero" in capsys.readouterr().err
+
     def test_more_treated_than_controls_with_replacement_ok(self, tmp_path):
         data = tmp_path / "units.csv"
         toy_units_csv(data, [(1, 0.5), (1, 0.4), (0, 0.45)])

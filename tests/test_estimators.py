@@ -19,8 +19,7 @@ def make_sample(w, s, y, y0=None, y1=None):
 class TestAttMatching:
     def test_single_pair(self):
         smp = make_sample([1, 0], [0.5, 0.5], [3.0, 1.0])
-        m = mt.Matching(pairs={0: 0}, total_cost=0.0, method="exact_dp",
-                        injective=True)
+        m = mt.Matching(pairs={0: 0}, total_cost=0.0, method="exact_dp")
         out = est.att_matching(smp, m)
         assert out.value == pytest.approx(2.0)
         assert out.n1_used == 1 and not out.degenerate
@@ -31,7 +30,7 @@ class TestAttMatching:
                           [0.1, 0.2, 0.3, 0.1, 0.2, 0.3],
                           [5.0, 1.0, 7.0, 3.0, 2.0, 2.0])
         m = mt.Matching(pairs={0: 0, 1: 1, 2: 2}, total_cost=0.0,
-                        method="exact_dp", injective=True)
+                        method="exact_dp")
         assert est.att_matching(smp, m).value == pytest.approx(2.0)
 
     def test_no_treated_degenerate_zero(self):
@@ -49,15 +48,13 @@ class TestAttMatching:
 
     def test_rejects_incomplete_pairing(self):
         smp = make_sample([1, 1, 0, 0], [0.1, 0.2, 0.3, 0.4], [1, 2, 3, 4])
-        m = mt.Matching(pairs={0: 0}, total_cost=0.0, method="exact_dp",
-                        injective=True)
+        m = mt.Matching(pairs={0: 0}, total_cost=0.0, method="exact_dp")
         with pytest.raises(ValueError):
             est.att_matching(smp, m)
 
     def test_rejects_non_control_reference(self):
         smp = make_sample([1, 0], [0.1, 0.2], [1.0, 2.0])
-        m = mt.Matching(pairs={0: 5}, total_cost=0.0, method="exact_dp",
-                        injective=True)
+        m = mt.Matching(pairs={0: 5}, total_cost=0.0, method="exact_dp")
         with pytest.raises(ValueError, match="not a control"):
             est.att_matching(smp, m)
 
@@ -70,7 +67,7 @@ class TestAttMatching:
                              np.where(smp.w == 1, smp.y + 3.25, smp.y))
         assert est.att_matching(shifted, m).value == pytest.approx(base + 3.25)
 
-    @pytest.mark.parametrize("method", sorted(mt.WITHOUT_REPLACEMENT))
+    @pytest.mark.parametrize("method", ["banded", "exact"])
     def test_every_without_replacement_method_estimates(self, method):
         smp = pop.sample(pop.make_prognostic_spec(0.5), 400, 12)
         out = est.att_matching(smp, est.match_sample(smp, method))
@@ -89,7 +86,7 @@ class TestWeighting:
 
     def test_shared_control_counts(self):
         m = mt.Matching(pairs={0: 2, 1: 2, 2: 0}, total_cost=0.0,
-                        method="with_replacement", injective=False)
+                        method="with_replacement")
         w = est.control_weights(m, 4)
         assert list(w.nu) == [1, 0, 2, 0]
 
@@ -131,22 +128,25 @@ class TestCaliperEstimator:
     def test_empty_dropped_equals_att_matching(self):
         smp = pop.sample(pop.make_prognostic_spec(0.5), 200, 9)
         m = est.match_sample(smp, "exact")
-        assert est.att_caliper(smp, m, set()).value == pytest.approx(
+        assert est.att_caliper(smp, m).value == pytest.approx(
             est.att_matching(smp, m).value)
 
     def test_all_dropped_degenerate(self):
         smp = make_sample([1, 0], [0.1, 0.9], [5.0, 1.0])
-        m = mt.Matching(pairs={0: 0}, total_cost=0.8, method="exact_dp",
-                        injective=True)
-        out = est.att_caliper(smp, m, {0})
+        m = mt.Matching(pairs={0: 0}, total_cost=0.8, method="exact_dp")
+        retained, _ = mt.apply_caliper(m, smp.treated_scores,
+                                       smp.control_scores, 0.5)
+        out = est.att_caliper(smp, retained)
         assert out.value == 0.0 and out.degenerate and out.n1_used == 0
 
     def test_one_of_two_dropped(self):
         smp = make_sample([1, 1, 0, 0], [0.1, 0.5, 0.1, 0.9],
                           [5.0, 7.0, 1.0, 2.0])
         m = mt.Matching(pairs={0: 0, 1: 1}, total_cost=0.4,
-                        method="exact_dp", injective=True)
-        out = est.att_caliper(smp, m, {1})
+                        method="exact_dp")
+        retained, _ = mt.apply_caliper(m, smp.treated_scores,
+                                       smp.control_scores, 0.2)
+        out = est.att_caliper(smp, retained)
         assert out.value == pytest.approx(4.0)
         assert out.n1_used == 1
 

@@ -510,6 +510,17 @@ class TestWithReplacement:
         with pytest.raises(mt.MatchingError):
             mt.match_with_replacement([0.5], [])
 
+    def test_injective_is_computed_from_the_controls(self):
+        # 0.5 and 0.6 both take 0.49; the caliper drops the 0.11 gap
+        t, c = [0.5, 0.6], [0.49, 0.9]
+        reused = mt.match_with_replacement(t, c)
+        assert reused.pairs == {0: 0, 1: 0} and not reused.injective
+        distinct = mt.match_with_replacement([0.1, 0.9], [0.12, 0.88])
+        assert distinct.pairs == {0: 0, 1: 1} and distinct.injective
+        kept, dropped = mt.apply_caliper(reused, t, c, 0.05)
+        assert kept.pairs == {0: 0} and dropped == {1} and kept.injective
+        assert not mt.has_crossing(kept, t, c)
+
     def test_tie_rule_against_brute_force(self):
         # quarter-grid draws: tied scores sit at shuffled control positions
         rng = np.random.default_rng(41)
@@ -579,6 +590,36 @@ class TestCapacitated:
         assert "without replacement" not in msg
 
 
+class TestFeasibility:
+    """Every matcher raises InfeasibleError exactly when no matching exists."""
+
+    @pytest.mark.parametrize("match, t, c", [
+        (mt.match_optimal_exact, [], [0.1]),
+        (mt.match_optimal_exact, [0.1, 0.2], [0.1]),
+        (lambda t, c: mt.match_banded(t, c, 0), [], [0.1, 0.2]),
+        (lambda t, c: mt.match_banded(t, c, 0), [0.1, 0.2], [0.1]),
+        (lambda t, c: mt.match_capacitated(t, c, 1), [0.1, 0.2], [0.1]),
+        (lambda t, c: mt.match_capacitated(t, c, 2), [0.1, 0.2, 0.3], [0.5]),
+        (mt.match_with_replacement, [], [0.1]),
+        (mt.match_with_replacement, [0.5], []),
+        (mt.match_with_replacement, [], []),
+        (mt.brute_force_match, [], [0.1]),
+        (mt.brute_force_match, [0.1, 0.2], [0.3]),
+    ], ids=["exact-no-treated", "exact-surplus", "banded-no-treated",
+            "banded-surplus", "capacitated-k1", "capacitated-k2",
+            "replacement-no-treated", "replacement-no-controls",
+            "replacement-empty", "brute-force-no-treated",
+            "brute-force-surplus"])
+    def test_no_matching_is_infeasible(self, match, t, c):
+        with pytest.raises(mt.InfeasibleError):
+            match(t, c)
+
+    def test_band_refusal_is_not_infeasible(self):
+        with pytest.raises(mt.BandError) as exc:
+            mt.match_banded([0.5], [0.1, 0.2, 0.3], 0)
+        assert not isinstance(exc.value, mt.InfeasibleError)
+
+
 class TestMatchingRepresentation:
     @staticmethod
     def check(m, expect):
@@ -592,15 +633,14 @@ class TestMatchingRepresentation:
 
     def test_from_dict(self):
         m = mt.Matching(pairs={2: 0, 0: 3, 1: 1}, total_cost=0.0,
-                        method="exact_dp", injective=True)
+                        method="exact_dp")
         self.check(m, {0: 3, 1: 1, 2: 0})
         assert m.pairs[0] == 3 and 5 not in m.pairs and m.pairs.get(5) is None
         with pytest.raises(TypeError):
             m.pairs[0] = 1
         with pytest.raises(ValueError):
             m.pair_arrays()[1][0] = 9
-        self.check(mt.Matching(pairs={}, total_cost=0.0, method="exact_dp",
-                               injective=True), {})
+        self.check(mt.Matching(pairs={}, total_cost=0.0, method="exact_dp"), {})
 
     def test_matcher_output(self):
         rng = np.random.default_rng(6)
@@ -612,7 +652,7 @@ class TestMatchingRepresentation:
             self.check(m, pairs)
             assert sorted(pairs) == list(range(t.size))
             assert mt.Matching(pairs=pairs, total_cost=m.total_cost,
-                               method=m.method, injective=m.injective) == m
+                               method=m.method) == m
             kept, dropped = mt.apply_caliper(m, t, c, 0.05)
             self.check(kept, {i: j for i, j in pairs.items() if i not in dropped})
 
@@ -652,12 +692,12 @@ class TestCrossing:
         # treated (0.2, 0.6) matched to controls (0.7, 0.1):
         # max(0.2, 0.1) < min(0.6, 0.7) so the matches cross
         m = mt.Matching(pairs={0: 0, 1: 1}, total_cost=1.0,
-                        method="exact_dp", injective=True)
+                        method="exact_dp")
         assert mt.has_crossing(m, [0.2, 0.6], [0.7, 0.1])
 
     def test_order_preserving_never_crosses(self):
         m = mt.Matching(pairs={0: 0, 1: 1}, total_cost=0.2,
-                        method="exact_dp", injective=True)
+                        method="exact_dp")
         assert not mt.has_crossing(m, [0.2, 0.6], [0.1, 0.7])
 
     def test_optimal_output_never_crosses(self):
@@ -680,7 +720,7 @@ class TestCrossing:
                 # random injective matching, usually suboptimal
                 perm = rng.permutation(n0)[:n1]
                 m = mt.Matching(pairs={i: int(j) for i, j in enumerate(perm)},
-                                total_cost=0.0, method="exact_dp", injective=True)
+                                total_cost=0.0, method="exact_dp")
                 assert mt.has_crossing(m, t, c) == has_crossing_quadratic(m, t, c)
 
 
@@ -705,8 +745,7 @@ class TestCaliper:
         assert kept.total_cost == pytest.approx(0.01)
 
     def test_rejects_nonpositive(self):
-        m = mt.Matching(pairs={}, total_cost=0.0, method="exact_dp",
-                        injective=True)
+        m = mt.Matching(pairs={}, total_cost=0.0, method="exact_dp")
         with pytest.raises(ValueError):
             mt.apply_caliper(m, [], [], 0.0)
 

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,6 +6,20 @@ import pytest
 
 from matchbias import matching
 from matchbias import population as pop
+
+
+CSV_HEADER = ["id", "w", "s", "y0", "y1", "y"]
+
+
+def sample_to_csv(smp, path):
+    """Write a sample as CSV with header id,w,s,y0,y1,y."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for i in range(smp.n):
+            writer.writerow([i, int(smp.w[i]), repr(float(smp.s[i])),
+                             repr(float(smp.y0[i])), repr(float(smp.y1[i])),
+                             repr(float(smp.y[i]))])
 
 
 def sample_prognostic_covariates(a, n, seed):
@@ -174,7 +189,7 @@ class TestCsvRoundTrip:
         spec = pop.make_prognostic_spec(0.5)
         smp = pop.sample(spec, 200, 8)
         path = tmp_path / "sample.csv"
-        pop.sample_to_csv(smp, path)
+        sample_to_csv(smp, path)
         back = pop.sample_from_csv(path)
         for col in ("w", "s", "y0", "y1", "y"):
             assert np.array_equal(getattr(smp, col), getattr(back, col))

@@ -175,10 +175,25 @@ class TestRunCell:
         assert row.reps_done == 30
 
     def test_all_failed_raises(self):
-        # capacity 1 with far more treated than controls fails every rep
+        # band 0 is below the control surplus of every rep: BandError each time
         with pytest.raises(sim.SimulationError):
-            sim.run_cell(mostly_treated_spec(), 40, 5, 2, method="capacitated",
-                         config=MatchConfig(capacity=1))
+            sim.run_cell(pop.make_prognostic_spec(1.0), 40, 5, 2,
+                         method="banded", config=MatchConfig(band=0))
+
+    def test_infeasible_reps_apply_the_zero_convention_for_every_method(self):
+        # at n = 4 a third of the reps draw no treated unit or more treated
+        # than controls; capacity 1 and the banded matcher solve the exact
+        # problem, so they take the zero convention on the same reps
+        spec = pop.make_prognostic_spec(1.0)
+        exact = sim.run_cell(spec, 4, 200, 7, method="exact")
+        assert exact.reps_done == 200 and exact.degenerate_count > 0
+        assert sim.run_cell(spec, 4, 200, 7, method="capacitated",
+                            config=MatchConfig(capacity=1)) == exact
+        assert sim.run_cell(spec, 4, 200, 7, method="banded") == exact
+        # with replacement only reps without treated or controls are degenerate
+        wr = sim.run_cell(spec, 4, 200, 7, method="replacement")
+        assert wr.reps_done == 200 and wr.note == ""
+        assert 0 < wr.degenerate_count < exact.degenerate_count
 
     def test_unknown_method_fails_before_any_rep(self, monkeypatch):
         drawn = []
@@ -318,10 +333,11 @@ class TestRunTable:
 
     def test_cell_failure_recorded_not_fatal(self):
         config = sim.SimConfig(a_values=(0.5,), n_values=(40,), reps=3,
-                               master_seed=0, match_method="capacitated",
-                               match_config=MatchConfig(capacity=1),
+                               master_seed=0, match_method="banded",
+                               match_config=MatchConfig(band=0),
                                spec_kind="custom")
-        rows = sim.run_table(config, spec_factory=lambda a: mostly_treated_spec())
+        rows = sim.run_table(
+            config, spec_factory=lambda a: pop.make_prognostic_spec(1.0))
         assert len(rows) == 1
         assert rows[0].reps_done == 0
         assert rows[0].note != ""

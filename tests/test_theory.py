@@ -15,6 +15,24 @@ from matchbias import theory
 A_GRID = (1 / 3, 0.4, 4 / 9, 0.6, 0.8, 1.0)
 
 
+# closed forms of the pieces of the prognostic bias, oracles for the numeric
+# theory; the bias is the upper mass ratio times the outcome gap
+
+def prognostic_upper_mass_ratio(a):
+    """Pr(S in upper region) / (2 pi_bar) = 9 (a-1)^2 (a+1) / 8."""
+    return 9.0 * (a - 1.0) ** 2 * (a + 1.0) / 8.0
+
+
+def prognostic_treated_upper_mean(a):
+    """E[Y(0) | W=1, upper region] = (27a^3 + 54a^2 + 51a + 28) / (20a + 20)."""
+    return (27.0 * a ** 3 + 54.0 * a ** 2 + 51.0 * a + 28.0) / (20.0 * a + 20.0)
+
+
+def prognostic_outcome_gap(a):
+    """Conditional Y(0) gap in the upper region: (a-1)^2 (9a + 11) / (20a + 20)."""
+    return (a - 1.0) ** 2 * (9.0 * a + 11.0) / (20.0 * a + 20.0)
+
+
 def _scaled_triangular_scores(rng, n, denom):
     return pop._triangular_scores(rng, n) / denom
 
@@ -68,16 +86,16 @@ class TestClosedForms:
 
     def test_intermediate_forms_at_a_third(self):
         a = 1 / 3
-        assert theory.prognostic_upper_mass_ratio(a) == pytest.approx(2 / 3)
-        assert theory.prognostic_outcome_gap(a) == pytest.approx(7 / 30)
-        assert theory.prognostic_treated_upper_mean(a) == pytest.approx(1.95)
+        assert prognostic_upper_mass_ratio(a) == pytest.approx(2 / 3)
+        assert prognostic_outcome_gap(a) == pytest.approx(7 / 30)
+        assert prognostic_treated_upper_mean(a) == pytest.approx(1.95)
         assert theory.prognostic_sstar_lower(a) == pytest.approx(1.0)
 
     def test_factorization(self):
         for a in A_GRID:
             assert theory.prognostic_bias_closed_form(a) == pytest.approx(
-                theory.prognostic_upper_mass_ratio(a)
-                * theory.prognostic_outcome_gap(a), abs=1e-14)
+                prognostic_upper_mass_ratio(a)
+                * prognostic_outcome_gap(a), abs=1e-14)
 
     def test_domain_guard(self):
         for a in (0.2, 1.5):
@@ -179,6 +197,17 @@ class TestBiasScore:
         assert rep.e_y0_treated_upper == pytest.approx(1.95, abs=1e-4)
         assert rep.e_y0_treated_upper - rep.e_y0_control_upper == pytest.approx(
             7 / 30, abs=1e-4)
+
+    def test_pieces_agree_with_closed_forms(self):
+        for a in A_GRID:
+            rep = theory.asymptotic_bias_score(pop.make_prognostic_spec(a), 1e-9)
+            assert rep.prob_upper / (2 * rep.pi_bar) == pytest.approx(
+                prognostic_upper_mass_ratio(a), abs=1e-6)
+            assert rep.e_y0_treated_upper - rep.e_y0_control_upper == \
+                pytest.approx(prognostic_outcome_gap(a), abs=1e-6)
+            if rep.prob_upper > 0:  # both means are reported as 0 otherwise
+                assert rep.e_y0_treated_upper == pytest.approx(
+                    prognostic_treated_upper_mean(a), abs=1e-6)
 
     def test_internal_identity(self):
         for a in (1 / 3, 0.6, 1.0):
@@ -320,6 +349,10 @@ class TestWasserstein:
     def test_grid_guard(self):
         with pytest.raises(ValueError):
             theory.wasserstein_1d(lambda u: u, lambda u: u, grid=1)
+
+    def test_quantile_of_another_shape_is_refused(self):
+        with pytest.raises(ValueError, match="same shape"):
+            theory.wasserstein_1d(lambda u: u, lambda u: 0.5)
 
 
 class TestWeightedObjective:

@@ -50,89 +50,81 @@ def _need(section: dict, name: str, key: str):
     return section[key]
 
 
-def _build_sim_config(cfg: dict, args) -> tuple[simulation.SimConfig, object]:
+_MATCHER_KEYS = ("method", "band", "capacity", "caliper")
+
+
+def _match_config(section: dict) -> tuple[str, MatchConfig]:
+    """The method and MatchConfig a [matching] section asks for; an absent
+    key keeps MatchConfig's default, and the method defaults to exact."""
+    method = section.get("method", "exact")
+    matching.check_method(method)
+    return method, MatchConfig(**{k: section[k] for k in ("band", "capacity", "caliper")
+                                  if k in section})
+
+
+def _build_sim_config(cfg: dict) -> tuple[simulation.SimConfig, object, Path, str]:
+    """The run's SimConfig, spec factory, output directory and format, read
+    from the config dict alone."""
     pop = cfg["population"]
     simc = cfg["simulation"]
-    mat = cfg["matching"]
+    out = cfg["output"]
 
     kind = pop.get("kind", "prognostic")
     if kind not in ("prognostic", "categorical"):
         raise ConfigError(f"[population] kind must be 'prognostic' or "
                           f"'categorical', got {kind!r} (custom populations "
                           "are built through the Python API)")
-    n_values = args.n if args.n else _need(simc, "simulation", "n_values")
-    reps = args.reps if args.reps is not None else _need(simc, "simulation", "reps")
-    seed = args.seed if args.seed is not None else simc.get("master_seed", 0)
-    method = args.method or mat.get("method", "exact")
+    out_dir = out.get("dir", "matchbias-out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"[output] dir must be a path string, got {out_dir!r}")
+    fmt = out.get("format", "csv")
+    if fmt not in ("csv", "md"):
+        raise ConfigError(f"[output] format must be 'csv' or 'md', got {fmt!r}")
 
     # a wrong type or value anywhere below is a config error, not a traceback
     try:
         if kind == "prognostic":
-            a_values = tuple(float(a) for a in (
-                args.a if args.a else _need(pop, "population", "a_values")))
+            a_values = tuple(float(a) for a in _need(pop, "population", "a_values"))
             if not all(a >= 1 / 3 for a in a_values):
                 raise ConfigError("[population] prognostic a_values must be >= 1/3")
             spec_factory = population.make_prognostic_spec
         else:
             a_values = (math.nan,)
-            spec_factory = _categorical_factory({
+            # built now, so bad population parameters are refused before any cell
+            spec = population.make_categorical_spec(**{
                 k: float(pop[k]) for k in ("mass_a", "p_in_a", "p_out", "mu0_in",
                                            "mu0_out", "mu1_in", "mu1_out",
                                            "noise_sd") if k in pop})
-            spec_factory(math.nan)  # reject bad population parameters now
-        band = args.band if args.band is not None else mat.get("band", matching.DEFAULT_BAND)
-        capacity = args.capacity if args.capacity is not None else mat.get("capacity", 1)
-        mcfg = MatchConfig(
-            band=_whole(band, "matching", "band"),
-            capacity=_whole(capacity, "matching", "capacity"),
-            caliper=args.caliper if args.caliper is not None else mat.get("caliper"),
-        )
+            spec_factory = lambda a: spec
+        method, mcfg = _match_config(cfg["matching"])
         sim_config = simulation.SimConfig(
             a_values=a_values,
-            n_values=tuple(_whole(n, "simulation", "n_values") for n in n_values),
-            reps=_whole(reps, "simulation", "reps"),
-            master_seed=_whole(seed, "simulation", "master_seed"),
+            n_values=_need(simc, "simulation", "n_values"),
+            reps=_need(simc, "simulation", "reps"),
+            master_seed=simc.get("master_seed", 0),
             match_method=method,
             match_config=mcfg,
             spec_kind=kind,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    return sim_config, spec_factory
+    return sim_config, spec_factory, Path(out_dir), fmt
 
 
-def _whole(value, section: str, key: str) -> int:
-    """value as an int, refusing a bool and a fraction that int() would truncate."""
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise ConfigError(f"[{section}] {key} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def _output_settings(cfg: dict, args) -> tuple[Path, str]:
-    out_dir = args.out_dir or cfg["output"].get("dir", "matchbias-out")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"[output] dir must be a path string, got {out_dir!r}")
-    fmt = args.format or cfg["output"].get("format", "csv")
-    if fmt not in ("csv", "md"):
-        raise ConfigError(f"[output] format must be 'csv' or 'md', got {fmt!r}")
-    return Path(out_dir), fmt
-
-
-class _categorical_factory:
-    """Picklable a-independent factory for categorical populations."""
-
-    def __init__(self, params):
-        self.params = params
-
-    def __call__(self, a):
-        return population.make_categorical_spec(**self.params)
+# simulate's flags and the (section, key) of the config file each one overrides
+_OVERRIDES = {"n": ("simulation", "n_values"), "reps": ("simulation", "reps"),
+              "seed": ("simulation", "master_seed"), "a": ("population", "a_values"),
+              "out_dir": ("output", "dir"), "format": ("output", "format"),
+              **{key: ("matching", key) for key in _MATCHER_KEYS}}
 
 
 def cmd_simulate(args) -> int:
     try:
         cfg = _load_config(args.config)
-        sim_config, spec_factory = _build_sim_config(cfg, args)
-        out_dir, fmt = _output_settings(cfg, args)
+        for flag, (section, key) in _OVERRIDES.items():
+            if getattr(args, flag) is not None:
+                cfg[section][key] = getattr(args, flag)
+        sim_config, spec_factory, out_dir, fmt = _build_sim_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -194,12 +186,9 @@ def cmd_simulate(args) -> int:
         print(f"replication error: {bug}", file=sys.stderr)
         return EXIT_BUG
     failed = [r for r in rows if r.reps_done == 0 or r.note]
-    if failed:
-        for r in failed:
-            print(f"cell (a={r.a:g}, n={r.n}) incomplete: {r.note}",
-                  file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    for r in failed:
+        print(f"cell (a={r.a:g}, n={r.n}) incomplete: {r.note}", file=sys.stderr)
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_match(args) -> int:
@@ -208,13 +197,13 @@ def cmd_match(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    method = "replacement" if args.with_replacement else (args.method or "exact")
+    section = {key: getattr(args, key) for key in _MATCHER_KEYS
+               if getattr(args, key) is not None}
     try:
-        matching.check_method(method)
-        cfg = MatchConfig(
-            band=args.band if args.band is not None else matching.DEFAULT_BAND,
-            capacity=1 if args.capacity is None else args.capacity,
-            caliper=args.caliper)
+        if (args.with_replacement
+                and section.setdefault("method", "replacement") != "replacement"):
+            raise ValueError(f"--with-replacement contradicts --method {section['method']}")
+        method, cfg = _match_config(section)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -230,9 +219,9 @@ def cmd_match(args) -> int:
         return EXIT_DEGENERATE
 
     dropped: set[int] = set()
-    if args.caliper is not None:
+    if cfg.caliper is not None:
         m, dropped = matching.apply_caliper(
-            m, smp.treated_scores, smp.control_scores, args.caliper)
+            m, smp.treated_scores, smp.control_scores, cfg.caliper)
 
     out_dir = Path(args.out_dir or ".")
     # pairs.csv carries the input file's id column, not subset positions
@@ -261,7 +250,7 @@ def cmd_match(args) -> int:
     print(f"method={m.method} pairs={len(m.pairs)} total_cost={m.total_cost:.6g}")
     print(f"crossing_matches={'n/a' if crossing is None else crossing}")
     print(f"overlap: {fraction:.4f} of units have score >= 0.5 (count={count})")
-    if args.caliper is not None:
+    if cfg.caliper is not None:
         ids = ",".join(treated_ids[i] for i in sorted(dropped))
         print(f"caliper dropped {len(dropped)} treated units: [{ids}]")
     return EXIT_OK
@@ -341,28 +330,29 @@ def _parser() -> argparse.ArgumentParser:
                         version=f"matchbias {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a Monte Carlo table from a config")
+    # the matcher flags, shared by simulate and match
+    matcher = argparse.ArgumentParser(add_help=False)
+    matcher.add_argument("--method", help=METHOD_HELP)
+    matcher.add_argument("--band", type=int)
+    matcher.add_argument("--capacity", type=int)
+    matcher.add_argument("--caliper", type=float)
+
+    sim = sub.add_parser("simulate", parents=[matcher],
+                         help="run a Monte Carlo table from a config")
     sim.add_argument("--config", required=True, help="JSON config file")
     sim.add_argument("--out-dir", help="output directory")
     sim.add_argument("--seed", type=int, help="override master seed")
     sim.add_argument("--reps", type=int, help="override replication count")
     sim.add_argument("--n", type=int, nargs="+", help="override sample sizes")
     sim.add_argument("--a", type=float, nargs="+", help="override a grid")
-    sim.add_argument("--method", help=METHOD_HELP)
-    sim.add_argument("--band", type=int)
-    sim.add_argument("--capacity", type=int)
-    sim.add_argument("--caliper", type=float)
     sim.add_argument("--format", choices=["csv", "md"])
     sim.set_defaults(func=cmd_simulate)
 
-    mat = sub.add_parser("match", help="match a CSV of units (id,w,s[,y])")
+    mat = sub.add_parser("match", parents=[matcher],
+                         help="match a CSV of units (id,w,s[,y])")
     mat.add_argument("input", help="input CSV")
-    mat.add_argument("--method", help=METHOD_HELP)
     mat.add_argument("--with-replacement", action="store_true",
                      help="shorthand for --method replacement")
-    mat.add_argument("--band", type=int)
-    mat.add_argument("--capacity", type=int)
-    mat.add_argument("--caliper", type=float)
     mat.add_argument("--out-dir")
     mat.set_defaults(func=cmd_match)
 

@@ -109,6 +109,15 @@ class Matching:
         return np.unique(cp).size == cp.size
 
 
+def whole_number(value, name: str, least: int) -> int:
+    """value as an int, a whole float such as JSON's 1e4 included; a bool, a
+    fraction, NaN, a non-number or a value below `least` raises ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or value < least
+            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class MatchConfig:
     """Knobs for the matcher family.
@@ -125,10 +134,7 @@ class MatchConfig:
 
     def __post_init__(self):
         for key, least in (("band", 0), ("capacity", 1)):
-            value = getattr(self, key)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < least):
-                raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, key, whole_number(getattr(self, key), key, least))
         caliper = self.caliper
         if caliper is not None and (isinstance(caliper, bool)
                                     or not isinstance(caliper, numbers.Real)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import estimators, matching, population, theory
-from .matching import MatchConfig, check_method
+from .matching import MatchConfig, check_method, whole_number
 from .population import PopulationSpec, derive_seed
 
 log = logging.getLogger(__name__)
@@ -33,7 +33,10 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation campaign: a grid of populations and sample sizes."""
+    """One simulation campaign: a grid of populations and sample sizes.
+
+    n_values, reps and master_seed are stored as ints (see whole_number).
+    """
 
     a_values: tuple[float, ...]
     n_values: tuple[int, ...]
@@ -44,14 +47,14 @@ class SimConfig:
     spec_kind: str = "prognostic"
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
         if not self.a_values:
             raise ValueError("a_values must be nonempty")
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
-        if any(n < 0 for n in self.n_values):
-            raise ValueError("sample sizes must be non-negative")
+        object.__setattr__(self, "n_values", tuple(
+            whole_number(n, "n_values", 0) for n in self.n_values))
+        for key, least in (("reps", 1), ("master_seed", 0)):
+            object.__setattr__(self, key, whole_number(getattr(self, key), key, least))
         if self.spec_kind not in ("prognostic", "categorical", "custom"):
             raise ValueError(f"unknown spec_kind: {self.spec_kind!r}")
         check_method(self.match_method)
@@ -204,11 +207,11 @@ def run_cell(spec: PopulationSpec, n: int, reps: int, seed: int,
     sample-level mean of y1 - y0 over treated otherwise). Empirical SE is
     the standard deviation of the estimator across replications. The cell
     fails only if every replication fails; an error that is not a failed
-    replication (see _rep_task) propagates as RuntimeError. A seed that
-    derive_seed refuses (a negative one) raises before any replication runs.
+    replication (see _rep_task) propagates as RuntimeError. An n or reps that
+    whole_number refuses, or a negative seed, raises before any replication.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    n = whole_number(n, "n", 0)
+    reps = whole_number(reps, "reps", 1)
     check_method(method)
     derive_seed(seed, 0)  # a bad seed is refused here, before any replication
     cfg = config if config is not None else MatchConfig()

@@ -241,14 +241,40 @@ class TestSimulate:
 
     def test_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path)
+        cfg = write_config(cfg_path)
         rc = main(["simulate", "--config", str(cfg_path),
                    "--out-dir", str(tmp_path / "alt"),
-                   "--n", "60", "--reps", "1", "--seed", "99"])
+                   "--n", "60", "--reps", "1", "--seed", "99", "--a", "0.5",
+                   "--method", "banded", "--band", "3000", "--format", "md"])
         assert rc == 0
         manifest = json.loads((tmp_path / "alt" / "manifest.json").read_text())
         assert manifest["master_seed"] == 99
         assert manifest["cells"][0]["n"] == 60
+        assert manifest["cells"][0]["a"] == 0.5
+        # the manifest records the run: the file overlaid with exactly the flags
+        cfg["simulation"].update(n_values=[60], reps=1, master_seed=99)
+        cfg["population"]["a_values"] = [0.5]
+        cfg["matching"].update(method="banded", band=3000)
+        cfg["output"].update(dir=str(tmp_path / "alt"), format="md")
+        assert manifest["config"] == cfg
+
+    def test_negative_seed_flag_is_refused_before_the_output_dir(
+            self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        assert main(["simulate", "--config", str(cfg_path), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("config error: master_seed ")
+        assert not (tmp_path / "out").exists()
+
+    def test_whole_floats_in_the_file_run_as_ints(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, matching={"band": 2e3},
+                     simulation={"n_values": [6e1], "reps": 2e0, "master_seed": 7.0})
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["master_seed"] == 7 and manifest["cells"][0]["n"] == 60
+        with open(tmp_path / "out" / "table.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1][1] == "60"
 
     def test_categorical_population(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -303,6 +329,17 @@ class TestMatch:
         toy_units_csv(data, [(1, 0.5), (1, 0.4), (0, 0.45)])
         assert main(["match", str(data), "--with-replacement",
                      "--out-dir", str(tmp_path / "m")]) == 0
+
+    def test_with_replacement_refuses_another_method(self, tmp_path, capsys):
+        data = tmp_path / "units.csv"
+        toy_units_csv(data, [(1, 0.5), (0, 0.4), (0, 0.7)])
+        assert main(["match", str(data), "--with-replacement", "--method",
+                     "exact", "--out-dir", str(tmp_path / "m")]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "m").exists()
+        assert main(["match", str(data), "--with-replacement", "--method",
+                     "replacement", "--out-dir", str(tmp_path / "m")]) == 0
+        assert "method=with_replacement" in capsys.readouterr().out
 
     def test_caliper_emits_dropped(self, tmp_path, capsys):
         data = tmp_path / "units.csv"

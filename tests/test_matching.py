@@ -793,6 +793,9 @@ class TestDispatchAndIO:
         cfg = mt.MatchConfig(band=np.int64(5), capacity=np.int32(2),
                              caliper=np.float64(0.1))
         assert (cfg.band, cfg.capacity, cfg.caliper) == (5, 2, 0.1)
+        # a whole float, as JSON writes 4e1, is the int it names
+        cfg = mt.MatchConfig(band=40.0, capacity=2.0)
+        assert cfg.band == 40 and type(cfg.band) is int and type(cfg.capacity) is int
 
     def test_pairs_csv(self):
         # the pairs and cost that `matchbias match` writes to its two CSVs

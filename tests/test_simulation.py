@@ -155,6 +155,26 @@ class TestRunCell:
             sim.run_cell(pop.make_prognostic_spec(0.5), 50, 4, -1)
         assert started == []
 
+    @pytest.mark.parametrize("n, reps, name", [
+        (60.5, 2, "n"), (-1, 2, "n"), (60, True, "reps"), (60, 2.5, "reps"),
+        (60, 0, "reps")])
+    def test_non_whole_n_or_reps_fails_before_any_rep(self, monkeypatch, n,
+                                                      reps, name):
+        started = []
+        monkeypatch.setattr(pop, "sample", lambda *args: started.append(args))
+        monkeypatch.setattr(sim, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: started.append(kwargs))
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            sim.run_cell(pop.make_prognostic_spec(0.5), n, reps, 3)
+        assert started == []
+
+    def test_whole_float_n_and_reps_run_as_ints(self, monkeypatch):
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        spec = pop.make_prognostic_spec(0.5)
+        row = sim.run_cell(spec, 60.0, 2.0, 3)
+        assert row == sim.run_cell(spec, 60, 2, 3)
+        assert type(row.n) is int and row.reps_done == 2
+
     def test_nan_assignment_probability_fails_every_rep(self, monkeypatch):
         # NaN fails both range comparisons; before, rng.random(n) < nan made
         # every unit above the cut a control and no error was raised
@@ -298,6 +318,19 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="unknown matching method"):
             sim.SimConfig(a_values=(1.0,), n_values=(10,), reps=1,
                           master_seed=0, match_method="hungarian")
+
+
+    def test_whole_numbers(self):
+        cfg = sim.SimConfig(a_values=(1.0,), n_values=(1e4,), reps=1e3,
+                            master_seed=5.0)
+        assert (cfg.n_values, cfg.reps, cfg.master_seed) == ((10000,), 1000, 5)
+        assert all(type(v) is int for v in (*cfg.n_values, cfg.reps, cfg.master_seed))
+        base = dict(a_values=(1.0,), n_values=(10,), reps=1, master_seed=0)
+        for field, bad in (("n_values", (60.5,)), ("n_values", (math.nan,)),
+                           ("reps", True), ("master_seed", 1.5),
+                           ("master_seed", -1)):
+            with pytest.raises(ValueError, match=f"^{field} must be a whole number"):
+                sim.SimConfig(**{**base, field: bad})
 
 
 class TestRunTable:

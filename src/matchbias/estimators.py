@@ -96,11 +96,14 @@ def att_caliper(smp: Sample, retained: Matching) -> AttEstimate:
     Dropping pairs reweights the treated units: the estimand is the
     treatment effect among the caliper-retained subpopulation, not the full
     treated population. With no pair retained the estimate is zero,
-    flagged degenerate.
+    flagged degenerate. A pair outside the sample raises ValueError.
     """
     tp, cp = retained.pair_arrays()
     if not tp.size:
         return AttEstimate(0.0, 0, "caliper", degenerate=True)
+    if tp[0] < 0 or tp[-1] >= smp.n1 or cp.min() < 0 or cp.max() >= smp.n0:
+        raise ValueError("pair references a position outside the sample "
+                         f"(N1 = {smp.n1}, N0 = {smp.n0})")
     y_t = smp.y[smp.treated_idx[tp]]
     y_c = smp.y[smp.control_idx[cp]]
     return AttEstimate(float(np.mean(y_t - y_c)), tp.size, "caliper")

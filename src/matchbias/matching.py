@@ -192,7 +192,10 @@ def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
     control that fills a waiting unit or steals goes onto neither stack
     and stays used. So `hole` holds exactly the controls seen so far that
     are free, and the loop writes no flags: at the end the used controls
-    are those the sweep has reached, minus those left on `hole`.
+    are those the sweep has reached, minus those left on `hole`. A slot
+    starts at -y, the control's hole value when free, and changes only
+    while its control is on a stack, so the control at y the sweep is
+    about to reach still holds -y, and the steal test reads it there.
 
     Each push is no larger than the top it covers, so the top of either
     stack is a cheapest move and a pop takes it in O(1). On the line an
@@ -232,8 +235,7 @@ def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
     len(t_sorted) are set.
     """
     n0 = c_sorted.size
-    neg_c = (-c_sorted).tolist()  # a free control's hole value
-    val = neg_c.copy()  # the value of the one move anchored at each control
+    val = (-c_sorted).tolist()
     hole: list[int] = []
     mouse: list[int] = []
     waiting = 0
@@ -246,9 +248,9 @@ def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
                 w = min(waiting, end - j)
                 waiting -= w
                 j += w
-            while j < end and mouse and val[mouse[-1]] < neg_c[j]:
+            while j < end and mouse and val[mouse[-1]] < val[j]:
                 a = mouse.pop()
-                val[a] = 2.0 * neg_c[j] - val[a]
+                val[a] = 2.0 * val[j] - val[a]
                 hole.append(a)
                 j += 1
             hole += range(j, end)
@@ -263,7 +265,7 @@ def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
     # control, and once neither applies no later (larger) control can; a
     # steal still frees its anchor onto `hole`, but no pop reads its value
     j += waiting
-    while j < n0 and mouse and val[mouse[-1]] < neg_c[j]:
+    while j < n0 and mouse and val[mouse[-1]] < val[j]:
         hole.append(mouse.pop())
         j += 1
     used = np.zeros(n0, dtype=bool)
@@ -282,22 +284,21 @@ def _sweep_match(t: np.ndarray, c: np.ndarray, method: str,
     stable-sorted treated units.
     """
     _require_feasible(t.size, c.size, k)
-    t_order = _argsort_ties_stable(t)
-    c_order = _argsort_ties_stable(c)
-    t_sorted, c_sorted = t[t_order], c[c_order]
+    t_order, t_sorted = _argsort_ties_stable(t)
+    c_order, c_sorted = _argsort_ties_stable(c)
     if k > 1:
         c_sorted = np.repeat(c_sorted, k)
     used = _sweep_used(t_sorted, c_sorted).nonzero()[0]
-    c_pos = c_order[used if k == 1 else used // k]
-    cost = float(np.abs(t_sorted - c[c_pos]).sum())
+    c_pos = c_order[used // k]
+    cost = float(np.abs(t_sorted - c_sorted[used]).sum())
     cp = np.empty(t.size, dtype=np.intp)
     cp[t_order] = c_pos
     return Matching(pairs=Pairs(np.arange(t.size), cp), total_cost=cost,
                     method=method)
 
 
-def _argsort_ties_stable(x: np.ndarray) -> np.ndarray:
-    """argsort of x, equal values keeping their positions' order.
+def _argsort_ties_stable(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, x[order]), equal values of x keeping their positions' order.
 
     The default sort is several times faster than a stable one on floats,
     and gives the same order when no two values are equal, so the stable
@@ -306,8 +307,9 @@ def _argsort_ties_stable(x: np.ndarray) -> np.ndarray:
     order = x.argsort()
     xs = x[order]
     if (xs[1:] == xs[:-1]).any():
-        return x.argsort(kind="stable")
-    return order
+        order = x.argsort(kind="stable")
+        xs = x[order]
+    return order, xs
 
 
 def match_optimal_exact(treated_scores, control_scores) -> Matching:
@@ -345,14 +347,12 @@ def match_with_replacement(treated_scores, control_scores) -> Matching:
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
     _require_feasible(t.size, c.size, None)
-    c_order = np.argsort(c)
-    cs = c[c_order]
-    # one entry per distinct control score, with its lowest position
+    c_order, cs = _argsort_ties_stable(c)
+    # one entry per distinct control score, its lowest position first
     starts = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
     u = cs[starts]
-    lowest = np.minimum.reduceat(c_order, starts)
-    t_order = np.argsort(t)
-    ts = t[t_order]
+    lowest = c_order[starts]
+    t_order, ts = _argsort_ties_stable(t)
     pos = np.searchsorted(u, ts, side="left")
     left = np.maximum(pos - 1, 0)
     right = np.minimum(pos, u.size - 1)
@@ -402,9 +402,8 @@ def brute_force_match(treated_scores, control_scores) -> Matching:
         if best_cost is None or cost < best_cost:
             best_cost = cost
             best = perm
-    pairs = {i: j for i, j in enumerate(best)}
-    return Matching(pairs=pairs, total_cost=float(best_cost),
-                    method="brute_force")
+    return Matching(pairs=Pairs(np.arange(t.size), np.array(best, dtype=np.intp)),
+                    total_cost=float(best_cost), method="brute_force")
 
 
 def has_crossing(matching: Matching, treated_scores, control_scores) -> bool:
@@ -422,8 +421,8 @@ def has_crossing(matching: Matching, treated_scores, control_scores) -> bool:
     if not matching.pairs:
         return False
     tp, cp = matching.pair_arrays()
-    order = np.argsort(t[tp], kind="stable")
-    a, b = t[tp][order], c[cp][order]
+    order, a = _argsort_ties_stable(t[tp])
+    b = c[cp[order]]
     up = np.where(b > a, b, -np.inf)  # control scores of upward pairs
     best_up = np.concatenate([[-np.inf], np.maximum.accumulate(up)])
     # max control score over upward pairs whose treated score lies strictly below

@@ -150,6 +150,16 @@ class TestCaliperEstimator:
         assert out.value == pytest.approx(4.0)
         assert out.n1_used == 1
 
+    @pytest.mark.parametrize("pairs", [{0: -1}, {0: 1}, {-1: 0}, {1: 0}],
+                             ids=["control_below", "control_above",
+                                  "treated_below", "treated_above"])
+    def test_rejects_position_outside_sample(self, pairs):
+        # control -1 would otherwise wrap to the last control
+        smp = make_sample([1, 0], [0.1, 0.2], [1.0, 2.0])
+        m = mt.Matching(pairs=pairs, total_cost=0.0, method="exact_dp")
+        with pytest.raises(ValueError, match="outside the sample"):
+            est.att_caliper(smp, m)
+
 
 class TestTrueSampleAtt:
     def test_constant_effect(self):

@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 from dataclasses import replace
 
@@ -442,6 +443,56 @@ class TestSweepAgainstTwoHeaps:
         mt.match_optimal_exact([0.5, 0.5, 0.75], [0.0, 0.0, 0.75, 0.75])
         mt.match_capacitated([0.5, 0.5, 0.75], [0.0, 0.75], 2)
         assert self.calls == 4
+
+
+def control_counts(m: mt.Matching, n0: int) -> str:
+    """How many treated units each control position takes, one digit each."""
+    return "".join(map(str, np.bincount(m.pairs.control, minlength=n0)))
+
+
+class TestSweepTieChoices:
+    """Which of several equally cheap controls the matcher takes on ties.
+
+    The cost does not fix that choice, but the estimate does depend on it:
+    the outcomes of the controls taken enter a categorical cell's ATT. So
+    the choice, by original control position, is pinned here. Each quarter-
+    grid instance is one where the stack sweep and two plain heaps take
+    different controls; digits are scores in quarters.
+    """
+
+    @pytest.mark.parametrize("k, t, c, expect", [
+        (1, "1110", "040311303", "001011010"),
+        (1, "10144041", "030131121", "111011111"),
+        (1, "000214", "0022414013", "1101001110"),
+        (1, "433431", "3401341443", "1000101111"),
+        (1, "4", "44", "01"),
+        (1, "223", "303310", "100110"),
+        (2, "3033313", "34343420", "10202002"),
+        (2, "40044", "334", "212"),
+        (2, "43000032", "421344113", "012001202"),
+        (2, "123134223", "3332340", "1012212"),
+        (2, "10214", "334142141", "000101012"),
+        (2, "2", "0423004", "0010000"),
+        (3, "4", "13411", "00100"),
+        (3, "41", "22332321", "00000101"),
+        (3, "3023323331", "3230202", "3030022"),
+        (3, "144", "1423023123", "0200000100"),
+        (3, "4041422112", "3032202", "0130033"),
+        (3, "32423433", "423044341", "021000320"),
+    ])
+    def test_quarter_grid(self, k, t, c, expect):
+        t = np.array([int(d) for d in t]) / 4
+        c = np.array([int(d) for d in c]) / 4
+        assert control_counts(mt.match_capacitated(t, c, k), c.size) == expect
+
+    def test_categorical_sample(self):
+        smp = population.sample(
+            population.make_categorical_spec(0.1, 0.75, 0.3), 2000, 18)
+        m = mt.match_optimal_exact(smp.treated_scores, smp.control_scores)
+        counts = control_counts(m, smp.n0)
+        assert (smp.n1, smp.n0) == (686, 1314)
+        assert hashlib.sha256(counts.encode()).hexdigest() == (
+            "26055063a9fc8e33e3157433b0fce2ee33b1f52a3f6559e8549e59cb7fea5114")
 
 
 class TestSweepBranches:

@@ -47,14 +47,23 @@ def nan_assign_above(s, assign_prob, cut):
     return np.where(s > cut, math.nan, assign_prob(s))
 
 
+# a multiprocessing.Barrier that pool workers inherit; set by the test
+# that runs fault_counts as the replication task
+task_barrier = None
+
+
 def fault_counts(task):
     """Minor faults of two allocate-touch-free cycles of a 4 MB array.
 
     4 MB stays below numpy's 4 MiB huge-page advice, so each page touched
-    that the process does not already hold is one minor fault.
+    that the process does not already hold is one minor fault. Every task
+    first waits at `task_barrier` for the others, so no worker runs two:
+    a worker's second task would find the array's pages already in its
+    heap and fault none in its first cycle either.
     """
     import resource  # POSIX only; this runs only where the test does
 
+    task_barrier.wait(timeout=30)
     counts = []
     for _ in range(2):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -267,13 +276,15 @@ class TestWorkerHeap:
         # with glibc's defaults a freed 4 MB array is unmapped, so the
         # second cycle faults every page back in like the first
         monkeypatch.setattr(sim, "_rep_task", fault_counts)
+        monkeypatch.setitem(globals(), "task_barrier", multiprocessing.Barrier(2))
         monkeypatch.setenv("MATCHBIAS_THREADS", "2")
         results = sim._run_reps(pop.make_prognostic_spec(0.5), 10, 2, 1,
                                 "exact", MatchConfig())
         assert len(results) == 2
         for first, second in results:
-            assert first > 500  # 977 pages of 4 KiB
-            assert second < 0.1 * first
+            faults = f"minor faults: first cycle {first}, second cycle {second}"
+            assert first > 500, faults  # 977 pages of 4 KiB
+            assert second < 0.1 * first, faults
 
     def test_serial_path_leaves_allocator_alone(self, monkeypatch):
         def refuse():

@@ -83,14 +83,13 @@ def _build_sim_config(cfg: dict) -> tuple[simulation.SimConfig, object, Path, st
 
     # a wrong type or value anywhere below is a config error, not a traceback
     try:
+        # every spec is built now, so bad parameters are refused before any cell
         if kind == "prognostic":
-            a_values = tuple(float(a) for a in _need(pop, "population", "a_values"))
-            if not all(a >= 1 / 3 for a in a_values):
-                raise ConfigError("[population] prognostic a_values must be >= 1/3")
-            spec_factory = population.make_prognostic_spec
+            raw_a = _need(pop, "population", "a_values")
+            spec_factory = {a: population.make_prognostic_spec(a) for a in raw_a}.__getitem__
+            a_values = tuple(float(a) for a in raw_a)
         else:
             a_values = (math.nan,)
-            # built now, so bad population parameters are refused before any cell
             spec = population.make_categorical_spec(**{
                 k: float(pop[k]) for k in ("mass_a", "p_in_a", "p_out", "mu0_in",
                                            "mu0_out", "mu1_in", "mu1_out",
@@ -262,7 +261,7 @@ def cmd_bias(args) -> int:
             spec = population.make_uniform_propensity_spec(args.uniform_propensity)
             ps = theory.pstar(spec, args.tol)
             report = theory.asymptotic_bias_propensity(spec, args.tol)
-        except ValueError as exc:  # HI outside (0, 1] or tol <= 0
+        except ValueError as exc:  # HI outside (0, 1] or a bad tol
             print(f"bias: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         print(f"p* = {ps.pstar:.6f} (defaulted={ps.defaulted}, "
@@ -292,7 +291,7 @@ def cmd_bias(args) -> int:
         return EXIT_CONFIG
     try:
         report = theory.asymptotic_bias_score(spec, args.tol)
-    except ValueError as exc:  # tol <= 0
+    except ValueError as exc:  # a bad tol
         print(f"bias: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     b = theory.prognostic_sstar_lower(a) if closed is not None else math.nan
@@ -306,10 +305,10 @@ def cmd_bias(args) -> int:
 def cmd_diagnose(args) -> int:
     try:
         smp = population.sample_from_csv(args.input)
-    except (OSError, ValueError) as exc:
+        fraction, count = estimators.diagnose_overlap(smp, args.threshold)
+    except (OSError, ValueError) as exc:  # an unreadable file or a NaN threshold
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    fraction, count = estimators.diagnose_overlap(smp, args.threshold)
     print(f"units with score >= {args.threshold:g}: {count} of {smp.n} "
           f"(fraction {fraction:.6f})")
     verdict = "rejected" if count > 0 else "not rejected"

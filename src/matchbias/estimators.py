@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matching import Matching, MatchConfig, match_scores
-from .population import Sample
+from .population import Sample, real_number
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,9 @@ def diagnose_overlap(smp: Sample, threshold: float = 0.5,
     When assign_prob is given, it maps scores to treatment probabilities
     first, so the check reads directly as the estimated mass with
     propensity >= threshold. A nonzero count already refutes the hypothesis
-    that this mass is zero.
+    that this mass is zero. The threshold is any number but NaN, +-inf included.
     """
+    threshold = real_number(threshold, "threshold", "a number", lambda v: not np.isnan(v))
     if smp.n == 0:
         return 0.0, 0
     values = smp.s if assign_prob is None else np.asarray(assign_prob(smp.s))

@@ -17,11 +17,12 @@ controls.
 from __future__ import annotations
 
 import itertools
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
+
+from .population import real_number, whole_number
 
 DEFAULT_BAND = 2000
 
@@ -109,13 +110,8 @@ class Matching:
         return np.unique(cp).size == cp.size
 
 
-def whole_number(value, name: str, least: int) -> int:
-    """value as an int, a whole float such as JSON's 1e4 included; a bool, a
-    fraction, NaN, a non-number or a value below `least` raises ValueError."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or value < least
-            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
-        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
-    return int(value)
+def _caliper(value) -> float:  # +inf keeps every pair
+    return real_number(value, "caliper", "a number > 0", lambda v: v > 0.0)
 
 
 @dataclass(frozen=True)
@@ -135,11 +131,8 @@ class MatchConfig:
     def __post_init__(self):
         for key, least in (("band", 0), ("capacity", 1)):
             object.__setattr__(self, key, whole_number(getattr(self, key), key, least))
-        caliper = self.caliper
-        if caliper is not None and (isinstance(caliper, bool)
-                                    or not isinstance(caliper, numbers.Real)
-                                    or not caliper > 0.0):
-            raise ValueError(f"caliper must be a number > 0, got {caliper!r}")
+        if self.caliper is not None:
+            object.__setattr__(self, "caliper", _caliper(self.caliper))
 
 
 def _as_scores(x, side: str) -> np.ndarray:
@@ -327,8 +320,7 @@ def match_banded(treated_scores, control_scores, band: int) -> Matching:
     `match_optimal_exact`; below it no approximation runs and the match
     raises BandError, a MatchingError that is not an InfeasibleError.
     """
-    if band < 0:
-        raise ValueError("band must be >= 0")
+    band = whole_number(band, "band", 0)
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
     # an empty treated side is left to the sweep's InfeasibleError
@@ -372,8 +364,7 @@ def match_capacitated(treated_scores, control_scores, k: int) -> Matching:
     on the expanded side. k = 1 recovers matching without replacement; k >= N1
     attains the with-replacement cost.
     """
-    if k < 1:
-        raise ValueError("capacity k must be >= 1")
+    k = whole_number(k, "k", 1)
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
     return _sweep_match(t, c, "capacitated", k)
@@ -436,8 +427,7 @@ def apply_caliper(matching: Matching, treated_scores, control_scores,
 
     Returns the retained matching and the set of dropped treated positions.
     """
-    if not caliper > 0.0:
-        raise ValueError("caliper must be > 0")
+    caliper = _caliper(caliper)
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
     ti, ci = matching.pair_arrays()

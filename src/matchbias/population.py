@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
@@ -105,9 +106,26 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def whole_number(value, name: str, least: int) -> int:
+    """value as an int, a whole float such as JSON's 1e4 included; a bool, a
+    fraction, NaN, a non-number or a value below `least` raises ValueError."""
+    if type(value) is int and value >= least:  # common case; skips slow ABC checks
+        return value
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or value < least
+            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(value)
+
+
+def real_number(value, name: str, rule: str, holds: Callable[[float], bool]) -> float:
+    """value as a float if it is a number, not a bool, and holds(value) is true
+    (NaN fails every comparison); otherwise ValueError "<name> must be <rule>"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not holds(value):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return float(value)
+
+
 def _rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
@@ -117,10 +135,10 @@ def sample(spec: PopulationSpec, n: int, seed: int) -> Sample:
     Per unit: draw the score, assign treatment as Bernoulli of the
     assignment probability, draw both potential outcomes, and realize the
     outcome under the assigned arm. Deterministic given (spec, n, seed).
+    n and seed follow whole_number: whole numbers >= 0, 40.0 drawing as 40.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    rng = _rng(seed)
+    n = whole_number(n, "n", 0)
+    rng = _rng(whole_number(seed, "seed", 0))
     if n == 0:
         empty = np.empty(0)
         return Sample(np.empty(0, dtype=np.int8), empty, empty.copy(),
@@ -200,8 +218,7 @@ def make_prognostic_spec(a: float) -> PopulationSpec:
     directly from the triangular law rather than via the three covariates
     (distributionally equivalent, roughly twice as fast).
     """
-    if a < 1.0 / 3.0:
-        raise ValueError("prognostic spec requires a >= 1/3")
+    a = real_number(a, "a", "a number >= 1/3", lambda v: v >= 1.0 / 3.0)
     return PopulationSpec(
         score_sampler=_triangular_scores,
         assign_prob=partial(_linear_assign, denom=2.0 * a + 2.0),
@@ -222,8 +239,7 @@ def make_uniform_propensity_spec(upper: float) -> PopulationSpec:
 
     Both potential outcomes equal the score, without noise.
     """
-    if not 0.0 < upper <= 1.0:
-        raise ValueError("upper must be in (0, 1]")
+    upper = real_number(upper, "upper", "in (0, 1]", lambda v: 0.0 < v <= 1.0)
     return PopulationSpec(
         score_sampler=partial(_uniform_scores, upper=upper),
         assign_prob=_identity,

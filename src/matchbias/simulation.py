@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import estimators, matching, population, theory
-from .matching import MatchConfig, check_method, whole_number
-from .population import PopulationSpec, derive_seed
+from .matching import MatchConfig, check_method
+from .population import PopulationSpec, derive_seed, whole_number
 
 log = logging.getLogger(__name__)
 
@@ -35,7 +35,7 @@ class SimulationError(RuntimeError):
 class SimConfig:
     """One simulation campaign: a grid of populations and sample sizes.
 
-    n_values, reps and master_seed are stored as ints (see whole_number).
+    n_values, reps and master_seed are ints; see population.whole_number.
     """
 
     a_values: tuple[float, ...]
@@ -125,13 +125,8 @@ def _worker_count(reps: int) -> int:
     """Workers for a cell of `reps` replications: MATCHBIAS_THREADS, else
     the CPU count, and never more than reps."""
     env = os.environ.get("MATCHBIAS_THREADS", "")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"MATCHBIAS_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise ValueError("MATCHBIAS_THREADS must be >= 1")
+    if env:  # anything but digits reaches whole_number as text, which it refuses
+        cap = whole_number(int(env) if env.isdecimal() else env, "MATCHBIAS_THREADS", 1)
     else:
         cap = os.cpu_count() or 1
     return min(cap, reps)
@@ -207,13 +202,13 @@ def run_cell(spec: PopulationSpec, n: int, reps: int, seed: int,
     sample-level mean of y1 - y0 over treated otherwise). Empirical SE is
     the standard deviation of the estimator across replications. The cell
     fails only if every replication fails; an error that is not a failed
-    replication (see _rep_task) propagates as RuntimeError. An n or reps that
-    whole_number refuses, or a negative seed, raises before any replication.
+    replication (see _rep_task) propagates as RuntimeError. An n, reps or
+    seed that population.whole_number refuses raises before any replication.
     """
     n = whole_number(n, "n", 0)
     reps = whole_number(reps, "reps", 1)
+    seed = whole_number(seed, "seed", 0)
     check_method(method)
-    derive_seed(seed, 0)  # a bad seed is refused here, before any replication
     cfg = config if config is not None else MatchConfig()
     results = _run_reps(spec, n, reps, seed, method, cfg)
     oks = [r for r in results if r[0]]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .population import PopulationSpec
+from .population import PopulationSpec, real_number, whole_number
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _MAX_PANELS = 200  # per _quad call; past it the current estimate is kept
@@ -176,7 +176,7 @@ def pstar(spec: PopulationSpec, tol: float = 1e-8) -> PStarResult:
     at least p* are those with score at least b, and they are exactly half
     treated. Defaults to 1/2 when no threshold exists or [b, s_max] has
     zero mass, that is when no mass has probability 1/2 or above. Raises
-    sstar_threshold's ValueError when assign_prob decreases.
+    sstar_threshold's ValueError for a bad tol or a decreasing assign_prob.
     """
     default = PStarResult(pstar=0.5, tail_treated_prob=math.nan,
                           defaulted=True, left_closed=True)
@@ -200,10 +200,9 @@ def sstar_threshold(spec: PopulationSpec, tol: float = 1e-9) -> float:
     half-treated region is the single interval [b, s_max], so the search
     reduces to this one root. Raises SStarNotFoundError when even the top
     of the support stays below half treated (the upper set then has zero
-    mass and the limit bias is zero).
+    mass and the limit bias is zero), and ValueError unless 0 < tol < inf.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    tol = real_number(tol, "tol", "> 0 and finite", lambda v: 0.0 < v < math.inf)
     s = _score_grid(spec)
     p = np.asarray(spec.assign_prob(s), dtype=float)
     if np.any(np.diff(p) < -1e-9):
@@ -321,8 +320,7 @@ def wasserstein_1d(treated_quantile, control_quantile, grid: int = 4096) -> floa
     dimension. Each quantile function takes the array of grid points and
     returns an array of the same shape; any other shape is a ValueError.
     """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    grid = whole_number(grid, "grid", 2)
     u = (np.arange(grid) + 0.5) / grid
     q1 = _eval_quantile(treated_quantile, u)
     q0 = _eval_quantile(control_quantile, u)

@@ -100,11 +100,13 @@ class TestSimulate:
         {"matching": {"capacity": True}},
         {"output": {"dir": 5}},
         {"output": {"format": "xml"}},
+        {"population": {"a_values": [0.2]}},
+        {"population": {"a_values": [float("nan")]}},
     ], ids=["a_values_scalar", "a_values_text", "empty_a_values",
             "matching_not_object", "output_not_object", "categorical_text",
             "fractional_reps", "fractional_n", "fractional_seed", "bool_reps",
             "fractional_capacity", "fractional_band", "bool_capacity",
-            "dir_not_text", "unknown_format"])
+            "dir_not_text", "unknown_format", "a_below_third", "a_nan"])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, monkeypatch,
                                              overrides):
         # refused before any cell runs, not truncated, ignored or a traceback
@@ -424,6 +426,15 @@ class TestBias:
         assert main(["bias", "--uniform-propensity", "1.5"]) == 1
         assert "upper must be in (0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--prognostic", "--a", "0.5", "--tol", "nan"], "tol"),
+        (["--uniform-propensity", "0.8", "--tol", "inf"], "tol"),
+        (["--prognostic", "--a", "nan"], "a")])
+    def test_bad_value_names_its_field(self, capsys, argv, field):
+        assert main(["bias", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f" {field} must be " in captured.err
+
     def test_non_positive_tol(self, capsys):
         for route in (["--uniform-propensity", "0.8"], ["--prognostic", "--a", "0.5"]):
             assert main(["bias", *route, "--tol", "0"]) == 1
@@ -443,6 +454,13 @@ class TestDiagnose:
         toy_units_csv(data, [(1, 0.6), (0, 0.4)])
         assert main(["diagnose", str(data), "--threshold", "0.7"]) == 0
         assert "not rejected" in capsys.readouterr().out
+
+    def test_nan_threshold_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "units.csv"
+        toy_units_csv(data, [(1, 0.6), (0, 0.4)])
+        assert main(["diagnose", str(data), "--threshold", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "threshold must be a number" in captured.err
 
 
 class TestHelp:

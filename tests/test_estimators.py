@@ -191,6 +191,13 @@ class TestOverlapDiagnostic:
         smp = make_sample([1, 0, 0], [0.1, 0.4, 0.9], [0.0, 0.0, 0.0])
         assert est.diagnose_overlap(smp, 0.0) == (1.0, 3)
 
+    def test_nan_threshold_refused_infinite_allowed(self):
+        smp = make_sample([1, 0, 0], [0.1, 0.4, 0.9], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="^threshold must be a number"):
+            est.diagnose_overlap(smp, float("nan"))
+        assert est.diagnose_overlap(smp, float("-inf")) == (1.0, 3)
+        assert est.diagnose_overlap(smp, float("inf")) == (0.0, 0)
+
     def test_prognostic_propensity_tail(self):
         # Pr(assign_prob(S) >= 1/2) = Pr(S >= 4/3) = (2 - 4/3)^2 / 2 = 2/9
         spec = pop.make_prognostic_spec(1 / 3)

@@ -1,11 +1,14 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from matchbias import matching
 from matchbias import population as pop
+from matchbias import simulation as sim
+from matchbias import theory
 
 
 CSV_HEADER = ["id", "w", "s", "y0", "y1", "y"]
@@ -213,3 +216,85 @@ class TestCsvRoundTrip:
         path.write_text("id,w,s\n0,1,0.5\n1,x,0.2\n")
         with pytest.raises(ValueError, match=":3:"):
             pop.sample_from_csv(path)
+
+
+def untouched(*args):
+    raise AssertionError("work started before the input was checked")
+
+
+class Untouchable:
+    """Stands in for scores a call must not read before its input check."""
+
+    def __array__(self, *args, **kwargs):
+        untouched()
+
+
+T_SCORES = np.array([0.1, 0.4, 0.45, 0.7])
+C_SCORES = np.array([0.05, 0.2, 0.35, 0.5, 0.8, 0.9, 0.95])
+PROGNOSTIC = pop.make_prognostic_spec(0.5)
+UNIFORM = pop.make_uniform_propensity_spec(0.8)
+MATCHED = matching.match_optimal_exact(T_SCORES, C_SCORES)
+
+
+def _spec(spec, live):
+    return spec if live else replace(spec, score_sampler=untouched,
+                                     assign_prob=untouched, score_pdf=untouched)
+
+
+def _scores(live):
+    return (T_SCORES, C_SCORES) if live else (Untouchable(), Untouchable())
+
+
+# entry -> (field, a valid value, the refused values, call(value, live)); a
+# call that is not live gets arguments that fail if anything reads them
+WHOLE = (True, 2.5, math.nan, "3")
+RULES = {
+    "sample.n": ("n", 40, WHOLE + (-1,),
+                 lambda v, live: pop.sample(_spec(PROGNOSTIC, live), v, 3)),
+    "sample.seed": ("seed", 3, WHOLE + (-1,),
+                    lambda v, live: pop.sample(_spec(PROGNOSTIC, live), 40, v)),
+    "run_cell.seed": ("seed", 3, WHOLE + (-1,),
+                      lambda v, live: sim.run_cell(_spec(PROGNOSTIC, live), 40, 2, v)),
+    "match_banded.band": ("band", 4, WHOLE + (-1,), lambda v, live:
+                          matching.match_banded(*_scores(live), v)),
+    "match_capacitated.k": ("k", 2, WHOLE + (0,), lambda v, live:
+                            matching.match_capacitated(*_scores(live), v)),
+    "apply_caliper.caliper": (
+        "caliper", 1, (True, math.nan, "0.1", 0.0, -1.0),
+        lambda v, live: matching.apply_caliper(MATCHED, *_scores(live), v)),
+    "sstar_threshold.tol": (
+        "tol", 1e-9, (True, math.nan, "1e-9", 0.0, -1.0, math.inf),
+        lambda v, live: theory.sstar_threshold(_spec(UNIFORM, live), v)),
+    "pstar.tol": ("tol", 1e-8, (True, math.nan, "1e-8", 0.0, -1.0, math.inf),
+                  lambda v, live: theory.pstar(_spec(UNIFORM, live), v)),
+    "make_prognostic_spec.a": ("a", 1, (True, math.nan, "0.5", 0.2),
+                               lambda v, live: pop.make_prognostic_spec(v)),
+    "wasserstein_1d.grid": ("grid", 64, WHOLE + (1,), lambda v, live:
+                            theory.wasserstein_1d(*((lambda u: u, lambda u: 2 * u)
+                                                    if live else (untouched,) * 2),
+                                                  grid=v)),
+}
+
+
+def _comparable(result):
+    if isinstance(result, pop.PopulationSpec):
+        result = pop.sample(result, 40, 3)
+    if isinstance(result, pop.Sample):
+        return [getattr(result, col).tolist() for col in ("w", "s", "y0", "y1", "y")]
+    return result
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("entry, bad", [
+        (entry, bad) for entry, (_, _, refused, _) in RULES.items() for bad in refused])
+    def test_refused_before_any_work(self, monkeypatch, entry, bad):
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        field, _, _, call = RULES[entry]
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            call(bad, False)
+
+    @pytest.mark.parametrize("entry", RULES)
+    def test_valid_value_and_its_whole_float_agree(self, monkeypatch, entry):
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        _, good, _, call = RULES[entry]
+        assert _comparable(call(float(good), True)) == _comparable(call(good, True))

@@ -160,7 +160,7 @@ class TestRunCell:
         monkeypatch.setattr(sim, "ProcessPoolExecutor",
                             lambda *args, **kwargs: started.append(kwargs))
         monkeypatch.setenv("MATCHBIAS_THREADS", threads)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="^seed must be a whole number"):
             sim.run_cell(pop.make_prognostic_spec(0.5), 50, 4, -1)
         assert started == []
 

@@ -91,9 +91,9 @@ def _build_sim_config(cfg: dict) -> tuple[simulation.SimConfig, object, Path, st
         else:
             a_values = (math.nan,)
             spec = population.make_categorical_spec(**{
-                k: float(pop[k]) for k in ("mass_a", "p_in_a", "p_out", "mu0_in",
-                                           "mu0_out", "mu1_in", "mu1_out",
-                                           "noise_sd") if k in pop})
+                k: pop[k] for k in ("mass_a", "p_in_a", "p_out", "mu0_in",
+                                    "mu0_out", "mu1_in", "mu1_out",
+                                    "noise_sd") if k in pop})
             spec_factory = lambda a: spec
         method, mcfg = _match_config(cfg["matching"])
         sim_config = simulation.SimConfig(

@@ -139,7 +139,7 @@ def _as_scores(x, side: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{side} scores must be one-dimensional")
-    if arr.size and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise ValueError(f"{side} scores must be finite")
     return arr
 
@@ -409,8 +409,6 @@ def has_crossing(matching: Matching, treated_scores, control_scores) -> bool:
         raise ValueError("crossing check is defined for injective matchings")
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
-    if not matching.pairs:
-        return False
     tp, cp = matching.pair_arrays()
     order, a = _argsort_ties_stable(t[tp])
     b = c[cp[order]]

@@ -135,14 +135,11 @@ def sample(spec: PopulationSpec, n: int, seed: int) -> Sample:
     Per unit: draw the score, assign treatment as Bernoulli of the
     assignment probability, draw both potential outcomes, and realize the
     outcome under the assigned arm. Deterministic given (spec, n, seed).
-    n and seed follow whole_number: whole numbers >= 0, 40.0 drawing as 40.
+    n and seed follow whole_number: whole numbers >= 0, 40.0 drawing as 40;
+    n = 0 gives an empty sample.
     """
     n = whole_number(n, "n", 0)
     rng = _rng(whole_number(seed, "seed", 0))
-    if n == 0:
-        empty = np.empty(0)
-        return Sample(np.empty(0, dtype=np.int8), empty, empty.copy(),
-                      empty.copy(), empty.copy())
     s = np.asarray(spec.score_sampler(rng, n), dtype=float)
     p = np.asarray(spec.assign_prob(s), dtype=float)
     if not ((p >= 0.0) & (p <= 1.0)).all():  # NaN fails both comparisons
@@ -266,11 +263,19 @@ def make_categorical_spec(mass_a: float, p_in_a: float, p_out: float,
     A unit belongs to category A with probability mass_a, in which case its
     score (and treatment probability) is p_in_a; otherwise the score is
     p_out. Outcome means are constant within category. Noise defaults to
-    zero so the worked matching arithmetic is exact.
+    zero so the worked matching arithmetic is exact. mass_a, p_in_a and
+    p_out follow real_number in [0, 1], the four means a finite number and
+    noise_sd a finite number >= 0.
     """
-    for name, v in (("mass_a", mass_a), ("p_in_a", p_in_a), ("p_out", p_out)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1]")
+    mass_a, p_in_a, p_out = (
+        real_number(value, name, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+        for name, value in (("mass_a", mass_a), ("p_in_a", p_in_a), ("p_out", p_out)))
+    mu0_in, mu0_out, mu1_in, mu1_out = (
+        real_number(value, name, "a finite number", math.isfinite)
+        for name, value in (("mu0_in", mu0_in), ("mu0_out", mu0_out),
+                            ("mu1_in", mu1_in), ("mu1_out", mu1_out)))
+    noise_sd = real_number(noise_sd, "noise_sd", "a finite number >= 0",
+                           lambda v: 0.0 <= v < math.inf)
     pi_bar = mass_a * p_in_a + (1.0 - mass_a) * p_out
     tau = None
     if pi_bar > 0.0:

@@ -59,8 +59,6 @@ class BiasReport:
 
 
 def _support(spec: PopulationSpec) -> tuple[float, float]:
-    if spec.score_support is None:
-        raise ValueError("spec has no score_support; cannot integrate")
     lo, hi = spec.score_support
     if not hi > lo:
         raise ValueError("degenerate score support")
@@ -96,16 +94,16 @@ def _quad(fn, lo: float, hi: float, breakpoints=()) -> float:
     return total
 
 
-def _mc_scores(spec: PopulationSpec, seed: int = _MC_SEED) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+def _mc_scores(spec: PopulationSpec) -> np.ndarray:
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_MC_SEED)))
     return np.asarray(spec.score_sampler(rng, _MC_DRAWS), dtype=float)
 
 
-def _score_grid(spec: PopulationSpec, points: int = 4097) -> np.ndarray:
-    """Evenly spaced support points with a density, sorted fixed-seed draws without."""
+def _score_grid(spec: PopulationSpec) -> np.ndarray:
+    """4097 evenly spaced support points with a density, sorted fixed-seed draws without."""
     if _has_density(spec):
         lo, hi = _support(spec)
-        return np.linspace(lo, hi, points)
+        return np.linspace(lo, hi, 4097)
     return np.sort(_mc_scores(spec))
 
 
@@ -156,13 +154,11 @@ def _half_treated(spec: PopulationSpec, lo: float, hi: float, tol: float) -> flo
 
 
 def _mc_half_treated(keys: np.ndarray, p: np.ndarray) -> float | None:
-    """First sorted key whose upper tail of draws is at least half treated.
+    """First key whose upper tail of draws is at least half treated.
 
-    p holds the draws' assignment probabilities; None when no upper tail
-    reaches one half.
+    keys are the draws sorted ascending and p their assignment
+    probabilities in the same order; None when no upper tail reaches one half.
     """
-    order = np.argsort(keys, kind="stable")
-    keys, p = keys[order], p[order]
     tail = np.cumsum(p[::-1])[::-1] / np.arange(p.size, 0, -1)
     reached = tail >= 0.5
     return float(keys[int(np.argmax(reached))]) if reached.any() else None
@@ -254,14 +250,14 @@ def asymptotic_bias_score(spec: PopulationSpec, tol: float = 1e-9) -> BiasReport
     vanishes when either escape clause holds (no mass above b, or no
     confounding there).
     """
-    pb = pi_bar(spec)
-    if pb <= 0.0:
-        raise ValueError("population has no treated units (pi_bar = 0)")
     try:
         b = sstar_threshold(spec, tol)
     except SStarNotFoundError:
-        return _zero_bias_report(pb)
-    return _upper_region_report(spec, b, pb)
+        b = None
+    pb = pi_bar(spec)
+    if pb <= 0.0:
+        raise ValueError("population has no treated units (pi_bar = 0)")
+    return _zero_bias_report(pb) if b is None else _upper_region_report(spec, b, pb)
 
 
 def _check_identity_score(spec: PopulationSpec) -> None:
@@ -285,20 +281,21 @@ def asymptotic_bias_propensity(spec: PopulationSpec, tol: float = 1e-8) -> BiasR
 
 # --- prognostic example closed forms ---
 
-def _check_prognostic_a(a: float) -> None:
-    if not (1.0 / 3.0 - 1e-12) <= a <= 1.0 + 1e-12:
-        raise ValueError("closed forms hold for a in [1/3, 1]")
+def _prognostic_a(a) -> float:
+    """a as a float where the closed forms hold, in [1/3, 1] with 1e-12 slack."""
+    return real_number(a, "a", "a number in [1/3, 1]",
+                       lambda v: 1.0 / 3.0 - 1e-12 <= v <= 1.0 + 1e-12)
 
 
 def prognostic_sstar_lower(a: float) -> float:
     """Lower endpoint of the half-treated upper score region: (3a + 1) / 2."""
-    _check_prognostic_a(a)
+    a = _prognostic_a(a)
     return (3.0 * a + 1.0) / 2.0
 
 
 def prognostic_bias_closed_form(a: float) -> float:
     """Asymptotic bias of the prognostic example: 9 (a-1)^4 (9a + 11) / 160."""
-    _check_prognostic_a(a)
+    a = _prognostic_a(a)
     return 9.0 * (a - 1.0) ** 4 * (9.0 * a + 11.0) / 160.0
 
 
@@ -327,8 +324,8 @@ def wasserstein_1d(treated_quantile, control_quantile, grid: int = 4096) -> floa
     return float(np.mean(np.abs(q1 - q0)))
 
 
-def _conditional_quantile_from_density(spec, b, hi, weight, nodes=8193):
-    s = np.linspace(b, hi, nodes)
+def _conditional_quantile_from_density(spec, b, hi, weight):
+    s = np.linspace(b, hi, 8193)
     dens = np.asarray(spec.score_pdf(s), dtype=float) * weight(s)
     panel = 0.5 * (dens[1:] + dens[:-1]) * np.diff(s)
     cdf = np.concatenate([[0.0], np.cumsum(panel)])

@@ -102,11 +102,18 @@ class TestSimulate:
         {"output": {"format": "xml"}},
         {"population": {"a_values": [0.2]}},
         {"population": {"a_values": [float("nan")]}},
+        {"population": {"kind": "categorical", "mass_a": True,
+                        "p_in_a": 0.4, "p_out": 0.3}},
+        {"population": {"kind": "categorical", "mass_a": "0.5",
+                        "p_in_a": 0.4, "p_out": 0.3}},
+        {"population": {"kind": "categorical", "mass_a": 0.5,
+                        "p_in_a": 0.4, "p_out": 0.3, "noise_sd": -1}},
     ], ids=["a_values_scalar", "a_values_text", "empty_a_values",
             "matching_not_object", "output_not_object", "categorical_text",
             "fractional_reps", "fractional_n", "fractional_seed", "bool_reps",
             "fractional_capacity", "fractional_band", "bool_capacity",
-            "dir_not_text", "unknown_format", "a_below_third", "a_nan"])
+            "dir_not_text", "unknown_format", "a_below_third", "a_nan",
+            "mass_a_bool", "mass_a_text_number", "negative_noise_sd"])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, monkeypatch,
                                              overrides):
         # refused before any cell runs, not truncated, ignored or a traceback
@@ -122,6 +129,23 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert tables == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: [cfg], "top level must be a JSON object"),
+        (lambda cfg: {k: v for k, v in cfg.items() if k != "simulation"},
+         "missing [simulation] section"),
+        (lambda cfg: {**cfg, "simulation": {"reps": 2}},
+         "[simulation] is missing required key 'n_values'"),
+        (lambda cfg: {**cfg, "population": {"kind": "custom"}},
+         "[population] kind must be 'prognostic' or 'categorical', got 'custom'"),
+    ], ids=["top_level_array", "no_simulation", "no_n_values", "custom_kind"])
+    def test_malformed_structure_is_config_error(self, tmp_path, capsys, edit,
+                                                 message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(edit(write_config(cfg_path))))
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_uncreatable_output_dir_is_output_error(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -405,6 +429,10 @@ class TestBias:
     def test_prognostic_a_one_zero_bias(self, capsys):
         assert main(["bias", "--prognostic", "--a", "1"]) == 0
         assert "0.000000" in capsys.readouterr().out
+
+    def test_closed_form_only(self, capsys):
+        assert main(["bias", "--prognostic", "--a", "0.5", "--closed-form"]) == 0
+        assert capsys.readouterr().out == "closed-form bias(a=0.5) = 0.054492\n"
 
     def test_closed_form_domain_error(self, capsys):
         rc = main(["bias", "--prognostic", "--a", "0.2", "--closed-form"])

@@ -90,6 +90,11 @@ class TestWeighting:
         w = est.control_weights(m, 4)
         assert list(w.nu) == [1, 0, 2, 0]
 
+    def test_rejects_control_position_past_n0(self):
+        m = mt.Matching(pairs={0: 0, 1: 3}, total_cost=0.0, method="exact_dp")
+        with pytest.raises(ValueError, match="position 3 out of 3 controls"):
+            est.control_weights(m, 3)
+
     def test_identity_random_matchings(self):
         rng = np.random.default_rng(123)
         spec = pop.make_prognostic_spec(0.5)

@@ -207,6 +207,16 @@ class TestExactAgainstBruteForce:
         with pytest.raises(mt.MatchingError):
             mt.match_optimal_exact([0.1, 0.2], [0.1])
 
+    @pytest.mark.parametrize("t, c, message", [
+        ([[0.1], [0.2]], [0.3, 0.4], "treated scores must be one-dimensional"),
+        ([0.1], [[0.3, 0.4]], "control scores must be one-dimensional"),
+        ([np.nan], [0.3, 0.4], "treated scores must be finite"),
+        ([0.1], [0.3, np.nan], "control scores must be finite"),
+    ], ids=["treated_2d", "control_2d", "treated_nan", "control_nan"])
+    def test_rejects_malformed_scores(self, t, c, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mt.match_optimal_exact(t, c)
+
     def test_pairs_refer_to_original_positions(self):
         t = [0.9, 0.1]
         c = [0.95, 0.05, 0.5]
@@ -750,6 +760,12 @@ class TestCrossing:
         m = mt.Matching(pairs={0: 0, 1: 1}, total_cost=0.2,
                         method="exact_dp")
         assert not mt.has_crossing(m, [0.2, 0.6], [0.1, 0.7])
+
+    def test_empty_matching_never_crosses(self):
+        t, c = [0.1, 0.6], [0.2, 0.9]
+        kept, _ = mt.apply_caliper(mt.match_optimal_exact(t, c), t, c, 1e-9)
+        assert not kept.pairs
+        assert mt.has_crossing(kept, t, c) is False
 
     def test_optimal_output_never_crosses(self):
         rng = np.random.default_rng(77)

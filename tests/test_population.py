@@ -269,6 +269,22 @@ RULES = {
                   lambda v, live: theory.pstar(_spec(UNIFORM, live), v)),
     "make_prognostic_spec.a": ("a", 1, (True, math.nan, "0.5", 0.2),
                                lambda v, live: pop.make_prognostic_spec(v)),
+    **{f"make_categorical_spec.{field}": (
+        field, 1, (True, math.nan, "0.5", -0.1, 1.5),
+        lambda v, live, field=field: pop.make_categorical_spec(
+            **{"mass_a": 0.5, "p_in_a": 0.5, "p_out": 0.25, field: v}))
+       for field in ("mass_a", "p_in_a", "p_out")},
+    **{f"make_categorical_spec.{field}": (
+        field, 2, (True, math.nan, "2", math.inf, -math.inf),
+        lambda v, live, field=field: pop.make_categorical_spec(0.5, 0.5, 0.25, **{field: v}))
+       for field in ("mu0_in", "mu0_out", "mu1_in", "mu1_out")},
+    "make_categorical_spec.noise_sd": (
+        "noise_sd", 1, (True, math.nan, "1", -1.0, math.inf),
+        lambda v, live: pop.make_categorical_spec(0.5, 0.5, 0.25, noise_sd=v)),
+    "prognostic_bias_closed_form.a": ("a", 1, (True, math.nan, "0.5", 0.2, 1.5),
+                                      lambda v, live: theory.prognostic_bias_closed_form(v)),
+    "prognostic_sstar_lower.a": ("a", 1, (True, math.nan, "0.5", 0.2, 1.5),
+                                 lambda v, live: theory.prognostic_sstar_lower(v)),
     "wasserstein_1d.grid": ("grid", 64, WHOLE + (1,), lambda v, live:
                             theory.wasserstein_1d(*((lambda u: u, lambda u: 2 * u)
                                                     if live else (untouched,) * 2),

@@ -9,6 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from matchbias import estimators as est
 from matchbias import matching
 from matchbias import population as pop
 from matchbias import simulation as sim
@@ -259,6 +260,18 @@ class TestRunCell:
         assert (repr(row.emp_bias), repr(row.emp_se), row.reps_done,
                 row.degenerate_count) == expected
 
+    def test_unknown_population_att_uses_the_sample_att(self, monkeypatch):
+        # emp_bias is the mean estimate less the mean sample ATT over the reps
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        spec = replace(pop.make_prognostic_spec(0.5), tau_att_true=None)
+        n, reps, seed = 200, 4, 3
+        sample_atts = [est.att_true_sample(pop.sample(spec, n, pop.derive_seed(seed, r)))
+                       for r in range(reps)]
+        mean_estimate = sim.run_cell(replace(spec, tau_att_true=0.0), n, reps, seed).emp_bias
+        row = sim.run_cell(spec, n, reps, seed)
+        assert row.emp_bias == pytest.approx(mean_estimate - np.mean(sample_atts),
+                                             abs=1e-12)
+
     def test_emp_bias_near_table_value(self):
         # n = 1000 cell of the study grid sits near 0.166
         spec = pop.make_prognostic_spec(1 / 3)
@@ -357,6 +370,12 @@ class TestRunTable:
             assert r.asymp_bias == pytest.approx(
                 __import__("matchbias.theory", fromlist=["x"])
                 .prognostic_bias_closed_form(r.a))
+
+    def test_a_above_one_takes_the_numeric_zero_bias(self):
+        # the closed form holds only on [1/3, 1]; at a = 2 no region is half treated
+        config = sim.SimConfig(a_values=(2.0,), n_values=(40,), reps=2,
+                               master_seed=4, match_method="exact")
+        assert sim.run_table(config)[0].asymp_bias == 0.0
 
     def test_deterministic(self):
         config = sim.SimConfig(a_values=(0.5,), n_values=(40,), reps=3,

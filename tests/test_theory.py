@@ -168,6 +168,21 @@ class TestSStarThreshold:
         with pytest.raises(theory.SStarNotFoundError):
             theory.sstar_threshold(spec)
 
+    def test_no_root_without_density(self):
+        stripped = _without_density(pop.make_uniform_propensity_spec(0.4))
+        with pytest.raises(theory.SStarNotFoundError):
+            theory.sstar_threshold(stripped)
+
+    def test_half_treated_support_gives_its_lower_end(self):
+        treated = pop.PopulationSpec(
+            score_sampler=partial(pop._uniform_scores, upper=0.5),
+            assign_prob=partial(pop._const, value=0.75),
+            mu0=pop._identity, mu1=pop._identity,
+            noise0=pop._no_noise, noise1=pop._no_noise,
+            score_pdf=partial(pop._uniform_pdf, upper=0.5),
+            score_support=(0.0, 0.5))
+        assert theory.sstar_threshold(treated) == 0.0
+
     def test_requires_monotone_assign(self):
         bumpy = pop.PopulationSpec(
             score_sampler=pop._triangular_scores,
@@ -219,6 +234,15 @@ class TestBiasScore:
     def test_zero_mass_above_one(self):
         rep = theory.asymptotic_bias_score(pop.make_prognostic_spec(2.0))
         assert rep.bias == 0.0 and rep.prob_upper == 0.0
+
+    def test_bad_tol_refused_before_any_integral(self, monkeypatch):
+        calls = []
+        integrals = theory._upper_integrals
+        monkeypatch.setattr(theory, "_upper_integrals",
+                            lambda *args: calls.append(args) or integrals(*args))
+        with pytest.raises(ValueError, match="^tol must be "):
+            theory.asymptotic_bias_score(pop.make_prognostic_spec(0.5), math.nan)
+        assert calls == []
 
     def test_monotone_in_a(self):
         biases = [theory.asymptotic_bias_score(pop.make_prognostic_spec(a)).bias

@@ -4,7 +4,10 @@ A population is described by a score distribution, a treatment-assignment
 probability as a function of the score, and outcome models for the two
 potential outcomes. Samples are drawn deterministically from a 64-bit seed
 using a counter-based bit generator (Philox), so replications can run in
-parallel without coordination.
+parallel without coordination. A seed's whole stream is its Philox key at
+counter 0, which SeedSequence hashes from the seed; derive_streams computes
+the seeds and keys of a range of replications in one vectorized pass, bit
+for bit, so a run can seed each replication by resetting one Philox.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import threading
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -106,6 +110,100 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), which NumPy
+# keeps fixed so that seeds reproduce across versions. All arithmetic is on
+# uint32 arrays with np.uint32 operands, so it wraps mod 2**32 the same way
+# under numpy 1.x and 2.x.
+_POOL = 4
+_XSHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_OTHER_LANES = [[d for d in range(_POOL) if d != s] for s in range(_POOL)]
+
+
+def _hash_powers(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k < count, as a read-only uint32 column."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    column = np.asarray(out, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+_OUT_CONSTS = _hash_powers(0x8B51F9DD, 0x58F38DED, _POOL + 1)
+
+
+@lru_cache(maxsize=None)
+def _mix_consts(words: int) -> np.ndarray:
+    """The hash constant of each hashmix call that mixing `words` entropy
+    words makes, and the one after; they depend on the count alone."""
+    calls = _POOL * _POOL + _POOL * max(0, words - _POOL)
+    return _hash_powers(0x43B0D7E5, 0x931E8875, calls + 1)
+
+
+def _hashmix(value, consts):
+    """hashmix of value, one lane per hash constant but the last."""
+    v = (value ^ consts[:-1]) * consts[1:]
+    return v ^ (v >> _XSHIFT)
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _XSHIFT)
+
+
+def _seed_pools(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence.pool of each column of entropy, a (words, m) uint32 array.
+
+    Vectorized over the m columns and the four pool lanes.
+    """
+    consts = _mix_consts(entropy.shape[0])
+    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
+    pool[:entropy.shape[0]] = entropy[:_POOL]
+    pool = _hashmix(pool, consts[:_POOL + 1])
+    k = _POOL
+    for src, dst in enumerate(_OTHER_LANES):  # mix every lane into the others
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + _POOL]))
+        k += _POOL - 1
+    for word in entropy[_POOL:]:  # entropy beyond the pool: into every lane
+        pool = _mix(pool, _hashmix(word, consts[k:k + _POOL + 1]))
+        k += _POOL
+    return pool
+
+
+def _words(value: int) -> list[int]:
+    """value as little-endian uint32 words, as SeedSequence splits an int."""
+    out = [value & 0xFFFFFFFF]
+    while value > 0xFFFFFFFF:
+        value >>= 32
+        out.append(value & 0xFFFFFFFF)
+    return out
+
+
+def derive_streams(seed: int, start: int, stop: int) -> tuple[list[int], list[list[int]]]:
+    """Replication seeds and Philox keys of the indices start <= r < stop.
+
+    Returns (rep_seeds, keys): rep_seeds[i] equals derive_seed(seed, r) and
+    keys[i] equals SeedSequence(rep_seeds[i]).generate_state(2, np.uint64),
+    the key of the replication's Philox stream, bit for bit. seed is any
+    whole number >= 0; an index at or above 2**32 raises ValueError.
+    """
+    if not 0 <= start <= stop <= 1 << 32:
+        raise ValueError(f"replication indices must satisfy 0 <= start <= stop "
+                         f"<= 2**32, got [{start}, {stop})")
+    head = _words(seed)
+    entropy = np.empty((len(head) + 1, stop - start), dtype=np.uint32)
+    entropy[:-1] = np.asarray(head, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(start, stop, dtype=np.uint32)
+    # generate_state(1, np.uint64) is two words, low first. As entropy, a rep
+    # seed below 2**32 is one word, but SeedSequence pads its pool with zero
+    # words, so the two words give the same pool.
+    seed_words = _hashmix(_seed_pools(entropy)[:2], _OUT_CONSTS[:3])
+    key_words = _hashmix(_seed_pools(seed_words), _OUT_CONSTS).tolist()
+    return ([lo | hi << 32 for lo, hi in zip(*seed_words.tolist())],
+            [[a | b << 32, c | d << 32] for a, b, c, d in zip(*key_words)])
+
+
 def whole_number(value, name: str, least: int) -> int:
     """value as an int, a whole float such as JSON's 1e4 included; a bool, a
     fraction, NaN, a non-number or a value below `least` raises ValueError."""
@@ -119,14 +217,58 @@ def whole_number(value, name: str, least: int) -> int:
 
 def real_number(value, name: str, rule: str, holds: Callable[[float], bool]) -> float:
     """value as a float if it is a number, not a bool, and holds(value) is true
-    (NaN fails every comparison); otherwise ValueError "<name> must be <rule>"."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not holds(value):
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
-    return float(value)
+    (NaN fails every comparison); otherwise ValueError "<name> must be <rule>".
+    An int beyond the float range, such as 10**400, is refused the same way."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and holds(value):
+            return float(value)
+    except OverflowError:  # from float() or from a holds such as math.isfinite
+        pass
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+class _Streams(threading.local):
+    """Per thread: the Philox key of each replication seed in hand, and one
+    Philox and Generator that `_rng` resets to such a key."""
+
+    def __init__(self):
+        self.keys: dict[int, list[int]] = {}
+        self.bitgen = np.random.Philox(0)
+        self.state = self.bitgen.state  # counter 0 and an empty buffer
+        self.generator = np.random.Generator(self.bitgen)
+
+
+_streams = _Streams()
+
+
+def prepare_streams(seed: int, start: int, stop: int) -> list[int]:
+    """derive_seed(seed, r) for start <= r < stop, derived in one pass.
+
+    Each replication's Philox key goes into this thread's table, which
+    replaces the last call's, so `sample` at those seeds skips SeedSequence.
+    Index `start` is re-derived through NumPy's own SeedSequence; a mismatch
+    raises RuntimeError naming the cell seed and the index.
+    """
+    rep_seeds, keys = derive_streams(seed, start, stop)
+    if rep_seeds:
+        key = np.random.SeedSequence(rep_seeds[0]).generate_state(2, np.uint64)
+        if rep_seeds[0] != derive_seed(seed, start) or keys[0] != key.tolist():
+            raise RuntimeError(f"derive_streams disagrees with numpy.random.SeedSequence "
+                               f"at cell seed {seed}, index {start}")
+    _streams.keys = dict(zip(rep_seeds, keys))
+    return rep_seeds
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    """A Generator on seed's Philox stream. For a seed in this thread's table
+    it is the thread's one Generator, reset to the seed's key at counter 0
+    and valid until the next call; for any other seed it is a new one."""
+    key = _streams.keys.get(seed)
+    if key is None:
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    _streams.state["state"]["key"] = key
+    _streams.bitgen.state = _streams.state
+    return _streams.generator
 
 
 def sample(spec: PopulationSpec, n: int, seed: int) -> Sample:

@@ -5,6 +5,9 @@ empirical bias and standard error of the ATT estimator against its
 theoretical limit. Replications get independent seeds derived from the
 master seed, so results are identical whether they run serially or across
 a process pool (size capped by the MATCHBIAS_THREADS environment variable).
+Each task runs a range of a cell's replications and derives their seeds
+and Philox keys in one vectorized pass (population.prepare_streams); the
+streams are the ones NumPy's SeedSequence gives each seed.
 """
 
 from __future__ import annotations
@@ -75,23 +78,28 @@ class SimRow:
 
 
 def _rep_task(args):
-    """Replication r of a cell; returns (ok, tau_hat, err, degenerate, message).
+    """Replications start <= r < stop of a cell; returns one (ok, tau_hat,
+    err, degenerate, message) per replication, in order.
 
-    A task carries the cell seed and the replication index r, and the
-    replication's own seed, derive_seed(seed, r), is derived here, in the
-    process that runs it. Only a ValueError from sampling and a
+    A task carries the cell seed and its range of replication indices.
+    population.prepare_streams derives the range's replication seeds,
+    derive_seed(seed, r), and their Philox keys in one vectorized pass, in
+    the process that runs the task, after re-deriving the first through
+    NumPy's SeedSequence. Only a ValueError from sampling and a
     MatchingError from the matcher other than InfeasibleError, which applies
     the zero convention, count as a failed replication. Any other
     error is a bug: it is re-raised as RuntimeError naming the spec, n and
     the rep seed that reproduces it.
     """
-    spec, n, seed, r, method, config = args
-    rep_seed = derive_seed(seed, r)
-    try:
-        return _replicate(spec, n, rep_seed, method, config)
-    except Exception as exc:
-        raise RuntimeError(f"replication of {spec.name} at n={n} with rep seed "
-                           f"{rep_seed} failed: {exc!r}") from exc
+    spec, n, seed, start, stop, method, config = args
+    results = []
+    for rep_seed in population.prepare_streams(seed, start, stop):
+        try:
+            results.append(_replicate(spec, n, rep_seed, method, config))
+        except Exception as exc:
+            raise RuntimeError(f"replication of {spec.name} at n={n} with rep seed "
+                               f"{rep_seed} failed: {exc!r}") from exc
+    return results
 
 
 def _replicate(spec, n, rep_seed, method, config):
@@ -166,19 +174,21 @@ def _keep_freed_heap() -> None:
 def _run_reps(spec, n, reps, seed, method, config):
     """Run the replications on a process pool, or serially with one worker.
 
-    Task r carries the cell seed and the index r, and `_rep_task` derives
-    the replication's seed from them wherever it runs, so the parent
-    derives no replication seeds and the results do not depend on the
-    worker count. Workers start with `_keep_freed_heap`; the calling
-    process keeps its allocator settings. The cell runs serially also when
-    its tasks cannot be pickled or the pool cannot be created; errors
-    raised inside the workers propagate.
+    A task is a range of replication indices, about reps / (8 * workers)
+    long, and `_rep_task` derives the seeds of its range wherever it runs,
+    so the parent derives no replication seeds and the results do not
+    depend on the worker count. Workers start with `_keep_freed_heap`; the
+    calling process keeps its allocator settings. The cell runs serially
+    also when its tasks cannot be pickled or the pool cannot be created;
+    errors raised inside the workers propagate.
     """
-    tasks = [(spec, n, seed, r, method, config) for r in range(reps)]
     workers = _worker_count(reps)
+    chunk = max(1, reps // (workers * 8))
+    tasks = [(spec, n, seed, r, min(r + chunk, reps), method, config)
+             for r in range(0, reps, chunk)]
     if workers > 1:
         try:
-            pickle.dumps(tasks[0])  # the tasks differ only in their index
+            pickle.dumps(tasks[0])  # the tasks differ only in their range
             pool = ProcessPoolExecutor(max_workers=workers,
                                        initializer=_keep_freed_heap)
         except (pickle.PicklingError, AttributeError, TypeError, OSError) as exc:
@@ -186,9 +196,8 @@ def _run_reps(spec, n, reps, seed, method, config):
                         "serially", exc, reps)
         else:
             with pool:
-                chunk = max(1, reps // (workers * 8))
-                return list(pool.map(_rep_task, tasks, chunksize=chunk))
-    return [_rep_task(t) for t in tasks]
+                return [res for part in pool.map(_rep_task, tasks) for res in part]
+    return [res for task in tasks for res in _rep_task(task)]
 
 
 def run_cell(spec: PopulationSpec, n: int, reps: int, seed: int,

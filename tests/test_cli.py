@@ -108,12 +108,16 @@ class TestSimulate:
                         "p_in_a": 0.4, "p_out": 0.3}},
         {"population": {"kind": "categorical", "mass_a": 0.5,
                         "p_in_a": 0.4, "p_out": 0.3, "noise_sd": -1}},
+        {"population": {"a_values": [10**400]}},
+        {"population": {"kind": "categorical", "mass_a": 0.5,
+                        "p_in_a": 0.4, "p_out": 0.3, "mu0_in": 10**400}},
     ], ids=["a_values_scalar", "a_values_text", "empty_a_values",
             "matching_not_object", "output_not_object", "categorical_text",
             "fractional_reps", "fractional_n", "fractional_seed", "bool_reps",
             "fractional_capacity", "fractional_band", "bool_capacity",
             "dir_not_text", "unknown_format", "a_below_third", "a_nan",
-            "mass_a_bool", "mass_a_text_number", "negative_noise_sd"])
+            "mass_a_bool", "mass_a_text_number", "negative_noise_sd",
+            "a_beyond_float", "mu0_in_beyond_float"])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, monkeypatch,
                                              overrides):
         # refused before any cell runs, not truncated, ignored or a traceback

@@ -1,9 +1,13 @@
 import csv
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchbias import matching
 from matchbias import population as pop
@@ -187,6 +191,105 @@ class TestSeedDerivation:
         assert pop.derive_seed(42, 0, 1) != pop.derive_seed(42, 1, 0)
 
 
+def numpy_streams(seed, indices):
+    """derive_seed(seed, r) and its Philox key, through NumPy's SeedSequence."""
+    rep_seeds = [pop.derive_seed(seed, r) for r in indices]
+    return rep_seeds, [np.random.SeedSequence(s).generate_state(2, np.uint64).tolist()
+                       for s in rep_seeds]
+
+
+class TestStreamDerivation:
+    # entropy of one to five words, so the 130-bit seed takes the mixing
+    # phase for entropy longer than the pool of four
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100, 2**130)
+    # indices at chunk edges of 125 and 250, at 2**31 and up to 2**32 - 1
+    RANGES = ((0, 3), (124, 127), (249, 251), (2**31 - 1, 2**31 + 1),
+              (2**32 - 2, 2**32), (7, 7), (2**32, 2**32))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equals_seed_sequence(self, seed):
+        for start, stop in self.RANGES:
+            assert pop.derive_streams(seed, start, stop) == numpy_streams(
+                seed, range(start, stop)), (seed, start, stop)
+
+    @given(seed=st.integers(0, 2**160), start=st.integers(0, 2**32 - 3),
+           length=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_seed_sequence_anywhere(self, seed, start, length):
+        assert pop.derive_streams(seed, start, start + length) == numpy_streams(
+            seed, range(start, start + length))
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (0, 2**32 + 1),
+                                             (2**32, 2**32 + 1)])
+    def test_refuses_indices_outside_uint32(self, start, stop):
+        with pytest.raises(ValueError, match="replication indices"):
+            pop.derive_streams(5, start, stop)
+
+    def test_table_hit_draws_as_a_fresh_philox(self):
+        rep_seeds = pop.prepare_streams(11, 0, 3)
+        for seed in rep_seeds + rep_seeds:  # a second hit resets the first's draws
+            assert pop._rng(seed) is pop._rng(rep_seeds[0])  # one Generator for every hit
+            hit = pop._rng(seed)
+            fresh = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+            # a 32-bit draw leaves half a word buffered, which a reset must drop
+            for draw in (lambda g: g.integers(0, 1000, 3, dtype=np.int32),
+                         lambda g: g.random(5), lambda g: g.standard_normal(7)):
+                assert np.array_equal(draw(hit), draw(fresh))
+
+    def test_sample_is_unchanged_by_the_table(self):
+        spec = pop.make_prognostic_spec(0.5)
+        seed = pop.derive_seed(4, 2)
+        fresh = _comparable(pop.sample(spec, 300, seed))
+        assert pop.prepare_streams(4, 0, 5)[2] == seed
+        assert _comparable(pop.sample(spec, 300, seed)) == fresh
+
+    def test_each_thread_draws_from_its_own_table(self):
+        # threads that interleave prepare_streams and sample on a short
+        # switch interval; a table or Philox shared between them would hand
+        # one thread another's stream
+        spec = pop.make_prognostic_spec(0.5)
+        cells = range(6)
+        want = {c: [_comparable(pop.sample(spec, 50, pop.derive_seed(c, r)))
+                    for r in range(20)] for c in cells}
+
+        def run(cell):
+            return [_comparable(pop.sample(spec, 50, seed))
+                    for start in range(0, 20, 5)
+                    for seed in pop.prepare_streams(cell, start, start + 5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(cells)) as ex:
+                got = dict(zip(cells, ex.map(run, cells, timeout=60)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_disagreeing_port_fails_loudly(self, monkeypatch):
+        derive_streams = pop.derive_streams
+
+        def off_by_one_key(seed, start, stop):
+            rep_seeds, keys = derive_streams(seed, start, stop)
+            return rep_seeds, [[k0 ^ 1, k1] for k0, k1 in keys]
+
+        monkeypatch.setattr(pop, "derive_streams", off_by_one_key)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        with pytest.raises(RuntimeError, match="at cell seed 9, index 0$"):
+            sim.run_cell(PROGNOSTIC, 40, 3, 9)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("reps", [1, 17, 40])
+    def test_run_reps_equals_the_replication_by_replication_reference(
+            self, monkeypatch, threads, reps):
+        monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+        config = matching.MatchConfig()
+        got = sim._run_reps(PROGNOSTIC, 60, reps, 8, "exact", config)
+        want = [sim._replicate(PROGNOSTIC, 60, pop.derive_seed(8, r), "exact", config)
+                for r in range(reps)]
+        assert got == want
+
+
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
         spec = pop.make_prognostic_spec(0.5)
@@ -248,6 +351,7 @@ def _scores(live):
 # entry -> (field, a valid value, the refused values, call(value, live)); a
 # call that is not live gets arguments that fail if anything reads them
 WHOLE = (True, 2.5, math.nan, "3")
+HUGE = 10**400  # a whole number beyond the float range
 RULES = {
     "sample.n": ("n", 40, WHOLE + (-1,),
                  lambda v, live: pop.sample(_spec(PROGNOSTIC, live), v, 3)),
@@ -260,14 +364,14 @@ RULES = {
     "match_capacitated.k": ("k", 2, WHOLE + (0,), lambda v, live:
                             matching.match_capacitated(*_scores(live), v)),
     "apply_caliper.caliper": (
-        "caliper", 1, (True, math.nan, "0.1", 0.0, -1.0),
+        "caliper", 1, (True, math.nan, "0.1", 0.0, -1.0, HUGE),
         lambda v, live: matching.apply_caliper(MATCHED, *_scores(live), v)),
     "sstar_threshold.tol": (
-        "tol", 1e-9, (True, math.nan, "1e-9", 0.0, -1.0, math.inf),
+        "tol", 1e-9, (True, math.nan, "1e-9", 0.0, -1.0, math.inf, HUGE),
         lambda v, live: theory.sstar_threshold(_spec(UNIFORM, live), v)),
-    "pstar.tol": ("tol", 1e-8, (True, math.nan, "1e-8", 0.0, -1.0, math.inf),
+    "pstar.tol": ("tol", 1e-8, (True, math.nan, "1e-8", 0.0, -1.0, math.inf, HUGE),
                   lambda v, live: theory.pstar(_spec(UNIFORM, live), v)),
-    "make_prognostic_spec.a": ("a", 1, (True, math.nan, "0.5", 0.2),
+    "make_prognostic_spec.a": ("a", 1, (True, math.nan, "0.5", 0.2, HUGE),
                                lambda v, live: pop.make_prognostic_spec(v)),
     **{f"make_categorical_spec.{field}": (
         field, 1, (True, math.nan, "0.5", -0.1, 1.5),
@@ -275,11 +379,11 @@ RULES = {
             **{"mass_a": 0.5, "p_in_a": 0.5, "p_out": 0.25, field: v}))
        for field in ("mass_a", "p_in_a", "p_out")},
     **{f"make_categorical_spec.{field}": (
-        field, 2, (True, math.nan, "2", math.inf, -math.inf),
+        field, 2, (True, math.nan, "2", math.inf, -math.inf, HUGE, -HUGE),
         lambda v, live, field=field: pop.make_categorical_spec(0.5, 0.5, 0.25, **{field: v}))
        for field in ("mu0_in", "mu0_out", "mu1_in", "mu1_out")},
     "make_categorical_spec.noise_sd": (
-        "noise_sd", 1, (True, math.nan, "1", -1.0, math.inf),
+        "noise_sd", 1, (True, math.nan, "1", -1.0, math.inf, HUGE),
         lambda v, live: pop.make_categorical_spec(0.5, 0.5, 0.25, noise_sd=v)),
     "prognostic_bias_closed_form.a": ("a", 1, (True, math.nan, "0.5", 0.2, 1.5),
                                       lambda v, live: theory.prognostic_bias_closed_form(v)),
@@ -302,7 +406,8 @@ def _comparable(result):
 
 class TestInputRules:
     @pytest.mark.parametrize("entry, bad", [
-        (entry, bad) for entry, (_, _, refused, _) in RULES.items() for bad in refused])
+        (entry, bad) for entry, (_, _, refused, _) in RULES.items() for bad in refused],
+        ids=lambda v: {HUGE: "10**400", -HUGE: "-10**400"}.get(v) if type(v) is int else None)
     def test_refused_before_any_work(self, monkeypatch, entry, bad):
         monkeypatch.setenv("MATCHBIAS_THREADS", "1")
         field, _, _, call = RULES[entry]

@@ -54,7 +54,8 @@ task_barrier = None
 
 
 def fault_counts(task):
-    """Minor faults of two allocate-touch-free cycles of a 4 MB array.
+    """Minor faults of two allocate-touch-free cycles of a 4 MB array, as
+    the one result of a one-replication range task.
 
     4 MB stays below numpy's 4 MiB huge-page advice, so each page touched
     that the process does not already hold is one minor fault. Every task
@@ -71,7 +72,7 @@ def fault_counts(task):
         arr = np.ones(500_000)
         del arr
         counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    return counts
+    return [counts]
 
 
 class TestRunCell:
@@ -126,7 +127,7 @@ class TestRunCell:
     @pytest.mark.parametrize("threads, reps", [
         pytest.param("1", 6, id="1"), pytest.param("2", 6, id="2"),
         pytest.param("1", 40, id="1-reps40"),
-        # two workers at 40 reps: every pool.map chunk holds two replications
+        # two workers at 40 reps: every range task holds two replications
         pytest.param("2", 40, id="2-reps40")])
     def test_matcher_bug_fails_loudly(self, monkeypatch, threads, reps):
         # a matcher that drops one pair whenever N1 is even breaks the

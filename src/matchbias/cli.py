@@ -33,6 +33,8 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # e.g. an integer past Python's digit limit
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}:1: top level must be a JSON object")
     for section in ("population", "simulation"):

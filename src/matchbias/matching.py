@@ -4,10 +4,14 @@ All matchers take a sequence of treated scores and a sequence of control
 scores and return pairs keyed by *position* in those sequences (0-based,
 pre-sorting). Matching without replacement minimizes the total within-pair
 absolute score difference. Because some optimal matching on the line is
-order-preserving, the optimum is found by sorting both sequences and one
-sweep over them, O(N) after the sort, instead of a general assignment
-solver. That sweep is the only algorithm for matching without replacement
-and capacity-k matching; nothing here approximates the optimum.
+order-preserving, the optimum is found by sorting both sequences and
+choosing which controls stay unused, instead of a general assignment
+solver. Two exact solvers make that choice, for matching without
+replacement and capacity-k matching alike: a sweep with a Python loop,
+O(N) after the sort, below LEVEL_MIN sorted scores, and a level-by-level
+numpy solver, O(N log N) with no Python loop, from there on. They take
+the same controls wherever costs are exact; nothing here approximates
+the optimum.
 
 Every matcher decides for itself whether a matching exists and raises
 InfeasibleError when none does; callers need not know which methods reuse
@@ -267,21 +271,149 @@ def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
     return used
 
 
-def _sweep_match(t: np.ndarray, c: np.ndarray, method: str,
+def _by_level(lev: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lev[p], p) as int32, sorted by level and then by position."""
+    key = lev[p].astype(np.int64)
+    key <<= 32
+    key |= p
+    key.sort()
+    level = np.empty(key.size, dtype=np.int32)
+    pos = np.empty(key.size, dtype=np.int32)
+    np.right_shift(key, 32, out=level, casting="unsafe")
+    np.bitwise_and(key, 0xFFFFFFFF, out=pos, casting="unsafe")
+    return level, pos
+
+
+def _level_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
+    """The used flags of `_sweep_used`, found level by level in numpy.
+
+    Merge the two sorted sides, controls first on equal scores, and let D
+    be the control-excess walk: D(x) = #controls <= x - #treated <= x.
+    Matching the sorted treated units in order to a set U of N1 controls
+    costs the integral of |F_T - F_U|, and with u(x) the number of unused
+    controls at or below x, F_T - F_U = u - D. So the task is to place
+    the S = N0 - N1 unused controls to minimize the integral of |D - u|.
+
+    Layer cake: for integers, |D - u| = sum over levels l of
+    |1[D >= l] - 1[u >= l]|. For l <= 0 and l > S the term does not
+    depend on u, and for l in [1, S], 1[u >= l] = 1[x >= a_l] with a_l
+    the l-th unused control. So the cost is the sum of one cost per
+    level, G_l(a_l), where G_l(x) = length where D >= l left of x plus
+    length where D < l right of x.
+
+    - G_l has slope -1 where D < l and +1 where D >= l, so it is
+      minimized exactly where D climbs from below l to l or above. The
+      score of each such point holds one up-crossing of l: a control
+      whose D after it is l (controls come first on a score, so there is
+      at most one per score). Up to a constant, G_l at an up-crossing at x is
+      H = 2 * (length at or above l before x) - (x - x0), with x0 the
+      score of the level's first event. Each level is visited up,
+      down, ..., up (a down-crossing is a treated unit whose D before it
+      is l), so from one up to the next H changes by the length above
+      minus the length below: 2 * down - up before - up after.
+    - Minimizing each level alone is a lower bound on the cost. Take the
+      largest minimizer a_l of each level. G_{l+1} - G_l has slope
+      -2 * 1[D = l], so it never rises; if a_{l+1} lay below a_l, then
+      G_{l+1}(a_l) <= G_{l+1}(a_{l+1}) + G_l(a_l) - G_l(a_{l+1}) <=
+      G_{l+1}(a_{l+1}), and a_l would be a larger minimizer of G_{l+1}.
+      On equal scores the up-crossing of l + 1 follows that of l among
+      the controls. So the a_l are distinct controls in increasing order,
+      they are the unused controls of a matching, and it attains the
+      bound.
+
+    The walk's levels come from a cumulative sum. One sort of the up and
+    one of the down crossings by (level, position) make each level's
+    events contiguous. H is a running sum of its steps within each level:
+    each level's total, from `np.add.reduceat`, is folded into the next
+    level's first slot, so the sum restarts at zero there and its
+    rounding stays local to the level. `np.minimum.reduceat` gives each
+    level's minimum, and the last up-crossing at it is a_l. O(N log N)
+    in a fixed number of numpy calls for N = N0 + N1, with no Python
+    loop; positions and levels are int32, so N must be below 2**31.
+
+    On integer-valued scores, ties included, the flags equal the sweep's.
+    Where rounding enters, both take an optimal set of controls but may
+    break a near-tie differently, as the sweep and two heaps may.
+    Requires len(t_sorted) <= len(c_sorted). Returns a bool array, one
+    flag per sorted control; exactly len(t_sorted) are set.
+    """
+    n0 = c_sorted.size
+    surplus = n0 - t_sorted.size
+    used = np.ones(n0, dtype=bool)
+    if surplus == 0:
+        return used
+    x = np.concatenate((c_sorted, t_sorted))
+    order = x.argsort(kind="stable")  # merges the two runs, controls first
+    is_c = order < n0
+    xs = x[order]
+    del x, order
+    # level - 1 of each event: D after a control, D before a treated unit
+    lev = np.cumsum(is_c.view(np.int8) * np.int8(2) - np.int8(1),
+                    dtype=np.int32)
+    lev -= is_c
+    inside = lev.view(np.uint32) < surplus
+    lu, pu = _by_level(lev, np.flatnonzero(inside & is_c))
+    pd = _by_level(lev, np.flatnonzero(inside & ~is_c))[1]
+    del lev, inside, is_c
+    xu = xs[pu]
+    # one spare slot past the down crossings, read by the first up
+    xd = np.append(xs[pd], 0.0)
+    del xs, pd
+    # the down crossing before up g of 0-based level l is g - l - 1
+    g = np.arange(-1, lu.size - 1, dtype=np.int32)
+    g -= lu
+    h = xd[g]
+    del g, xd
+    h *= 2.0
+    h[1:] -= xu[:-1]
+    h -= xu
+    del xu
+    first = np.flatnonzero(lu[1:] != lu[:-1])
+    first += 1
+    starts = np.concatenate(([0], first))
+    h[starts] = 0.0
+    h[first] = -np.add.reduceat(h, starts)[:-1]
+    np.cumsum(h, out=h)
+    lowest = np.minimum.reduceat(h, starts)
+    del starts, first
+    at_min = np.flatnonzero(h == lowest[lu])
+    del h, lowest
+    lm = lu[at_min]
+    at_min = at_min[np.append(lm[1:] != lm[:-1], True)]
+    # D after control j at position p is 2j + 1 - p, one above its level
+    used[np.add(lu[at_min], pu[at_min], dtype=np.intp) >> 1] = False
+    return used
+
+
+# Below this many sorted scores, N0 * k + N1, the sweep's Python loop
+# costs less than the level solver's fixed numpy calls (CHANGES.md has the
+# crossover table).
+LEVEL_MIN = 800
+
+
+def _used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
+    """Used flags from `_sweep_used` on small inputs, `_level_used` on large."""
+    if t_sorted.size + c_sorted.size < LEVEL_MIN:
+        return _sweep_used(t_sorted, c_sorted)
+    return _level_used(t_sorted, c_sorted)
+
+
+def _exact_match(t: np.ndarray, c: np.ndarray, method: str,
                  k: int = 1) -> Matching:
     """Min-cost matching of validated scores, k treated per control.
 
     Every control is repeated k times on the sorted side, so k = 1 is
-    matching without replacement. The sweep `_sweep_used` picks the used
-    (repeated) controls, which are paired in stable sorted order with the
-    stable-sorted treated units.
+    matching without replacement. `_used` picks the used (repeated)
+    controls, by the sweep below LEVEL_MIN sorted scores and by the level
+    solver from there on; they are paired in stable sorted order with
+    the stable-sorted treated units.
     """
     _require_feasible(t.size, c.size, k)
     t_order, t_sorted = _argsort_ties_stable(t)
     c_order, c_sorted = _argsort_ties_stable(c)
     if k > 1:
         c_sorted = np.repeat(c_sorted, k)
-    used = _sweep_used(t_sorted, c_sorted).nonzero()[0]
+    used = _used(t_sorted, c_sorted).nonzero()[0]
     c_pos = c_order[used // k]
     cost = float(np.abs(t_sorted - c_sorted[used]).sum())
     cp = np.empty(t.size, dtype=np.intp)
@@ -309,26 +441,27 @@ def match_optimal_exact(treated_scores, control_scores) -> Matching:
     """Optimal matching without replacement, minimizing the summed score gaps."""
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
-    return _sweep_match(t, c, "exact")
+    return _exact_match(t, c, "exact")
 
 
 def match_banded(treated_scores, control_scores, band: int) -> Matching:
     """Optimal matching without replacement, refused when band < N0 - N1.
 
     The band bounds the control surplus N0 - N1, the number of controls
-    left unmatched. When it covers the surplus the result is that of
-    `match_optimal_exact`; below it no approximation runs and the match
-    raises BandError, a MatchingError that is not an InfeasibleError.
+    left unmatched. When it covers the surplus the same exact solver runs
+    and the result is that of `match_optimal_exact`; below it no
+    approximation runs and the match raises BandError, a MatchingError
+    that is not an InfeasibleError.
     """
     band = whole_number(band, "band", 0)
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
-    # an empty treated side is left to the sweep's InfeasibleError
+    # an empty treated side is left to _exact_match's InfeasibleError
     if t.size and band < c.size - t.size:
         raise BandError(
             f"band {band} is below the control surplus N0 - N1 = "
             f"{c.size - t.size}; raise the band or use method 'exact'")
-    return _sweep_match(t, c, "banded")
+    return _exact_match(t, c, "banded")
 
 
 def match_with_replacement(treated_scores, control_scores) -> Matching:
@@ -360,14 +493,16 @@ def match_with_replacement(treated_scores, control_scores) -> Matching:
 def match_capacitated(treated_scores, control_scores, k: int) -> Matching:
     """Min-cost matching where each control absorbs at most k treated units.
 
-    Solved by replicating every control k times and running the exact sweep
-    on the expanded side. k = 1 recovers matching without replacement; k >= N1
-    attains the with-replacement cost.
+    Solved by replicating every control k times and running the exact
+    solver of `match_optimal_exact` on the expanded side, N0 * k + N1
+    sorted scores choosing between the sweep and the level solver. k = 1
+    recovers matching without replacement; k >= N1 attains the
+    with-replacement cost.
     """
     k = whole_number(k, "k", 1)
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
-    return _sweep_match(t, c, "capacitated", k)
+    return _exact_match(t, c, "capacitated", k)
 
 
 BRUTE_FORCE_LIMIT = 10
@@ -376,7 +511,7 @@ BRUTE_FORCE_LIMIT = 10
 def brute_force_match(treated_scores, control_scores) -> Matching:
     """Global minimum over every injective assignment, by direct enumeration.
 
-    Independent oracle for the sweep matcher; guarded to N1 <= N0 <= 10.
+    Independent oracle for the exact matchers; guarded to N1 <= N0 <= 10.
     """
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")

@@ -151,6 +151,19 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_integer_is_config_error(self, tmp_path, capsys):
+        # json reads an integer literal past Python's 4300-digit limit as a
+        # plain ValueError, not a JSONDecodeError
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        text = cfg_path.read_text().replace('"master_seed": 7',
+                                            '"master_seed": ' + "9" * 5000)
+        cfg_path.write_text(text)
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg_path}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_uncreatable_output_dir_is_output_error(self, tmp_path, capsys,
                                                     monkeypatch):
         tables = []

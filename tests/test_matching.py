@@ -380,26 +380,36 @@ class TestSweepAgainstWindowedDP:
             mt.match_banded(t, c, 29)
 
 
-class TestSweepAgainstTwoHeaps:
-    """The stack sweep finds the optimum that two plain heaps find.
+def used_cost(t_sorted, c_sorted, used):
+    return float(np.abs(t_sorted - c_sorted[used]).sum())
 
-    Every sweep a matcher runs is checked against `_two_heap_sweep_used`.
-    When no score value repeats across the two sorted sides, the used
-    flags are equal. Otherwise the stacks may take a different one of
-    several equally cheap moves: exactly N1 flags are set and the cost is
-    the oracle's.
+
+class TestSweepAgainstTwoHeaps:
+    """Both solvers find the optimum that two plain heaps find.
+
+    Every solver call a matcher makes, by the stack sweep below
+    `mt.LEVEL_MIN` sorted scores and by the level solver from there on, is
+    checked against `_two_heap_sweep_used`. When no score value repeats
+    across the two sorted sides, the used flags are equal. Otherwise the
+    solver may take a different one of several equally cheap moves:
+    exactly N1 flags are set and the cost is the oracle's.
     """
 
     @pytest.fixture(autouse=True)
     def checked_sweep(self, monkeypatch):
-        sweep = mt._sweep_used
+        solve = mt._used
         self.calls = 0
+        self.paths = set()  # the solvers that ran
 
-        def cost(t_sorted, c_sorted, used):
-            return float(np.sum(np.abs(t_sorted - c_sorted[used])))
+        for name in ("_sweep_used", "_level_used"):
+            def counted(t_sorted, c_sorted, name=name,
+                        solver=getattr(mt, name)):
+                self.paths.add(name)
+                return solver(t_sorted, c_sorted)
+            monkeypatch.setattr(mt, name, counted)
 
         def checked(t_sorted, c_sorted):
-            used = sweep(t_sorted, c_sorted)
+            used = solve(t_sorted, c_sorted)
             oracle = np.frombuffer(_two_heap_sweep_used(t_sorted, c_sorted),
                                    dtype=np.uint8) == 1
             assert used.dtype == bool and used.shape == c_sorted.shape
@@ -408,12 +418,13 @@ class TestSweepAgainstTwoHeaps:
                 assert np.array_equal(used, oracle)
             else:
                 assert np.count_nonzero(used) == t_sorted.size
-                assert cost(t_sorted, c_sorted, used) == pytest.approx(
-                    cost(t_sorted, c_sorted, oracle), rel=1e-12, abs=1e-12)
+                assert used_cost(t_sorted, c_sorted, used) == pytest.approx(
+                    used_cost(t_sorted, c_sorted, oracle), rel=1e-12,
+                    abs=1e-12)
             self.calls += 1
             return used
 
-        monkeypatch.setattr(mt, "_sweep_used", checked)
+        monkeypatch.setattr(mt, "_used", checked)
 
     def test_seeded_continuous(self):
         rng = np.random.default_rng(31)
@@ -421,6 +432,7 @@ class TestSweepAgainstTwoHeaps:
             t, c = random_instance(rng, max_n1=30, max_n0=40)
             mt.match_capacitated(t, c, int(rng.integers(1, 4)))
         assert self.calls == 300
+        assert self.paths == {"_sweep_used"}
 
     def test_quarter_grid_ties(self):
         rng = np.random.default_rng(32)
@@ -442,6 +454,24 @@ class TestSweepAgainstTwoHeaps:
                                 20_000, 5)
         mt.match_optimal_exact(smp.treated_scores, smp.control_scores)
         assert self.calls == 1
+        assert self.paths == {"_level_used"}
+
+    def test_both_paths(self):
+        # continuous and tied instances on either side of the cutover, at
+        # k = 1 and k = 2, the categorical ones with heavy ties
+        rng = np.random.default_rng(33)
+        for n0 in (mt.LEVEL_MIN // 4, mt.LEVEL_MIN, 3 * mt.LEVEL_MIN):
+            for k in (1, 2):
+                t, c = rng.random(n0 // 2), rng.random(n0)
+                mt.match_capacitated(t, c, k)
+                c = rng.integers(0, 40, n0) / 8
+                t = rng.integers(0, 40, int(k * n0 * 0.7)) / 8
+                mt.match_capacitated(t, c, k)
+        smp = population.sample(
+            population.make_categorical_spec(0.1, 0.75, 0.3), 5000, 18)
+        mt.match_optimal_exact(smp.treated_scores, smp.control_scores)
+        assert self.calls == 13
+        assert self.paths == {"_sweep_used", "_level_used"}
 
     def test_overflow_heaps(self):
         # Tied inputs where a queue holds equally cheap moves, so the stack
@@ -453,6 +483,46 @@ class TestSweepAgainstTwoHeaps:
         mt.match_optimal_exact([0.5, 0.5, 0.75], [0.0, 0.0, 0.75, 0.75])
         mt.match_capacitated([0.5, 0.5, 0.75], [0.0, 0.75], 2)
         assert self.calls == 4
+
+
+# quarter-grid instances where the stack sweep and two plain heaps take
+# different controls: k, treated and control scores in quarters, and how
+# many treated units the matcher gives each control position
+QUARTER_GRID_TIES = [
+    (1, "1110", "040311303", "001011010"),
+    (1, "10144041", "030131121", "111011111"),
+    (1, "000214", "0022414013", "1101001110"),
+    (1, "433431", "3401341443", "1000101111"),
+    (1, "4", "44", "01"),
+    (1, "223", "303310", "100110"),
+    (2, "3033313", "34343420", "10202002"),
+    (2, "40044", "334", "212"),
+    (2, "43000032", "421344113", "012001202"),
+    (2, "123134223", "3332340", "1012212"),
+    (2, "10214", "334142141", "000101012"),
+    (2, "2", "0423004", "0010000"),
+    (3, "4", "13411", "00100"),
+    (3, "41", "22332321", "00000101"),
+    (3, "3023323331", "3230202", "3030022"),
+    (3, "144", "1423023123", "0200000100"),
+    (3, "4041422112", "3032202", "0130033"),
+    (3, "32423433", "423044341", "021000320"),
+]
+
+# one instance per path through `_sweep_used`, each with one optimal set of
+# controls: treated and control scores and the used flags
+SWEEP_BRANCHES = [
+    # 0.1 waits for the first control; 0.7 then takes 0.6
+    ([0.1, 0.7], [0.5, 0.6, 0.9], [1, 1, 0]),
+    # 0.6 takes over 0.5 from 0.0, which stays free; 1.0 takes 0.9
+    ([0.5, 1.0], [0.0, 0.6, 0.9], [0, 1, 1]),
+    # both treated units wait; the first two controls after them go
+    ([0.1, 0.2], [0.5, 0.6, 0.9], [1, 1, 0]),
+    # past the last treated unit 0.6 takes over 0.5 from 0.0
+    ([0.5], [0.0, 0.6], [0, 1]),
+]
+SWEEP_BRANCH_IDS = ["waiting_in_loop", "steal_in_loop", "waiting_in_tail",
+                    "steal_in_tail"]
 
 
 def control_counts(m: mt.Matching, n0: int) -> str:
@@ -470,26 +540,7 @@ class TestSweepTieChoices:
     different controls; digits are scores in quarters.
     """
 
-    @pytest.mark.parametrize("k, t, c, expect", [
-        (1, "1110", "040311303", "001011010"),
-        (1, "10144041", "030131121", "111011111"),
-        (1, "000214", "0022414013", "1101001110"),
-        (1, "433431", "3401341443", "1000101111"),
-        (1, "4", "44", "01"),
-        (1, "223", "303310", "100110"),
-        (2, "3033313", "34343420", "10202002"),
-        (2, "40044", "334", "212"),
-        (2, "43000032", "421344113", "012001202"),
-        (2, "123134223", "3332340", "1012212"),
-        (2, "10214", "334142141", "000101012"),
-        (2, "2", "0423004", "0010000"),
-        (3, "4", "13411", "00100"),
-        (3, "41", "22332321", "00000101"),
-        (3, "3023323331", "3230202", "3030022"),
-        (3, "144", "1423023123", "0200000100"),
-        (3, "4041422112", "3032202", "0130033"),
-        (3, "32423433", "423044341", "021000320"),
-    ])
+    @pytest.mark.parametrize("k, t, c, expect", QUARTER_GRID_TIES)
     def test_quarter_grid(self, k, t, c, expect):
         t = np.array([int(d) for d in t]) / 4
         c = np.array([int(d) for d in c]) / 4
@@ -514,17 +565,8 @@ class TestSweepBranches:
     the flags read off it at the end come out wrong.
     """
 
-    @pytest.mark.parametrize("t, c, expect", [
-        # 0.1 waits for the first control; 0.7 then takes 0.6
-        ([0.1, 0.7], [0.5, 0.6, 0.9], [1, 1, 0]),
-        # 0.6 takes over 0.5 from 0.0, which stays free; 1.0 takes 0.9
-        ([0.5, 1.0], [0.0, 0.6, 0.9], [0, 1, 1]),
-        # both treated units wait; the first two controls after them go
-        ([0.1, 0.2], [0.5, 0.6, 0.9], [1, 1, 0]),
-        # past the last treated unit 0.6 takes over 0.5 from 0.0
-        ([0.5], [0.0, 0.6], [0, 1]),
-    ], ids=["waiting_in_loop", "steal_in_loop", "waiting_in_tail",
-            "steal_in_tail"])
+    @pytest.mark.parametrize("t, c, expect", SWEEP_BRANCHES,
+                             ids=SWEEP_BRANCH_IDS)
     def test_used_flags(self, t, c, expect):
         t, c = np.asarray(t), np.asarray(c)
         used = mt._sweep_used(t, c)
@@ -533,6 +575,110 @@ class TestSweepBranches:
         assert used.tolist() == [bool(f) for f in expect]
         bf = mt.brute_force_match(t, c)
         assert sorted(bf.pairs.values()) == np.flatnonzero(used).tolist()
+
+
+def sorted_sides(t, c, k=1):
+    """Sorted treated scores, and sorted control scores repeated k times."""
+    return (np.sort(np.asarray(t, dtype=float)),
+            np.repeat(np.sort(np.asarray(c, dtype=float)), k))
+
+
+class TestLevelSolverAgainstSweep:
+    """The level solver takes the controls the sweep takes.
+
+    On integer-valued scores, which add up without rounding, and on
+    sampled scores the used flags are identical, ties included. On a grid
+    of tenths the two may break a near-tie in rounding differently; then
+    exactly N1 flags are set and the cost is the sweep's.
+    """
+
+    def assert_same(self, t_sorted, c_sorted):
+        used = mt._level_used(t_sorted, c_sorted)
+        assert used.dtype == bool and used.shape == c_sorted.shape
+        assert np.array_equal(used, mt._sweep_used(t_sorted, c_sorted))
+
+    def test_integer_ties(self):
+        rng = np.random.default_rng(51)
+        for _ in range(3000):
+            k = int(rng.integers(1, 4))
+            top = int(rng.integers(1, 12))
+            c = rng.integers(0, top + 1, int(rng.integers(1, 12)))
+            t = rng.integers(0, top + 1, int(rng.integers(1, k * c.size + 1)))
+            self.assert_same(*sorted_sides(t, c, k))
+
+    @pytest.mark.parametrize("k, t, c, expect", QUARTER_GRID_TIES)
+    def test_quarter_grid_ties(self, monkeypatch, k, t, c, expect):
+        t = np.array([int(d) for d in t]) / 4
+        c = np.array([int(d) for d in c]) / 4
+        self.assert_same(*sorted_sides(t, c, k))
+        # the whole matcher on the level path pins the same choices
+        monkeypatch.setattr(mt, "LEVEL_MIN", 0)
+        assert control_counts(mt.match_capacitated(t, c, k), c.size) == expect
+
+    @pytest.mark.parametrize("t, c, expect", SWEEP_BRANCHES,
+                             ids=SWEEP_BRANCH_IDS)
+    def test_sweep_branches(self, t, c, expect):
+        t, c = np.asarray(t), np.asarray(c)
+        self.assert_same(t, c)
+        assert mt._level_used(t, c).tolist() == [bool(f) for f in expect]
+
+    @pytest.mark.parametrize("t, c, den, unused", [
+        ([0, 1, 1, 1, 2, 2], [0, 0, 0, 0, 2, 2, 2, 2, 2], 3, [4, 5, 6]),
+        # equal costs that a running sum over all levels, not restarted
+        # at each level, rounds apart: it leaves 0.0 and 0.6 unused
+        ([2, 2, 4, 5], [0, 0, 2, 3, 6, 6], 10, [0, 1]),
+        # 0.8 lies 0.1 from 0.7 and from 0.9; a level sum that does not
+        # start from exactly zero leaves 0.9 unused instead of 0.7
+        ([0, 8], [0, 0, 5, 6, 7, 9], 10, [0, 2, 3, 4]),
+    ], ids=["thirds", "tenths", "tenths_tie"])
+    def test_rounding_stays_in_its_level(self, t, c, den, unused):
+        t, c = np.array(t) / den, np.array(c) / den
+        self.assert_same(t, c)
+        assert np.flatnonzero(~mt._level_used(t, c)).tolist() == unused
+
+    @pytest.mark.parametrize("spec", [
+        population.make_prognostic_spec(1 / 3),
+        population.make_prognostic_spec(1.0),
+        population.make_uniform_propensity_spec(0.8),
+        population.make_categorical_spec(0.1, 0.75, 0.3),
+        population.make_categorical_spec(0.5, 0.6, 0.2),
+    ], ids=["prognostic_third", "prognostic_one", "uniform", "categorical",
+            "categorical_even"])
+    def test_sampled_specs(self, spec):
+        # both sides of the cutover, and the benchmark's size
+        for n, seeds in ((mt.LEVEL_MIN // 2, 5), (2000, 5), (100_000, 1)):
+            for seed in range(seeds):
+                smp = population.sample(spec, n, seed)
+                if smp.n1 <= smp.n0:
+                    self.assert_same(*sorted_sides(smp.treated_scores,
+                                                   smp.control_scores))
+
+    def test_tenths_grid_cost(self):
+        rng = np.random.default_rng(52)
+        for _ in range(2000):
+            k = int(rng.integers(1, 4))
+            top = int(rng.integers(1, 12))
+            c = rng.integers(0, top + 1, int(rng.integers(1, 12))) / 10
+            t = rng.integers(0, top + 1, int(rng.integers(1, k * c.size + 1))) / 10
+            t, c = sorted_sides(t, c, k)
+            used = mt._level_used(t, c)
+            assert np.count_nonzero(used) == t.size
+            assert used_cost(t, c, used) == pytest.approx(
+                used_cost(t, c, mt._sweep_used(t, c)), abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_empty_surplus(self, k):
+        rng = np.random.default_rng(k)
+        t, c = sorted_sides(rng.random(4 * k), rng.random(4), k)
+        assert mt._level_used(t, c).all()
+        self.assert_same(t, c)
+
+    def test_no_down_crossing(self):
+        # every control lies below every treated unit, so each level is
+        # crossed once, upward, and the lowest controls stay unused
+        t, c = np.array([5.0, 6.0]), np.arange(4.0)
+        assert mt._level_used(t, c).tolist() == [False, False, True, True]
+        self.assert_same(t, c)
 
 
 class TestWithReplacement:

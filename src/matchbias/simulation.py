@@ -3,11 +3,12 @@
 Runs replicated sample -> match -> estimate pipelines and aggregates the
 empirical bias and standard error of the ATT estimator against its
 theoretical limit. Replications get independent seeds derived from the
-master seed, so results are identical whether they run serially or across
-a process pool (size capped by the MATCHBIAS_THREADS environment variable).
-Each task runs a range of a cell's replications and derives their seeds
-and Philox keys in one vectorized pass (population.prepare_streams); the
-streams are the ones NumPy's SeedSequence gives each seed.
+master seed, so results are identical whether they run serially or in
+forked worker processes (as many as the MATCHBIAS_THREADS environment
+variable allows). A cell is split into one contiguous range of
+replications per worker; each range derives its seeds and Philox keys in
+one vectorized pass (population.prepare_streams), and the streams are the
+ones NumPy's SeedSequence gives each seed.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import logging
 import math
 import os
 import pickle
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,11 +82,11 @@ def _rep_task(args):
     """Replications start <= r < stop of a cell; returns one (ok, tau_hat,
     err, degenerate, message) per replication, in order.
 
-    A task carries the cell seed and its range of replication indices.
-    population.prepare_streams derives the range's replication seeds,
-    derive_seed(seed, r), and their Philox keys in one vectorized pass, in
-    the process that runs the task, after re-deriving the first through
-    NumPy's SeedSequence. Only a ValueError from sampling and a
+    A task carries the cell seed and one worker's range of replication
+    indices. population.prepare_streams derives the range's replication
+    seeds, derive_seed(seed, r), and their Philox keys in one vectorized
+    pass, in the process that runs the task, after re-deriving the first
+    through NumPy's SeedSequence. Only a ValueError from sampling and a
     MatchingError from the matcher other than InfeasibleError, which applies
     the zero convention, count as a failed replication. Any other
     error is a bug: it is re-raised as RuntimeError naming the spec, n and
@@ -131,13 +132,14 @@ def _replicate(spec, n, rep_seed, method, config):
 
 def _worker_count(reps: int) -> int:
     """Workers for a cell of `reps` replications: MATCHBIAS_THREADS, else
-    the CPU count, and never more than reps."""
+    the CPU count, and never more than reps; 1 where os.fork does not
+    exist."""
     env = os.environ.get("MATCHBIAS_THREADS", "")
     if env:  # anything but digits reaches whole_number as text, which it refuses
         cap = whole_number(int(env) if env.isdecimal() else env, "MATCHBIAS_THREADS", 1)
     else:
         cap = os.cpu_count() or 1
-    return min(cap, reps)
+    return min(cap, reps) if hasattr(os, "fork") else 1
 
 
 _M_TRIM_THRESHOLD = -1  # mallopt parameters, from glibc's malloc.h
@@ -145,7 +147,7 @@ _M_MMAP_THRESHOLD = -3
 
 
 def _keep_freed_heap() -> None:
-    """Pool-worker initializer: keep freed memory in the worker's heap.
+    """Worker set-up: keep freed memory in the worker's heap.
 
     By default glibc returns freed memory to the kernel (heap trim, munmap
     of large blocks), so each replication of a cell page-faults its arrays
@@ -156,8 +158,8 @@ def _keep_freed_heap() -> None:
     off glibc's dynamic thresholds, and the trim threshold alone sends the
     800 KB arrays of n = 1e5 to mmap on every allocation). A worker lives
     for one cell, so the heap it keeps goes away with it. Off glibc, or if
-    ctypes cannot reach mallopt, this does nothing: an initializer that
-    raises would break the pool.
+    ctypes cannot reach mallopt, this does nothing: if it raised, the
+    worker would fail its range.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -171,33 +173,104 @@ def _keep_freed_heap() -> None:
         pass
 
 
-def _run_reps(spec, n, reps, seed, method, config):
-    """Run the replications on a process pool, or serially with one worker.
+def _fork_range(task):
+    """Fork a worker for one range task: (pid, read end of its pipe), or
+    None, after a warning, when the pipe or the fork fails.
 
-    A task is a range of replication indices, about reps / (8 * workers)
-    long, and `_rep_task` derives the seeds of its range wherever it runs,
-    so the parent derives no replication seeds and the results do not
-    depend on the worker count. Workers start with `_keep_freed_heap`; the
-    calling process keeps its allocator settings. The cell runs serially
-    also when its tasks cannot be pickled or the pool cannot be created;
-    errors raised inside the workers propagate.
+    The worker runs `_keep_freed_heap` and `_rep_task`, pickles the result
+    list or the exception raised to the pipe and leaves by os._exit; it
+    never returns into the caller's code. An exception that does not
+    survive pickling is sent as a RuntimeError holding its text.
+    """
+    fds = ()
+    try:
+        fds = os.pipe()
+        pid = os.fork()
+    except OSError as exc:
+        for fd in fds:
+            os.close(fd)
+        log.warning("cannot fork a worker (%s); running replications %d..%d "
+                    "serially", exc, task[3], task[4] - 1)
+        return None
+    read_fd, write_fd = fds
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            _keep_freed_heap()
+            payload = _rep_task(task)
+        except BaseException as exc:  # sent to the parent, which raises it
+            payload = exc
+        try:
+            data = pickle.dumps(payload)
+            if isinstance(payload, BaseException):
+                pickle.loads(data)  # an exception can pickle and still not unpickle
+        except Exception as exc:
+            data = pickle.dumps(RuntimeError(
+                f"worker could not send {payload!r}: {exc!r}"))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_reps(spec, n, reps, seed, method, config):
+    """Run the replications in forked workers, or serially with one worker.
+
+    The cell is split into one contiguous range of replication indices per
+    worker, and `_rep_task` derives the seeds of its range wherever it
+    runs, so the results do not depend on the worker count. Each range
+    gets a direct child from `_fork_range`; a range whose fork fails runs
+    in the calling process, which keeps its allocator settings. The ranges
+    are read in order, so an error from the lowest failing range is raised
+    and names the first failing replication's seed; a worker that dies
+    without a result raises a RuntimeError naming the range and its exit
+    status. Every worker is killed if still running and reaped before this
+    returns or raises, so RUSAGE_CHILDREN counts it and none outlives the
+    cell.
     """
     workers = _worker_count(reps)
-    chunk = max(1, reps // (workers * 8))
-    tasks = [(spec, n, seed, r, min(r + chunk, reps), method, config)
-             for r in range(0, reps, chunk)]
-    if workers > 1:
-        try:
-            pickle.dumps(tasks[0])  # the tasks differ only in their range
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       initializer=_keep_freed_heap)
-        except (pickle.PicklingError, AttributeError, TypeError, OSError) as exc:
-            log.warning("process pool unavailable (%s); running %d replications "
-                        "serially", exc, reps)
-        else:
-            with pool:
-                return [res for part in pool.map(_rep_task, tasks) for res in part]
-    return [res for task in tasks for res in _rep_task(task)]
+    tasks = [(spec, n, seed, reps * w // workers, reps * (w + 1) // workers,
+              method, config) for w in range(workers)]
+    if workers == 1:
+        return _rep_task(tasks[0])
+    pids, fds = {}, {}  # range index -> worker pid, read end; until reaped
+    try:
+        for w, task in enumerate(tasks):
+            forked = _fork_range(task)
+            if forked is not None:
+                pids[w], fds[w] = forked
+        results = []
+        for w, task in enumerate(tasks):
+            if w not in pids:
+                results += _rep_task(task)
+                continue
+            with open(fds.pop(w), "rb") as pipe:
+                data = pipe.read()
+            status = os.waitpid(pids[w], 0)[1]
+            del pids[w]
+            if status or not data:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise RuntimeError(
+                    f"worker for replications {task[3]}..{task[4] - 1} of "
+                    f"{spec.name} at n={n} with cell seed {seed} died without "
+                    f"a result ({how})")
+            part = pickle.loads(data)
+            if isinstance(part, BaseException):
+                raise part
+            results += part
+        return results
+    finally:
+        for fd in fds.values():
+            os.close(fd)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run_cell(spec: PopulationSpec, n: int, reps: int, seed: int,

@@ -187,7 +187,7 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("output error: ")
 
     def test_output_independent_of_worker_count(self, tmp_path, monkeypatch):
-        # 40 reps on two workers put two replications in every pool.map chunk
+        # 40 reps on two workers: two forked ranges of 20 replications
         desk = Path(__file__).resolve().parents[1] / "configs" / "table_s1_desk.json"
         outputs = {}
         for threads in ("1", "2"):

@@ -1,8 +1,10 @@
 import ctypes
 import logging
 import math
-import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 
@@ -48,24 +50,16 @@ def nan_assign_above(s, assign_prob, cut):
     return np.where(s > cut, math.nan, assign_prob(s))
 
 
-# a multiprocessing.Barrier that pool workers inherit; set by the test
-# that runs fault_counts as the replication task
-task_barrier = None
-
-
 def fault_counts(task):
     """Minor faults of two allocate-touch-free cycles of a 4 MB array, as
     the one result of a one-replication range task.
 
     4 MB stays below numpy's 4 MiB huge-page advice, so each page touched
-    that the process does not already hold is one minor fault. Every task
-    first waits at `task_barrier` for the others, so no worker runs two:
-    a worker's second task would find the array's pages already in its
-    heap and fault none in its first cycle either.
+    that the process does not already hold is one minor fault. Each worker
+    runs one range, so the first cycle is the first in its process.
     """
     import resource  # POSIX only; this runs only where the test does
 
-    task_barrier.wait(timeout=30)
     counts = []
     for _ in range(2):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -73,6 +67,33 @@ def fault_counts(task):
         del arr
         counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     return [counts]
+
+
+def refuse_fork(calls):
+    calls.append("fork")
+    raise OSError("no fork in this test")
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def assert_no_children():
+    """Every worker of the cells run so far has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("holds a lambda")
+        self.hook = lambda: None
+
+
+class Unrebuildable(Exception):
+    # pickles as Unrebuildable("a b"), which __init__ refuses
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
 
 
 class TestRunCell:
@@ -92,23 +113,12 @@ class TestRunCell:
     def test_serial_matches_parallel(self, monkeypatch):
         spec = pop.make_prognostic_spec(0.5)
         parallel = sim.run_cell(spec, 400, 12, 3, method="exact")
+        monkeypatch.setenv("MATCHBIAS_THREADS", "3")  # ranges of 3, 3 and 4
+        uneven = sim.run_cell(spec, 400, 10, 3, method="exact")
+        assert_no_children()
         monkeypatch.setenv("MATCHBIAS_THREADS", "1")
-        serial = sim.run_cell(spec, 400, 12, 3, method="exact")
-        assert parallel == serial
-
-    def test_unpicklable_spec_falls_back_to_serial(self, monkeypatch, caplog):
-        monkeypatch.setenv("MATCHBIAS_THREADS", "2")
-        spec = pop.make_prognostic_spec(0.5)
-        lam = lambda rng, n: spec.score_sampler(rng, n)  # noqa: E731
-        local = pop.PopulationSpec(
-            score_sampler=lam, assign_prob=spec.assign_prob, mu0=spec.mu0,
-            mu1=spec.mu1, noise0=spec.noise0, noise1=spec.noise1,
-            tau_att_true=1.0)
-        with caplog.at_level(logging.WARNING, logger="matchbias.simulation"):
-            row = sim.run_cell(local, 200, 4, 3, method="exact")
-        assert row.reps_done == 4
-        assert any(r.levelno == logging.WARNING and "serially" in r.getMessage()
-                   for r in caplog.records)
+        assert parallel == sim.run_cell(spec, 400, 12, 3, method="exact")
+        assert uneven == sim.run_cell(spec, 400, 10, 3, method="exact")
 
     def test_default_method_is_exact(self, monkeypatch):
         match_scores, methods = matching.match_scores, []
@@ -127,13 +137,12 @@ class TestRunCell:
     @pytest.mark.parametrize("threads, reps", [
         pytest.param("1", 6, id="1"), pytest.param("2", 6, id="2"),
         pytest.param("1", 40, id="1-reps40"),
-        # two workers at 40 reps: every range task holds two replications
+        # two workers at 40 reps: each worker's range holds 20 replications
         pytest.param("2", 40, id="2-reps40")])
     def test_matcher_bug_fails_loudly(self, monkeypatch, threads, reps):
         # a matcher that drops one pair whenever N1 is even breaks the
-        # exactly-once check in att_matching; that is a bug, not a failed rep
-        if threads != "1" and multiprocessing.get_start_method() != "fork":
-            pytest.skip("workers see the patched matcher only when forked")
+        # exactly-once check in att_matching; that is a bug, not a failed rep.
+        # Forked workers inherit the patched matcher.
         match_scores = matching.match_scores
 
         def dropping(t, *args, **kwargs):
@@ -147,8 +156,9 @@ class TestRunCell:
         spec = pop.make_prognostic_spec(0.5)
         with pytest.raises(RuntimeError, match="rep seed") as exc:
             sim.run_cell(spec, 200, reps, 3, method="exact")
+        assert_no_children()
         # results are read in replication order, so the error names the
-        # first failing r; at seed 3 that is r = 1, second in its chunk
+        # first failing r; at seed 3 that is r = 1, second in its range
         failing = [r for r in range(reps)
                    if pop.sample(spec, 200, pop.derive_seed(3, r)).n1 % 2 == 0]
         assert failing[0] == 1
@@ -159,8 +169,7 @@ class TestRunCell:
     def test_negative_seed_fails_before_any_rep(self, monkeypatch, threads):
         started = []
         monkeypatch.setattr(pop, "sample", lambda *args: started.append(args))
-        monkeypatch.setattr(sim, "ProcessPoolExecutor",
-                            lambda *args, **kwargs: started.append(kwargs))
+        monkeypatch.setattr(os, "fork", partial(refuse_fork, started))
         monkeypatch.setenv("MATCHBIAS_THREADS", threads)
         with pytest.raises(ValueError, match="^seed must be a whole number"):
             sim.run_cell(pop.make_prognostic_spec(0.5), 50, 4, -1)
@@ -173,8 +182,7 @@ class TestRunCell:
                                                       reps, name):
         started = []
         monkeypatch.setattr(pop, "sample", lambda *args: started.append(args))
-        monkeypatch.setattr(sim, "ProcessPoolExecutor",
-                            lambda *args, **kwargs: started.append(kwargs))
+        monkeypatch.setattr(os, "fork", partial(refuse_fork, started))
         with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
             sim.run_cell(pop.make_prognostic_spec(0.5), n, reps, 3)
         assert started == []
@@ -283,14 +291,12 @@ class TestRunCell:
 class TestWorkerHeap:
     @pytest.mark.skipif(not hasattr(os, "confstr")
                         or not os.confstr("CS_GNU_LIBC_VERSION")
-                        or multiprocessing.get_start_method() != "fork",
-                        reason="needs glibc, and workers that see the patched "
-                               "task, which only fork gives")
+                        or not hasattr(os, "fork"),
+                        reason="needs glibc and forked workers")
     def test_pool_workers_keep_freed_heap(self, monkeypatch):
         # with glibc's defaults a freed 4 MB array is unmapped, so the
         # second cycle faults every page back in like the first
         monkeypatch.setattr(sim, "_rep_task", fault_counts)
-        monkeypatch.setitem(globals(), "task_barrier", multiprocessing.Barrier(2))
         monkeypatch.setenv("MATCHBIAS_THREADS", "2")
         results = sim._run_reps(pop.make_prognostic_spec(0.5), 10, 2, 1,
                                 "exact", MatchConfig())
@@ -309,24 +315,101 @@ class TestWorkerHeap:
         row = sim.run_cell(pop.make_prognostic_spec(0.5), 200, 4, 3)
         assert row.reps_done == 4
 
-    def test_pool_gets_the_initializer(self, monkeypatch):
-        created = []
+    def test_workers_get_the_initializer(self, monkeypatch):
+        def announce():
+            raise AssertionError(f"initializer ran in process {os.getpid()}")
 
-        def unavailable(*args, **kwargs):
-            created.append(kwargs)
-            raise OSError("no pool in this test")
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", unavailable)
+        monkeypatch.setattr(sim, "_keep_freed_heap", announce)
         monkeypatch.setenv("MATCHBIAS_THREADS", "2")
-        row = sim.run_cell(pop.make_prognostic_spec(0.5), 200, 4, 3)
-        assert row.reps_done == 4  # ran serially after the refused pool
-        assert created == [{"max_workers": 2,
-                            "initializer": sim._keep_freed_heap}]
+        with pytest.raises(AssertionError, match="initializer ran") as exc:
+            sim.run_cell(pop.make_prognostic_spec(0.5), 200, 4, 3)
+        assert int(str(exc.value).split()[-1]) != os.getpid()  # in a worker
+
+    def test_fork_failure_runs_serially(self, monkeypatch, caplog):
+        # the calling process runs each refused range, with its own allocator
+        def refuse():
+            raise AssertionError("the initializer ran in the calling process")
+
+        spec, attempts = pop.make_prognostic_spec(0.5), []
+        monkeypatch.setattr(os, "fork", partial(refuse_fork, attempts))
+        monkeypatch.setattr(sim, "_keep_freed_heap", refuse)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "2")
+        with caplog.at_level(logging.WARNING, logger="matchbias.simulation"):
+            row = sim.run_cell(spec, 200, 4, 3)
+        assert attempts == ["fork", "fork"]  # one per range
+        assert [r.getMessage() for r in caplog.records] == [
+            "cannot fork a worker (no fork in this test); running replications "
+            f"{lo}..{hi} serially" for lo, hi in ((0, 1), (2, 3))]
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        assert row == sim.run_cell(spec, 200, 4, 3)
 
     def test_initializer_never_raises(self, monkeypatch):
         monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.0")
         monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
         assert sim._keep_freed_heap() is None  # AttributeError: no mallopt
+
+
+class TestForkedWorkers:
+    def test_lambda_spec_runs_on_forked_workers(self, monkeypatch):
+        # nothing is pickled on the way to a worker
+        base = pop.make_prognostic_spec(0.5)
+        spec = replace(base, score_sampler=lambda rng, n: base.score_sampler(rng, n))
+        fork, forked = os.fork, []
+
+        def counting_fork():
+            pid = fork()
+            forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "2")
+        row = sim.run_cell(spec, 200, 4, 3)
+        assert len(forked) == 2 and all(forked)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        assert row == sim.run_cell(spec, 200, 4, 3)
+
+    @pytest.mark.parametrize("die, status", [
+        (partial(os._exit, 7), "exit status 7"),
+        (kill_self, f"killed by signal {int(signal.SIGKILL)}")], ids=["exit", "signal"])
+    def test_worker_that_dies_fails_loudly(self, monkeypatch, die, status):
+        parent = os.getpid()
+        base = pop.make_prognostic_spec(0.5)
+
+        def dying(rng, n):
+            if os.getpid() != parent:
+                die()
+            return base.score_sampler(rng, n)
+
+        monkeypatch.setenv("MATCHBIAS_THREADS", "2")
+        with pytest.raises(RuntimeError, match="died without a result") as exc:
+            sim.run_cell(replace(base, score_sampler=dying), 200, 4, 3)
+        assert str(exc.value) == (
+            "worker for replications 0..1 of prognostic(a=0.5) at n=200 with "
+            f"cell seed 3 died without a result ({status})")
+        assert_no_children()
+
+    @pytest.mark.parametrize("error", [Unpicklable, partial(Unrebuildable, "a", "b")])
+    def test_exception_that_cannot_cross_the_pipe(self, monkeypatch, error):
+        def raising(task):
+            raise error()
+
+        monkeypatch.setattr(sim, "_rep_task", raising)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "2")
+        with pytest.raises(RuntimeError, match=r"^worker could not send Un\w+\(") as exc:
+            sim.run_cell(pop.make_prognostic_spec(0.5), 200, 4, 3)
+        assert type(error()).__name__ in str(exc.value)
+        assert_no_children()
+
+    def test_import_loads_no_process_pool(self):
+        # concurrent.futures.process pulls in multiprocessing: 19-23 ms of
+        # every import of matchbias when simulation imported it
+        src = os.path.dirname(os.path.dirname(sim.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import matchbias, sys; loaded = sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('concurrent', 'multiprocessing')); "
+                "assert not loaded, loaded")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestSimConfig:
@@ -474,3 +557,8 @@ class TestWorkerCount:
         monkeypatch.setenv("MATCHBIAS_THREADS", "0")
         with pytest.raises(ValueError):
             sim._worker_count(8)
+
+    def test_one_worker_without_fork(self, monkeypatch):
+        monkeypatch.setenv("MATCHBIAS_THREADS", "3")
+        monkeypatch.delattr(os, "fork")
+        assert sim._worker_count(8) == 1

@@ -1,3 +1,4 @@
+import ast
 import ctypes
 import logging
 import math
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +18,12 @@ from matchbias import matching
 from matchbias import population as pop
 from matchbias import simulation as sim
 from matchbias.matching import MatchConfig
+
+# numpy's switches for MADV_HUGEPAGE advice on arrays of 4 MiB or more
+np_multiarray = np._core.multiarray if hasattr(np, "_core") else np.core.multiarray
+needs_glibc_fork = pytest.mark.skipif(
+    not hasattr(os, "confstr") or not os.confstr("CS_GNU_LIBC_VERSION")
+    or not hasattr(os, "fork"), reason="needs glibc and forked workers")
 
 
 def constant_outcome_spec():
@@ -54,9 +62,10 @@ def fault_counts(task):
     """Minor faults of two allocate-touch-free cycles of a 4 MB array, as
     the one result of a one-replication range task.
 
-    4 MB stays below numpy's 4 MiB huge-page advice, so each page touched
-    that the process does not already hold is one minor fault. Each worker
-    runs one range, so the first cycle is the first in its process.
+    Run it with NUMPY_MADVISE_HUGEPAGE=0: then no range of the worker's
+    heap is advised for huge pages, and each 4 KiB page touched that the
+    process does not already hold is one minor fault. Each worker runs one
+    range, so the first cycle is the first in its process.
     """
     import resource  # POSIX only; this runs only where the test does
 
@@ -69,6 +78,50 @@ def fault_counts(task):
     return [counts]
 
 
+def anon_huge_kb():
+    with open("/proc/self/smaps_rollup") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("AnonHugePages:"))
+
+
+def huge_page_rise(task):
+    """kB of transparent huge pages that eight touched n = 1e5 float64
+    arrays add to a worker, as the one result of a range task."""
+    before = anon_huge_kb()
+    arrays = [np.ones(100_000) for _ in range(8)]  # held while measured
+    return [anon_huge_kb() - before]
+
+
+def thp_mode():
+    """The bracketed transparent huge page mode, or "" without THP."""
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled") as fh:
+            return fh.read().split("[")[1].split("]")[0]
+    except (OSError, IndexError):
+        return ""
+
+
+def fresh_python(code, **env):
+    """stdout of `code` run by a fresh interpreter that can import this
+    package and this module, with `env` added to the environment."""
+    paths = [os.path.dirname(os.path.dirname(sim.__file__)),
+             os.path.dirname(os.path.abspath(__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **env)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
+
+
+def fresh_worker_results(probe, **env):
+    """Results of a 2-rep cell whose two forked workers run `probe`, a
+    function of this module, as their range task. The cell runs in a fresh
+    interpreter, so the heap the workers inherit is one that no earlier
+    test has shaped."""
+    code = ("import test_simulation as t; from matchbias import simulation as sim; "
+            f"sim._rep_task = t.{probe.__name__}; print(sim._run_reps("
+            "t.pop.make_prognostic_spec(0.5), 10, 2, 1, 'exact', t.MatchConfig()))")
+    return ast.literal_eval(fresh_python(code, MATCHBIAS_THREADS="2", **env))
+
+
 def refuse_fork(calls):
     calls.append("fork")
     raise OSError("no fork in this test")
@@ -76,6 +129,12 @@ def refuse_fork(calls):
 
 def kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def exit_5_after_the_result():
+    """In a worker: it still writes its result, then its os._exit(0) ends
+    it with status 5."""
+    os._exit = lambda code, _exit=os._exit: _exit(5)
 
 
 def assert_no_children():
@@ -289,22 +348,28 @@ class TestRunCell:
 
 
 class TestWorkerHeap:
-    @pytest.mark.skipif(not hasattr(os, "confstr")
-                        or not os.confstr("CS_GNU_LIBC_VERSION")
-                        or not hasattr(os, "fork"),
-                        reason="needs glibc and forked workers")
-    def test_pool_workers_keep_freed_heap(self, monkeypatch):
+    @needs_glibc_fork
+    def test_pool_workers_keep_freed_heap(self):
         # with glibc's defaults a freed 4 MB array is unmapped, so the
         # second cycle faults every page back in like the first
-        monkeypatch.setattr(sim, "_rep_task", fault_counts)
-        monkeypatch.setenv("MATCHBIAS_THREADS", "2")
-        results = sim._run_reps(pop.make_prognostic_spec(0.5), 10, 2, 1,
-                                "exact", MatchConfig())
+        results = fresh_worker_results(fault_counts, NUMPY_MADVISE_HUGEPAGE="0")
         assert len(results) == 2
         for first, second in results:
             faults = f"minor faults: first cycle {first}, second cycle {second}"
             assert first > 500, faults  # 977 pages of 4 KiB
             assert second < 0.1 * first, faults
+
+    @needs_glibc_fork
+    @pytest.mark.skipif(thp_mode() in ("", "never")
+                        or not np_multiarray._get_madvise_hugepage(),
+                        reason="needs transparent huge pages and numpy's advice")
+    def test_workers_carve_replications_from_huge_pages(self):
+        # a replication's 800 KB arrays are below numpy's 4 MiB advice;
+        # they land in huge pages only through the worker's reserve
+        results = fresh_worker_results(huge_page_rise)
+        assert len(results) == 2
+        for rise in results:
+            assert rise > 0, f"AnonHugePages rose by {rise} kB"
 
     def test_serial_path_leaves_allocator_alone(self, monkeypatch):
         def refuse():
@@ -348,6 +413,22 @@ class TestWorkerHeap:
         monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
         assert sim._keep_freed_heap() is None  # AttributeError: no mallopt
 
+    def test_reserve_that_cannot_be_allocated(self, monkeypatch):
+        params = []
+
+        def mallopt(param, value):
+            params.append(param)
+            return 1
+
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.0")
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        monkeypatch.setattr(np, "empty", refuse)
+        assert sim._keep_freed_heap() is None
+        assert params == [sim._M_TRIM_THRESHOLD, sim._M_MMAP_THRESHOLD]
+
 
 class TestForkedWorkers:
     def test_lambda_spec_runs_on_forked_workers(self, monkeypatch):
@@ -370,7 +451,9 @@ class TestForkedWorkers:
 
     @pytest.mark.parametrize("die, status", [
         (partial(os._exit, 7), "exit status 7"),
-        (kill_self, f"killed by signal {int(signal.SIGKILL)}")], ids=["exit", "signal"])
+        (kill_self, f"killed by signal {int(signal.SIGKILL)}"),
+        (exit_5_after_the_result, "exit status 5")],
+        ids=["exit", "signal", "exit-after-result"])
     def test_worker_that_dies_fails_loudly(self, monkeypatch, die, status):
         parent = os.getpid()
         base = pop.make_prognostic_spec(0.5)
@@ -403,13 +486,9 @@ class TestForkedWorkers:
     def test_import_loads_no_process_pool(self):
         # concurrent.futures.process pulls in multiprocessing: 19-23 ms of
         # every import of matchbias when simulation imported it
-        src = os.path.dirname(os.path.dirname(sim.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import matchbias, sys; loaded = sorted(m for m in sys.modules "
-                "if m.split('.')[0] in ('concurrent', 'multiprocessing')); "
-                "assert not loaded, loaded")
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        fresh_python("import matchbias, sys; loaded = sorted(m for m in sys.modules "
+                     "if m.split('.')[0] in ('concurrent', 'multiprocessing')); "
+                     "assert not loaded, loaded")
 
 
 class TestSimConfig:

@@ -108,6 +108,38 @@ def att_caliper(smp: Sample, retained: Matching) -> AttEstimate:
     return AttEstimate(float(np.mean(y_t - y_c)), tp.size)
 
 
+def run_means(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The mean of each run of x, as np.mean gives it for the run alone,
+    bit for bit; NaN for an empty run. The runs lie back to back, the
+    i-th counts[i] long.
+
+    np.mean sums pairwise in a grouping that depends on the length, and
+    np.add.reduceat groups a run differently. So the runs are sorted by
+    length and those of one length summed as the rows of one 2D array,
+    which numpy sums row by row as it sums a 1D array: a fixed number of
+    numpy calls per distinct length.
+    """
+    by_length = np.argsort(counts, kind="stable")
+    lengths = counts[by_length]
+    # x with its runs in that order
+    shift = np.cumsum(counts) - counts
+    shift = shift[by_length] - (np.cumsum(lengths) - lengths)
+    x = x[np.arange(lengths.sum()) + np.repeat(shift, lengths)]
+    sums = np.zeros(counts.size)
+    values, first, runs = np.unique(lengths, return_index=True, return_counts=True)
+    at = 0
+    for length, i, m in zip(values.tolist(), first.tolist(), runs.tolist()):
+        if length:
+            np.add.reduce(x[at:at + m * length].reshape(m, length), axis=1,
+                          out=sums[i:i + m])
+        at += m * length
+    np.divide(sums, lengths, out=sums, where=lengths > 0)
+    sums[lengths == 0] = np.nan
+    means = np.empty(counts.size)
+    means[by_length] = sums
+    return means
+
+
 def att_true_sample(smp: Sample) -> float:
     """Sample-level target: mean of y1 - y0 over the treated units."""
     if smp.n1 == 0:

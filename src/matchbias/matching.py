@@ -11,7 +11,9 @@ replacement and capacity-k matching alike: a sweep with a Python loop,
 O(N) after the sort, below LEVEL_MIN sorted scores, and a level-by-level
 numpy solver, O(N log N) with no Python loop, from there on. They take
 the same controls wherever costs are exact; nothing here approximates
-the optimum.
+the optimum. `match_rows` matches many samples at once, one per row of a
+block, by the level solver: one pass solves every row as it solves the
+row alone.
 
 Every matcher decides for itself whether a matching exists and raises
 InfeasibleError when none does; callers need not know which methods reuse
@@ -48,6 +50,15 @@ class InfeasibleError(MatchingError):
 
 class BandError(MatchingError):
     """Raised when a band is below the control surplus N0 - N1."""
+
+
+class SolverError(RuntimeError):
+    """The level solver did not use exactly N1 controls on row `row` of
+    `match_rows`. A bug, never a failed match."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
 
 
 class Pairs(Mapping):
@@ -284,15 +295,25 @@ def _by_level(lev: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return level, pos
 
 
-def _level_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
-    """The used flags of `_sweep_used`, found level by level in numpy.
+def _level_unused(xs: np.ndarray, is_c: np.ndarray,
+                  starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unused controls of min-cost matchings, found level by level.
 
-    Merge the two sorted sides, controls first on equal scores, and let D
-    be the control-excess walk: D(x) = #controls <= x - #treated <= x.
-    Matching the sorted treated units in order to a set U of N1 controls
-    costs the integral of |F_T - F_U|, and with u(x) the number of unused
-    controls at or below x, F_T - F_U = u - D. So the task is to place
-    the S = N0 - N1 unused controls to minimize the integral of |D - u|.
+    Takes one or more merged rows back to back: row r runs from starts[r]
+    to the next start (the last row to the end of xs). A row holds one
+    problem's scores in sorted order, controls first on equal scores,
+    with is_c flagging its controls, and no more treated units than
+    controls. Returns (group, pos), one entry per (row, level) group in
+    row and level order: pos is the position in xs of the group's unused
+    control. A row's levels are numbered on from the previous row's, so
+    in a one-row call group is the 0-based level.
+
+    Let D be a row's control-excess walk: D(x) = #controls <= x -
+    #treated <= x. Matching the sorted treated units in order to a set U
+    of N1 controls costs the integral of |F_T - F_U|, and with u(x) the
+    number of unused controls at or below x, F_T - F_U = u - D. So the
+    task is to place the S = N0 - N1 unused controls to minimize the
+    integral of |D - u|.
 
     Layer cake: for integers, |D - u| = sum over levels l of
     |1[D >= l] - 1[u >= l]|. For l <= 0 and l > S the term does not
@@ -321,45 +342,46 @@ def _level_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
       they are the unused controls of a matching, and it attains the
       bound.
 
-    The walk's levels come from a cumulative sum. One sort of the up and
-    one of the down crossings by (level, position) make each level's
-    events contiguous. H is a running sum of its steps within each level:
-    each level's total, from `np.add.reduceat`, is folded into the next
-    level's first slot, so the sum restarts at zero there and its
-    rounding stays local to the level. `np.minimum.reduceat` gives each
-    level's minimum, and the last up-crossing at it is a_l. O(N log N)
-    in a fixed number of numpy calls for N = N0 + N1, with no Python
-    loop; positions and levels are int32, so N must be below 2**31.
-
-    On integer-valued scores, ties included, the flags equal the sweep's.
-    Where rounding enters, both take an optimal set of controls but may
-    break a near-tie differently, as the sweep and two heaps may.
-    Requires len(t_sorted) <= len(c_sorted). Returns a bool array, one
-    flag per sorted control; exactly len(t_sorted) are set.
+    The walk's levels come from one cumulative sum over all rows; it
+    ends each row at the row's surplus, so it numbers the groups of all
+    rows in one run. One sort of the up and one of the down crossings by
+    (group, position) make each group's events contiguous. H is a
+    running sum of its steps within each group: each group's total, from
+    `np.add.reduceat`, is folded into the next group's first slot, so
+    the sum restarts at zero there and its rounding stays local to the
+    group; each row's sum starts at exactly zero, so a row's groups come
+    out bit for bit as they do when the row is solved alone.
+    `np.minimum.reduceat` gives each group's minimum, and the last
+    up-crossing at it is a_l. O(N log N) in a fixed number of numpy
+    calls for N = len(xs), with no Python loop; positions and levels are
+    int32, so N must be below 2**31.
     """
-    n0 = c_sorted.size
-    surplus = n0 - t_sorted.size
-    used = np.ones(n0, dtype=bool)
-    if surplus == 0:
-        return used
-    x = np.concatenate((c_sorted, t_sorted))
-    order = x.argsort(kind="stable")  # merges the two runs, controls first
-    is_c = order < n0
-    xs = x[order]
-    del x, order
     # level - 1 of each event: D after a control, D before a treated unit
     lev = np.cumsum(is_c.view(np.int8) * np.int8(2) - np.int8(1),
                     dtype=np.int32)
-    lev -= is_c
-    inside = lev.view(np.uint32) < surplus
+    if starts.size == 1:
+        surplus = int(lev[-1])
+        lev -= is_c
+        inside = lev.view(np.uint32) < surplus
+    else:
+        # the walk at the end of each row: the surpluses of rows so far
+        top = lev[np.append(starts[1:], lev.size) - 1]
+        base = np.zeros_like(top)
+        base[1:] = top[:-1]
+        lengths = np.diff(starts, append=lev.size)
+        lev -= is_c
+        inside = ((lev - np.repeat(base, lengths)).view(np.uint32)
+                  < np.repeat(top - base, lengths))
     lu, pu = _by_level(lev, np.flatnonzero(inside & is_c))
     pd = _by_level(lev, np.flatnonzero(inside & ~is_c))[1]
-    del lev, inside, is_c
+    del lev, inside
+    if not lu.size:
+        return lu, pu
     xu = xs[pu]
     # one spare slot past the down crossings, read by the first up
     xd = np.append(xs[pd], 0.0)
-    del xs, pd
-    # the down crossing before up g of 0-based level l is g - l - 1
+    del pd
+    # the down crossing before up g of group l is g - l - 1
     g = np.arange(-1, lu.size - 1, dtype=np.int32)
     g -= lu
     h = xd[g]
@@ -370,18 +392,64 @@ def _level_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
     del xu
     first = np.flatnonzero(lu[1:] != lu[:-1])
     first += 1
-    starts = np.concatenate(([0], first))
-    h[starts] = 0.0
-    h[first] = -np.add.reduceat(h, starts)[:-1]
-    np.cumsum(h, out=h)
-    lowest = np.minimum.reduceat(h, starts)
-    del starts, first
+    group_starts = np.concatenate(([0], first))
+    h[group_starts] = 0.0
+    h[first] = -np.add.reduceat(h, group_starts)[:-1]
+    if starts.size == 1:
+        np.cumsum(h, out=h)
+    else:
+        # the first up of each row that has one starts its first group
+        _cumsum_by_row(h, group_starts[base[top > base]])
+    lowest = np.minimum.reduceat(h, group_starts)
+    del group_starts, first
     at_min = np.flatnonzero(h == lowest[lu])
     del h, lowest
     lm = lu[at_min]
     at_min = at_min[np.append(lm[1:] != lm[:-1], True)]
+    return lu[at_min], pu[at_min]
+
+
+def _cumsum_by_row(h: np.ndarray, first: np.ndarray) -> None:
+    """Running sum of h in place, restarted at exactly zero on each row,
+    the rows starting at the ascending indices `first`. The rows are laid
+    out as the rows of one zero-padded 2D array, so each sum runs in the
+    order a 1D cumsum of the row alone takes."""
+    h[first] = 0.0
+    counts = np.diff(first, append=h.size)
+    width = int(counts.max())
+    # the place of each slot in the grid, rows width apart
+    at = np.repeat(np.arange(0, first.size * width, width) - first, counts)
+    at += np.arange(h.size)
+    grid = np.zeros((first.size, width))
+    grid.ravel()[at] = h
+    np.cumsum(grid, axis=1, out=grid)
+    h[:] = grid.ravel()[at]
+
+
+_ONE_ROW = np.zeros(1, dtype=np.intp)
+
+
+def _level_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
+    """The used flags of `_sweep_used`, found by `_level_unused`.
+
+    On integer-valued scores, ties included, the flags equal the sweep's.
+    Where rounding enters, both take an optimal set of controls but may
+    break a near-tie differently, as the sweep and two heaps may.
+    Requires len(t_sorted) <= len(c_sorted). Returns a bool array, one
+    flag per sorted control; exactly len(t_sorted) are set.
+    """
+    n0 = c_sorted.size
+    used = np.ones(n0, dtype=bool)
+    if n0 == t_sorted.size:
+        return used
+    x = np.concatenate((c_sorted, t_sorted))
+    order = x.argsort(kind="stable")  # merges the two runs, controls first
+    is_c = order < n0
+    xs = x[order]
+    del x, order
+    level, pos = _level_unused(xs, is_c, _ONE_ROW)
     # D after control j at position p is 2j + 1 - p, one above its level
-    used[np.add(lu[at_min], pu[at_min], dtype=np.intp) >> 1] = False
+    used[np.add(level, pos, dtype=np.intp) >> 1] = False
     return used
 
 
@@ -420,6 +488,64 @@ def _exact_match(t: np.ndarray, c: np.ndarray, method: str,
     cp[t_order] = c_pos
     return Matching(pairs=Pairs(np.arange(t.size), cp), total_cost=cost,
                     method=method)
+
+
+def _rows_used(xs: np.ndarray, is_c: np.ndarray,
+               starts: np.ndarray) -> np.ndarray:
+    """One flag per event of the merged rows of `_level_unused`: set on
+    each control the row's matching uses."""
+    used = is_c.copy()
+    used[_level_unused(xs, is_c, starts)[1]] = False
+    return used
+
+
+def match_rows(scores: np.ndarray, treated: np.ndarray,
+               k: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Min-cost matchings, k treated per control, of many samples at once.
+
+    Row i of `scores`, an (m, n) float array, holds one sample's finite
+    scores and row i of the bool array `treated` flags its treated units;
+    every row must have 0 < N1 <= k * N0. A row whose n scores are
+    distinct is matched as `_exact_match` matches it alone through the
+    level solver: one argsort per row gives its merged order, each
+    control is repeated k times in place, and `_level_unused` solves all
+    such rows in one pass. A row with a tie is left unmatched.
+
+    Returns (solved, t, c): solved flags the rows matched; t holds the
+    flat indices into `scores` of their treated units, in row-major
+    order, and c the index of the control each is matched with. A row on
+    which the solver does not use exactly N1 controls raises
+    SolverError, naming the row: that is a bug, not a failed match.
+    """
+    m, n = scores.shape
+    # the flat index into scores of each sorted score
+    order = scores.argsort(axis=1)
+    order += (np.arange(m) * n)[:, None]
+    ordered = scores.ravel()[order]
+    solved = (ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
+    rows = np.flatnonzero(solved)
+    t = np.flatnonzero(treated & solved[:, None])
+    if not rows.size:
+        return solved, t, t
+    src = order[rows].ravel()
+    xs = ordered[rows].ravel()
+    is_c = ~treated.ravel()[src]
+    n1 = n - np.count_nonzero(is_c.reshape(rows.size, n), axis=1)
+    starts = np.arange(0, src.size, n)
+    if k > 1:
+        repeats = is_c * (k - 1) + 1
+        src, xs, is_c = (np.repeat(a, repeats) for a in (src, xs, is_c))
+        starts = np.concatenate(([0], np.cumsum(n + (k - 1) * (n - n1))[:-1]))
+    used = _rows_used(xs, is_c, starts)
+    flags = np.add.reduceat(used, starts, dtype=np.intp)
+    broken = (flags != n1) | np.logical_or.reduceat(used & ~is_c, starts)
+    if broken.any():
+        i = int(broken.argmax())
+        raise SolverError(int(rows[i]), f"the level solver marked {flags[i]} units "
+                                        f"used, not the N1 = {n1[i]} controls a matching uses")
+    mate = np.empty(m * n, dtype=np.intp)
+    mate[src[~is_c]] = src[used]  # the i-th used control takes the i-th treated
+    return solved, t, mate[t]
 
 
 def _argsort_ties_stable(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,8 @@ parallel without coordination. A seed's whole stream is its Philox key at
 counter 0, which SeedSequence hashes from the seed; derive_streams computes
 the seeds and keys of a range of replications in one vectorized pass, bit
 for bit, so a run can seed each replication by resetting one Philox.
+`sample_rows` draws many samples as the rows of one block, each bit for
+bit as `sample` draws it.
 """
 
 from __future__ import annotations
@@ -33,9 +35,13 @@ class PopulationSpec:
     score_sampler draws score values, assign_prob maps a score to the
     probability of treatment, mu0/mu1 are the conditional means of the two
     potential outcomes, and noise0/noise1 draw zero-mean disturbances. All
-    callables are vectorized over numpy arrays. When the score distribution
-    has a density, score_pdf/score_support enable quadrature in the theory
-    routines; otherwise they fall back to fixed-seed Monte Carlo.
+    callables are vectorized over numpy arrays, and assign_prob, mu0 and
+    mu1 must be elementwise: the value at a score may not depend on the
+    other scores in the array, nor on its shape, because a simulation
+    applies them to a block of many samples at once (`sample_rows`). When
+    the score distribution has a density, score_pdf/score_support enable
+    quadrature in the theory routines; otherwise they fall back to
+    fixed-seed Monte Carlo.
     """
 
     score_sampler: ScoreSampler
@@ -234,7 +240,11 @@ class _Streams(threading.local):
     def __init__(self):
         self.keys: dict[int, list[int]] = {}
         self.bitgen = np.random.Philox(0)
-        self.state = self.bitgen.state  # counter 0 and an empty buffer
+        # counter 0 and an empty buffer, as lists: the state setter reads
+        # them item by item, twice as fast from lists as from arrays
+        self.state = self.bitgen.state
+        self.state["state"]["counter"] = self.state["state"]["counter"].tolist()
+        self.state["buffer"] = self.state["buffer"].tolist()
         self.generator = np.random.Generator(self.bitgen)
 
 
@@ -271,6 +281,30 @@ def _rng(seed: int) -> np.random.Generator:
     return _streams.generator
 
 
+def _draws(spec: PopulationSpec, n: int, rng: np.random.Generator):
+    """One sample's draws, in the order they take its stream: the scores,
+    the uniforms that assign treatment, the noise of y0, the noise of y1."""
+    yield spec.score_sampler(rng, n)
+    yield rng.random(n)
+    yield spec.noise0(rng, n)
+    yield spec.noise1(rng, n)
+
+
+def _realize(spec: PopulationSpec, s, rest):
+    """(inside, w, y0, y1, y) from the scores of one sample, or of rows of
+    samples, and the rest of their draws in order: treatment where a
+    uniform falls below the assignment probability, and the outcomes.
+    inside flags each probability in [0, 1]. A draw is taken when it is
+    used, so a sample never holds all of them at once."""
+    p = np.asarray(spec.assign_prob(s), dtype=float)
+    inside = (p >= 0.0) & (p <= 1.0)  # NaN fails both comparisons
+    w = (next(rest) < p).astype(np.int8)
+    del p
+    y0 = np.asarray(spec.mu0(s), dtype=float) + next(rest)
+    y1 = np.asarray(spec.mu1(s), dtype=float) + next(rest)
+    return inside, w, y0, y1, np.where(w == 1, y1, y0)
+
+
 def sample(spec: PopulationSpec, n: int, seed: int) -> Sample:
     """Draw n units i.i.d. from the population.
 
@@ -278,19 +312,46 @@ def sample(spec: PopulationSpec, n: int, seed: int) -> Sample:
     assignment probability, draw both potential outcomes, and realize the
     outcome under the assigned arm. Deterministic given (spec, n, seed).
     n and seed follow whole_number: whole numbers >= 0, 40.0 drawing as 40;
-    n = 0 gives an empty sample.
+    n = 0 gives an empty sample. An assignment probability outside [0, 1]
+    raises ValueError.
     """
     n = whole_number(n, "n", 0)
-    rng = _rng(whole_number(seed, "seed", 0))
-    s = np.asarray(spec.score_sampler(rng, n), dtype=float)
-    p = np.asarray(spec.assign_prob(s), dtype=float)
-    if not ((p >= 0.0) & (p <= 1.0)).all():  # NaN fails both comparisons
+    draws = _draws(spec, n, _rng(whole_number(seed, "seed", 0)))
+    s = np.asarray(next(draws), dtype=float)
+    inside, w, y0, y1, y = _realize(spec, s, draws)
+    if not inside.all():
         raise ValueError("assign_prob left [0, 1] on the drawn scores")
-    w = (rng.random(n) < p).astype(np.int8)
-    y0 = np.asarray(spec.mu0(s), dtype=float) + spec.noise0(rng, n)
-    y1 = np.asarray(spec.mu1(s), dtype=float) + spec.noise1(rng, n)
-    y = np.where(w == 1, y1, y0)
     return Sample(w, s, y0, y1, y)
+
+
+@dataclass(frozen=True)
+class SampleRows:
+    """Samples of one size as rows: row i of each (rows, n) array is what
+    `sample` draws for the i-th seed. valid flags the rows whose assignment
+    probabilities all lie in [0, 1]; `sample` raises for the others."""
+
+    s: np.ndarray
+    w: np.ndarray
+    y0: np.ndarray
+    y1: np.ndarray
+    y: np.ndarray
+    valid: np.ndarray
+
+
+def sample_rows(spec: PopulationSpec, n: int, seeds) -> SampleRows:
+    """`sample` at each of seeds (whole numbers, as n, not checked here),
+    one row per seed, bit for bit.
+
+    Each seed's stream is drawn in `sample`'s order into its row; the
+    spec's assign_prob, mu0 and mu1 then run once on the whole (rows, n)
+    score array, which is why they must be elementwise.
+    """
+    s, u, e0, e1 = (np.empty((len(seeds), n)) for _ in range(4))
+    for i, seed in enumerate(seeds):
+        s[i], u[i], e0[i], e1[i] = _draws(spec, n, _rng(seed))
+    inside, w, y0, y1, y = _realize(spec, s, iter((u, e0, e1)))
+    valid = np.broadcast_to(inside, s.shape).all(axis=1)
+    return SampleRows(s, w, y0, y1, y, valid)
 
 
 # --- building blocks (module-level so specs stay picklable) ---

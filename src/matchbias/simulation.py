@@ -9,6 +9,14 @@ variable allows). A cell is split into one contiguous range of
 replications per worker; each range derives its seeds and Philox keys in
 one vectorized pass (population.prepare_streams), and the streams are the
 ones NumPy's SeedSequence gives each seed.
+
+A range runs in blocks of samples, one row per replication: the block is
+sampled, matched and estimated in a fixed number of numpy calls per block
+instead of per replication (`_block`), bit for bit as the per-sample
+pipeline (`_replicate`) would. That pipeline still runs every replication
+a block does not finish, every block of one row and matching with
+replacement, and it replays the first replication a block finishes in
+each range, which must come out the same.
 """
 
 from __future__ import annotations
@@ -78,6 +86,11 @@ class SimRow:
     note: str = ""
 
 
+# A block holds at most this many sorted scores, N1 + k * N0 <= k * n per
+# sample, so its arrays stay in cache; n = 100 gives blocks of 81 samples.
+BLOCK_SCORES = 8192
+
+
 def _rep_task(args):
     """Replications start <= r < stop of a cell; returns one (ok, tau_hat,
     err, degenerate, message) per replication, in order.
@@ -86,21 +99,117 @@ def _rep_task(args):
     indices. population.prepare_streams derives the range's replication
     seeds, derive_seed(seed, r), and their Philox keys in one vectorized
     pass, in the process that runs the task, after re-deriving the first
-    through NumPy's SeedSequence. Only a ValueError from sampling and a
-    MatchingError from the matcher other than InfeasibleError, which applies
-    the zero convention, count as a failed replication. Any other
-    error is a bug: it is re-raised as RuntimeError naming the spec, n and
-    the rep seed that reproduces it.
+    through NumPy's SeedSequence.
+
+    The range runs in blocks of BLOCK_SCORES // (k * n) replications
+    (k = the capacity, 1 but for "capacitated"), one row per sample, in
+    `_block`. A block of one row, every block of "replacement" and each
+    replication the block leaves to it runs through `_replicate`, the
+    per-sample pipeline, alone. The first replication that a block
+    finishes is replayed through `_replicate`, which must give the same
+    result bit for bit; otherwise RuntimeError names the spec, n and the
+    rep seed.
+
+    Only a ValueError from sampling and a MatchingError from the matcher
+    other than InfeasibleError, which applies the zero convention, count
+    as a failed replication. Any other error is a bug: it is re-raised as
+    RuntimeError naming the spec, n and the rep seed that reproduces it.
     """
     spec, n, seed, start, stop, method, config = args
+    rep_seeds = population.prepare_streams(seed, start, stop)
+    k = config.capacity if method == "capacitated" else 1
+    rows = 1 if method == "replacement" else max(BLOCK_SCORES // max(k * n, 1), 1)
     results = []
-    for rep_seed in population.prepare_streams(seed, start, stop):
-        try:
-            results.append(_replicate(spec, n, rep_seed, method, config))
-        except Exception as exc:
-            raise RuntimeError(f"replication of {spec.name} at n={n} with rep seed "
-                               f"{rep_seed} failed: {exc!r}") from exc
+    replayed = False
+    for lo in range(0, len(rep_seeds), rows):
+        seeds = rep_seeds[lo:lo + rows]
+        block = _block(spec, n, seeds, method, config) if len(seeds) > 1 \
+            else [None]
+        done = [i for i, result in enumerate(block) if result is not None]
+        for rep_seed, result in zip(seeds, block):
+            results.append(result or _checked(spec, n, rep_seed, method, config))
+        if done and not replayed:
+            # one the block matched, if there is one: the full pipeline
+            i = next((i for i in done if not block[i][3]), done[0])
+            _replay(spec, n, seeds[i], block[i], method, config)
+            replayed = True
     return results
+
+
+def _checked(spec, n, rep_seed, method, config):
+    """`_replicate`, with any error it raises re-raised as a RuntimeError
+    that names the replication."""
+    try:
+        return _replicate(spec, n, rep_seed, method, config)
+    except Exception as exc:
+        raise RuntimeError(f"replication of {spec.name} at n={n} with rep seed "
+                           f"{rep_seed} failed: {exc!r}") from exc
+
+
+def _replay(spec, n, rep_seed, result, method, config):
+    """Raise RuntimeError unless `_replicate` gives `result` bit for bit."""
+    want = _checked(spec, n, rep_seed, method, config)
+    if _bits(result) != _bits(want):
+        raise RuntimeError(
+            f"replication of {spec.name} at n={n} with rep seed {rep_seed}: "
+            f"its block gave {result!r}, the per-sample pipeline {want!r}; "
+            "are the spec's assign_prob, mu0 and mu1 elementwise?")
+
+
+def _bits(result):
+    return tuple(x.hex() if isinstance(x, float) else x for x in result)
+
+
+def _block(spec, n, seeds, method, config):
+    """The replications at seeds, one row apiece: the result tuple of each
+    one the block finishes, None for each it leaves to `_replicate`.
+
+    `population.sample_rows` draws the rows, `matching.match_rows` matches
+    them, the caliper drops pairs across the block, and
+    `estimators.run_means` takes each row's mean pair difference in
+    treated-position order, as att_matching and att_caliper do. A row
+    with no matching (N1 = 0 or N1 > k * N0) takes the zero convention.
+    Left to `_replicate`: every row when a spec callable raised, and
+    rows with an assignment probability outside [0, 1], a non-finite
+    score, a tied score or a surplus above the band, so each fails or
+    raises with the message it always has.
+    """
+    try:
+        smp = population.sample_rows(spec, n, seeds)
+    except Exception:  # `_replicate` calls the spec again and reports it
+        return [None] * len(seeds)
+    k = config.capacity if method == "capacitated" else 1
+    n1 = np.count_nonzero(smp.w, axis=1)
+    n0 = n - n1
+    finish = smp.valid & np.isfinite(smp.s).all(axis=1)
+    if method == "banded":
+        finish &= (n1 == 0) | (n0 - n1 <= config.band)
+    rows = np.flatnonzero(finish & (n1 > 0) & (n1 <= k * n0))
+    try:
+        solved, t, c = matching.match_rows(smp.s[rows], smp.w[rows] == 1, k)
+    except matching.SolverError as exc:
+        raise RuntimeError(f"replication of {spec.name} at n={n} with rep seed "
+                           f"{seeds[rows[exc.row]]} failed: {exc}") from exc
+    finish[rows[~solved]] = False
+    y = smp.y[rows].ravel()
+    diff = y[t] - y[c]
+    pair_row = t // n
+    if config.caliper is not None:
+        s = smp.s[rows].ravel()
+        keep = np.abs(s[t] - s[c]) <= config.caliper
+        diff, pair_row = diff[keep], pair_row[keep]
+    pairs = np.bincount(pair_row, minlength=rows.size)
+    value = np.zeros(len(seeds))
+    value[rows] = estimators.run_means(diff, pairs)
+    degenerate = np.ones(len(seeds), dtype=bool)
+    degenerate[rows] = pairs == 0
+    value[degenerate] = 0.0
+    if spec.tau_att_true is not None:
+        taus = [spec.tau_att_true] * len(seeds)
+    else:  # the sample ATT; NaN without a treated unit
+        taus = estimators.run_means((smp.y1 - smp.y0)[smp.w == 1], n1).tolist()
+    return [(True, v, v - tau, d, "") if f else None for f, v, tau, d in
+            zip(finish.tolist(), value.tolist(), taus, degenerate.tolist())]
 
 
 def _replicate(spec, n, rep_seed, method, config):

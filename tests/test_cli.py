@@ -239,7 +239,9 @@ class TestSimulate:
 
     def test_replication_bug_writes_finished_cells_and_exits_four(
             self, tmp_path, capsys, monkeypatch):
-        # the third matcher call drops a pair: the n=60 cell finishes, n=80 hits the bug
+        # the third matcher call drops a pair: the n=60 cell finishes, n=80
+        # hits the bug. Matching with replacement runs every replication
+        # through the per-sample pipeline, so each one calls the matcher.
         match_scores, calls = matching.match_scores, []
 
         def dropping(*args, **kwargs):
@@ -252,7 +254,8 @@ class TestSimulate:
         monkeypatch.setattr(matching, "match_scores", dropping)
         monkeypatch.setenv("MATCHBIAS_THREADS", "1")
         cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path, simulation={"n_values": [60, 80]})
+        write_config(cfg_path, matching={"method": "replacement"},
+                     simulation={"n_values": [60, 80]})
         assert main(["simulate", "--config", str(cfg_path)]) == 4
         err = capsys.readouterr().err
         assert "rep seed" in err and "n=80" in err

@@ -681,6 +681,51 @@ class TestLevelSolverAgainstSweep:
         self.assert_same(t, c)
 
 
+class TestRowBlocks:
+    """`match_rows` matches each row of a block as the level solver
+    matches the row alone, bit for bit, and leaves rows with a tie."""
+
+    def test_rows_solved_together_as_alone(self):
+        rng = np.random.default_rng(61)
+        for trial in range(400):
+            n, m, k = int(rng.choice([2, 5, 30, 100])), int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            scores = rng.random((m, n))
+            if trial % 2:  # near a grid of eighths, where rounding can tie costs
+                scores = np.round(scores * 40) / 8 + rng.random((m, n)) * 1e-12
+            treated = rng.random((m, n)) < rng.random((m, 1))
+            n1 = treated.sum(axis=1)
+            keep = (n1 > 0) & (n1 <= k * (n - n1))
+            scores, treated = scores[keep], treated[keep]
+            solved, t, c = mt.match_rows(scores, treated, k)
+            assert solved.tolist() == [np.unique(row).size == n for row in scores]
+            assert np.array_equal(t, np.flatnonzero(treated & solved[:, None]))
+            mate = dict(zip(t.tolist(), c.tolist()))
+            for i in np.flatnonzero(solved):
+                tp, cp = np.flatnonzero(treated[i]), np.flatnonzero(~treated[i])
+                t_order, t_sorted = mt._argsort_ties_stable(scores[i][tp])
+                c_order, c_sorted = mt._argsort_ties_stable(scores[i][cp])
+                used = mt._level_used(t_sorted, np.repeat(c_sorted, k)).nonzero()[0]
+                want = np.empty(tp.size, dtype=np.intp)
+                want[t_order] = cp[c_order[used // k]]
+                assert [mate[i * n + j] - i * n for j in tp] == want.tolist()
+
+    def test_ties_are_left(self):
+        scores = np.array([[0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.2, 0.4]])
+        treated = np.array([[True, False, False, True], [True, False, False, True]])
+        solved, t, c = mt.match_rows(scores, treated)
+        assert solved.tolist() == [True, False]
+        assert t.tolist() == [0, 3] and c.tolist() == [1, 2]
+
+    def test_broken_solver_names_the_row(self, monkeypatch):
+        monkeypatch.setattr(mt, "_rows_used", lambda xs, is_c, starts: is_c.copy())
+        scores = np.array([[0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4]])
+        treated = np.array([[True, False, True, False], [True, False, False, False]])
+        # every control used: right on row 0, whose surplus is 0, not on row 1
+        with pytest.raises(mt.SolverError, match="marked 3 units used, not the N1 = 1 ") as exc:
+            mt.match_rows(scores, treated)
+        assert exc.value.row == 1
+
+
 class TestWithReplacement:
     def test_shared_nearest_control(self):
         m = mt.match_with_replacement([0.5, 0.5], [0.49, 0.9])

@@ -290,6 +290,37 @@ class TestStreamDerivation:
         assert got == want
 
 
+class TestRowBlocks:
+    @pytest.mark.parametrize("spec", [
+        pop.make_prognostic_spec(1 / 3), pop.make_uniform_propensity_spec(0.8),
+        pop.make_categorical_spec(0.5, 0.6, 0.2, mu1_in=1.0, noise_sd=1.0)],
+        ids=["prognostic", "uniform", "categorical"])
+    @pytest.mark.parametrize("n", [0, 1, 7, 100])
+    def test_rows_are_the_samples(self, spec, n):
+        seeds = pop.prepare_streams(6, 0, 5)
+        rows = pop.sample_rows(spec, n, seeds)
+        assert rows.valid.tolist() == [True] * 5
+        for i, seed in enumerate(seeds):
+            smp = pop.sample(spec, n, seed)
+            for col in ("w", "s", "y0", "y1", "y"):
+                got, want = getattr(rows, col)[i], getattr(smp, col)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), col
+
+    def test_rows_outside_the_unit_interval_are_invalid(self):
+        base = pop.make_prognostic_spec(0.5)
+        spec = replace(base, assign_prob=lambda s: np.where(
+            s > 1.9, np.nan, base.assign_prob(s)))
+        seeds = [pop.derive_seed(2, r) for r in range(60)]
+        valid = pop.sample_rows(spec, 100, seeds).valid.tolist()
+        for seed, ok in zip(seeds, valid):
+            if ok:
+                pop.sample(spec, 100, seed)
+            else:
+                with pytest.raises(ValueError, match=r"left \[0, 1\]"):
+                    pop.sample(spec, 100, seed)
+        assert True in valid and False in valid
+
+
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
         spec = pop.make_prognostic_spec(0.5)

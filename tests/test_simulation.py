@@ -201,7 +201,9 @@ class TestRunCell:
     def test_matcher_bug_fails_loudly(self, monkeypatch, threads, reps):
         # a matcher that drops one pair whenever N1 is even breaks the
         # exactly-once check in att_matching; that is a bug, not a failed rep.
-        # Forked workers inherit the patched matcher.
+        # Forked workers inherit the patched matcher. Matching with
+        # replacement runs every replication through the per-sample
+        # pipeline, which calls the matcher; TestRowBlocks covers the blocks.
         match_scores = matching.match_scores
 
         def dropping(t, *args, **kwargs):
@@ -214,7 +216,7 @@ class TestRunCell:
         monkeypatch.setenv("MATCHBIAS_THREADS", threads)
         spec = pop.make_prognostic_spec(0.5)
         with pytest.raises(RuntimeError, match="rep seed") as exc:
-            sim.run_cell(spec, 200, reps, 3, method="exact")
+            sim.run_cell(spec, 200, reps, 3, method="replacement")
         assert_no_children()
         # results are read in replication order, so the error names the
         # first failing r; at seed 3 that is r = 1, second in its range
@@ -345,6 +347,129 @@ class TestRunCell:
         spec = pop.make_prognostic_spec(1 / 3)
         row = sim.run_cell(spec, 1000, 120, 2, method="exact")
         assert row.emp_bias == pytest.approx(0.166, abs=0.03)
+
+
+def bits(results):
+    """Replication results with every float as its hex text, so that NaN
+    equals NaN and -0.0 differs from 0.0."""
+    return [tuple(x.hex() if isinstance(x, float) else x for x in r) for r in results]
+
+
+def per_sample(spec, n, reps, seed, method, config):
+    """The per-sample pipeline on each replication of a cell, one by one."""
+    return [sim._replicate(spec, n, pop.derive_seed(seed, r), method, config)
+            for r in range(reps)]
+
+
+BLOCK_SPECS = {
+    **{f"prognostic_{a:.3g}": pop.make_prognostic_spec(a) for a in (1 / 3, 4 / 9, 1.0, 2.0)},
+    # no population ATT: the sample ATT of each row
+    "uniform": pop.make_uniform_propensity_spec(0.8),
+    # two score values: every row with two units or more holds a tie
+    "categorical": pop.make_categorical_spec(0.5, 0.6, 0.2, mu1_in=1.0),
+    "categorical_noise": pop.make_categorical_spec(0.5, 0.6, 0.2, mu1_in=1.0,
+                                                   noise_sd=1.0),
+    # rows with a score above 1.9 fail, the others do not
+    "nan_above": replace(pop.make_prognostic_spec(0.5), assign_prob=partial(
+        nan_assign_above, assign_prob=pop.make_prognostic_spec(0.5).assign_prob,
+        cut=1.9)),
+}
+# a band of 25 refuses some rows at n = 60 and 100 and every row at
+# n = 1000; a caliper of 0.005 drops every pair of many rows at n = 10
+BLOCK_METHODS = {
+    f"{method}{'_caliper' if caliper else ''}": (
+        method, MatchConfig(band=25, capacity=2 if method == "capacitated" else 1,
+                            caliper=caliper))
+    for method in ("exact", "banded", "capacitated") for caliper in (None, 0.005)}
+# at n = 100 a block holds 81 rows: 170 reps are blocks of 81, 81 and 8 on
+# one worker and of 81 and 4 in each range of two; at n = 60, 136 rows
+BLOCK_REPS = {2: 40, 10: 40, 60: 150, 100: 170, 1000: 20}
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("method", BLOCK_METHODS)
+    @pytest.mark.parametrize("spec", BLOCK_SPECS)
+    def test_blocks_equal_the_per_sample_pipeline(self, monkeypatch, spec, method):
+        spec, (method, config) = BLOCK_SPECS[spec], BLOCK_METHODS[method]
+        for n, reps in BLOCK_REPS.items():
+            want = bits(per_sample(spec, n, reps, 5, method, config))
+            for threads in ("1", "2"):
+                monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+                got = bits(sim._run_reps(spec, n, reps, 5, method, config))
+                assert got == want, (n, threads)
+
+    def test_cells_hold_every_kind_of_row(self):
+        # the rows the equality test above must cover
+        def samples(spec, n):
+            return [pop.sample(spec, n, pop.derive_seed(5, r)) for r in range(BLOCK_REPS[n])]
+
+        kinds = {(smp.n1 > 0, np.sign(smp.n1 - smp.n0)) for smp in
+                 samples(BLOCK_SPECS["prognostic_1"], 2)}
+        assert kinds == {(False, -1), (True, 0), (True, 1)}  # N1 = 0, surplus 0, N1 > N0
+        spec = BLOCK_SPECS["prognostic_0.333"]
+        dropped = [0 < smp.n1 <= smp.n0 and res[3] for smp, res in zip(
+            samples(spec, 10),
+            per_sample(spec, 10, 40, 5, *BLOCK_METHODS["exact_caliper"]))]
+        assert any(dropped)  # a caliper dropped every pair of a feasible row
+        for spec, method, message in (
+                (spec, "banded", "band 25 is below the control surplus"),
+                (BLOCK_SPECS["nan_above"], "exact", "assign_prob left [0, 1]")):
+            results = per_sample(spec, 100, 170, 5, *BLOCK_METHODS[method])
+            assert any(r[0] for r in results)
+            assert any(not r[0] and r[4].startswith(message) for r in results)
+
+    def test_one_row_blocks_run_per_sample(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(sim, "_block", refuse)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        spec = pop.make_prognostic_spec(0.5)
+        assert sim.run_cell(spec, 100, 1, 3).reps_done == 1
+        assert sim.run_cell(spec, sim.BLOCK_SCORES // 2 + 1, 2, 3).reps_done == 2
+        assert sim.run_cell(spec, 100, 3, 3, "capacitated",
+                            MatchConfig(capacity=sim.BLOCK_SCORES)).reps_done == 3
+        assert sim.run_cell(spec, 100, 3, 3, "replacement").reps_done == 3
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_broken_row_solver_fails_loudly(self, monkeypatch, threads):
+        # the solver's first flag flipped on each row with an even N1: it
+        # no longer uses exactly N1 controls there, a bug that no
+        # replication may pass on to the per-sample pipeline
+        rows_used = matching._rows_used
+
+        def flipping(xs, is_c, starts):
+            used = rows_used(xs, is_c, starts)
+            for lo, hi in zip(starts, np.append(starts[1:], xs.size)):
+                if np.count_nonzero(~is_c[lo:hi]) % 2 == 0:
+                    used[lo] = not used[lo]
+            return used
+
+        monkeypatch.setattr(matching, "_rows_used", flipping)
+        monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+        spec = pop.make_prognostic_spec(0.5)
+        with pytest.raises(RuntimeError, match="level solver") as exc:
+            sim.run_cell(spec, 100, 170, 3)
+        assert_no_children()
+        failing = [r for r in range(170)
+                   if pop.sample(spec, 100, pop.derive_seed(3, r)).n1 % 2 == 0]
+        assert f"prognostic(a=0.5) at n=100 with rep seed {pop.derive_seed(3, failing[0])} " \
+            "failed" in str(exc.value)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_spec_that_is_not_elementwise_fails_the_replay(self, monkeypatch, threads):
+        # over a block the mean runs across many samples; the replay of the
+        # first replication the block matched catches the difference
+        spec = replace(pop.make_prognostic_spec(0.5), mu0=lambda s: s - s.mean(),
+                       name="centred")
+        monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+        with pytest.raises(RuntimeError, match="elementwise") as exc:
+            sim.run_cell(spec, 100, 170, 3)
+        assert_no_children()
+        first = next(r for r, res in enumerate(per_sample(spec, 100, 170, 3, "exact",
+                                                          MatchConfig())) if not res[3])
+        assert str(exc.value).startswith(
+            f"replication of centred at n=100 with rep seed {pop.derive_seed(3, first)}: ")
 
 
 class TestWorkerHeap:

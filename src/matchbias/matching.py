@@ -544,7 +544,9 @@ def match_rows(scores: np.ndarray, treated: np.ndarray,
         raise SolverError(int(rows[i]), f"the level solver marked {flags[i]} units "
                                         f"used, not the N1 = {n1[i]} controls a matching uses")
     mate = np.empty(m * n, dtype=np.intp)
-    mate[src[~is_c]] = src[used]  # the i-th used control takes the i-th treated
+    # the i-th used control takes the i-th treated unit; compress, not a
+    # boolean index, which is three times slower here
+    mate[src.compress(~is_c)] = src.compress(used)
     return solved, t, mate[t]
 
 

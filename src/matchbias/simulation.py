@@ -125,10 +125,10 @@ def _rep_task(args):
         seeds = rep_seeds[lo:lo + rows]
         block = _block(spec, n, seeds, method, config) if len(seeds) > 1 \
             else [None]
-        done = [i for i, result in enumerate(block) if result is not None]
         for rep_seed, result in zip(seeds, block):
             results.append(result or _checked(spec, n, rep_seed, method, config))
-        if done and not replayed:
+        done = [] if replayed else [i for i, r in enumerate(block) if r is not None]
+        if done:
             # one the block matched, if there is one: the full pipeline
             i = next((i for i in done if not block[i][3]), done[0])
             _replay(spec, n, seeds[i], block[i], method, config)
@@ -197,7 +197,7 @@ def _block(spec, n, seeds, method, config):
     if config.caliper is not None:
         s = smp.s[rows].ravel()
         keep = np.abs(s[t] - s[c]) <= config.caliper
-        diff, pair_row = diff[keep], pair_row[keep]
+        diff, pair_row = diff.compress(keep), pair_row.compress(keep)
     pairs = np.bincount(pair_row, minlength=rows.size)
     value = np.zeros(len(seeds))
     value[rows] = estimators.run_means(diff, pairs)
@@ -207,7 +207,8 @@ def _block(spec, n, seeds, method, config):
     if spec.tau_att_true is not None:
         taus = [spec.tau_att_true] * len(seeds)
     else:  # the sample ATT; NaN without a treated unit
-        taus = estimators.run_means((smp.y1 - smp.y0)[smp.w == 1], n1).tolist()
+        taus = estimators.run_means((smp.y1 - smp.y0).ravel().compress(
+            smp.w.ravel()), n1).tolist()
     return [(True, v, v - tau, d, "") if f else None for f, v, tau, d in
             zip(finish.tolist(), value.tolist(), taus, degenerate.tolist())]
 

@@ -105,10 +105,11 @@ def _rep_task(args):
     (k = the capacity, 1 but for "capacitated"), one row per sample, in
     `_block`. A block of one row, every block of "replacement" and each
     replication the block leaves to it runs through `_replicate`, the
-    per-sample pipeline, alone. The first replication that a block
-    finishes is replayed through `_replicate`, which must give the same
-    result bit for bit; otherwise RuntimeError names the spec, n and the
-    rep seed.
+    per-sample pipeline, alone; after a block that finishes none of its
+    replications, so does the rest of the range. The first replication
+    that a block finishes is replayed through `_replicate`, which must
+    give the same result bit for bit; otherwise RuntimeError names the
+    spec, n and the rep seed.
 
     Only a ValueError from sampling and a MatchingError from the matcher
     other than InfeasibleError, which applies the zero convention, count
@@ -121,14 +122,20 @@ def _rep_task(args):
     rows = 1 if method == "replacement" else max(BLOCK_SCORES // max(k * n, 1), 1)
     results = []
     replayed = False
-    for lo in range(0, len(rep_seeds), rows):
+    lo = 0
+    while lo < len(rep_seeds):
         seeds = rep_seeds[lo:lo + rows]
+        lo += len(seeds)
         block = _block(spec, n, seeds, method, config) if len(seeds) > 1 \
             else [None]
         for rep_seed, result in zip(seeds, block):
             results.append(result or _checked(spec, n, rep_seed, method, config))
-        done = [] if replayed else [i for i, r in enumerate(block) if r is not None]
-        if done:
+        done = [i for i, r in enumerate(block) if r is not None]
+        if not done:
+            # as with ties in every row: sampling the rest twice, in a
+            # block and then alone, would only slow the range down
+            rows = 1
+        elif not replayed:
             # one the block matched, if there is one: the full pipeline
             i = next((i for i in done if not block[i][3]), done[0])
             _replay(spec, n, seeds[i], block[i], method, config)

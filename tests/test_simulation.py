@@ -431,6 +431,24 @@ class TestRowBlocks:
                             MatchConfig(capacity=sim.BLOCK_SCORES)).reps_done == 3
         assert sim.run_cell(spec, 100, 3, 3, "replacement").reps_done == 3
 
+    def test_range_stops_blocking_after_a_block_that_finishes_nothing(self, monkeypatch):
+        # every categorical sample of 100 units has a tie: after the first
+        # block, the range samples each replication once, alone
+        block, blocks = sim._block, []
+
+        def counted(*args):
+            blocks.append(block(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(sim, "_block", counted)
+        spec, config = BLOCK_SPECS["categorical"], MatchConfig()
+        assert sim._rep_task((spec, 100, 5, 0, 170, "exact", config)) == \
+            per_sample(spec, 100, 170, 5, "exact", config)
+        assert blocks == [[None] * 81]
+        blocks.clear()
+        sim._rep_task((BLOCK_SPECS["prognostic_1"], 100, 5, 0, 170, "exact", config))
+        assert len(blocks) == 3
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_broken_row_solver_fails_loudly(self, monkeypatch, threads):
         # the solver's first flag flipped on each row with an even N1: it

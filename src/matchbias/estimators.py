@@ -108,20 +108,20 @@ def att_caliper(smp: Sample, retained: Matching) -> AttEstimate:
     return AttEstimate(float(np.mean(y_t - y_c)), tp.size)
 
 
-def run_means(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The mean of each run of x, as np.mean gives it for the run alone,
-    bit for bit; NaN for an empty run. The runs lie back to back, the
-    i-th counts[i] long.
+def segment_means(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The mean of each segment of x, as np.mean gives it for the segment
+    alone, bit for bit; NaN for an empty one. The segments lie back to
+    back, the i-th counts[i] long.
 
     np.mean sums pairwise in a grouping that depends on the length, and
-    np.add.reduceat groups a run differently. So the runs are sorted by
-    length and those of one length summed as the rows of one 2D array,
-    which numpy sums row by row as it sums a 1D array: a fixed number of
-    numpy calls per distinct length.
+    np.add.reduceat groups a segment differently. So the segments are
+    sorted by length and those of one length summed as the rows of one 2D
+    array, which numpy sums row by row as it sums a 1D array: a fixed
+    number of numpy calls per distinct length.
     """
     by_length = np.argsort(counts, kind="stable")
     lengths = counts[by_length]
-    # x with its runs in that order
+    # x with its segments in that order
     shift = np.cumsum(counts) - counts
     shift = shift[by_length] - (np.cumsum(lengths) - lengths)
     x = x[np.arange(lengths.sum()) + np.repeat(shift, lengths)]

@@ -87,7 +87,8 @@ class SimRow:
 
 
 # A block holds at most this many sorted scores, N1 + k * N0 <= k * n per
-# sample, so its arrays stay in cache; n = 100 gives blocks of 81 samples.
+# sample: 81 samples at n = 100, about 0.9 MB of arrays at its peak.
+# Twice as many ran no faster at n = 100 or 1e3.
 BLOCK_SCORES = 8192
 
 
@@ -119,12 +120,12 @@ def _rep_task(args):
     spec, n, seed, start, stop, method, config = args
     rep_seeds = population.prepare_streams(seed, start, stop)
     k = config.capacity if method == "capacitated" else 1
-    rows = 1 if method == "replacement" else max(BLOCK_SCORES // max(k * n, 1), 1)
+    size = 1 if method == "replacement" else max(BLOCK_SCORES // max(k * n, 1), 1)
     results = []
     replayed = False
     lo = 0
     while lo < len(rep_seeds):
-        seeds = rep_seeds[lo:lo + rows]
+        seeds = rep_seeds[lo:lo + size]
         lo += len(seeds)
         block = _block(spec, n, seeds, method, config) if len(seeds) > 1 \
             else [None]
@@ -134,9 +135,10 @@ def _rep_task(args):
         if not done:
             # as with ties in every row: sampling the rest twice, in a
             # block and then alone, would only slow the range down
-            rows = 1
+            size = 1
         elif not replayed:
-            # one the block matched, if there is one: the full pipeline
+            # one the block matched, if there is one, so that the replay
+            # runs the whole pipeline
             i = next((i for i in done if not block[i][3]), done[0])
             _replay(spec, n, seeds[i], block[i], method, config)
             replayed = True
@@ -173,7 +175,7 @@ def _block(spec, n, seeds, method, config):
 
     `population.sample_rows` draws the rows, `matching.match_rows` matches
     them, the caliper drops pairs across the block, and
-    `estimators.run_means` takes each row's mean pair difference in
+    `estimators.segment_means` takes each row's mean pair difference in
     treated-position order, as att_matching and att_caliper do. A row
     with no matching (N1 = 0 or N1 > k * N0) takes the zero convention.
     Left to `_replicate`: every row when a spec callable raised, and
@@ -207,14 +209,14 @@ def _block(spec, n, seeds, method, config):
         diff, pair_row = diff.compress(keep), pair_row.compress(keep)
     pairs = np.bincount(pair_row, minlength=rows.size)
     value = np.zeros(len(seeds))
-    value[rows] = estimators.run_means(diff, pairs)
+    value[rows] = estimators.segment_means(diff, pairs)
     degenerate = np.ones(len(seeds), dtype=bool)
     degenerate[rows] = pairs == 0
     value[degenerate] = 0.0
     if spec.tau_att_true is not None:
         taus = [spec.tau_att_true] * len(seeds)
     else:  # the sample ATT; NaN without a treated unit
-        taus = estimators.run_means((smp.y1 - smp.y0).ravel().compress(
+        taus = estimators.segment_means((smp.y1 - smp.y0).ravel().compress(
             smp.w.ravel()), n1).tolist()
     return [(True, v, v - tau, d, "") if f else None for f, v, tau, d in
             zip(finish.tolist(), value.tolist(), taus, degenerate.tolist())]

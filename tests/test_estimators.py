@@ -167,20 +167,20 @@ class TestCaliperEstimator:
 
 
 class TestRowBlocks:
-    def test_run_means_are_np_means(self):
+    def test_segment_means_are_np_means(self):
         # np.mean groups a sum by its length; every length up to 300 and
-        # several runs of each, as a block's rows give them
+        # several segments of each, as a block's rows give them
         rng = np.random.default_rng(8)
         counts = np.concatenate([np.arange(301), rng.integers(0, 301, 300), [9000]])
         rng.shuffle(counts)
         x = rng.standard_normal(counts.sum()) * rng.random(counts.sum()) * 10
-        got = est.run_means(x, counts)
+        got = est.segment_means(x, counts)
         at = 0
         for i, count in enumerate(counts.tolist()):
-            run = x[at:at + count].copy()
+            segment = x[at:at + count].copy()
             at += count
             if count:
-                assert got[i].hex() == run.mean().hex(), count
+                assert got[i].hex() == segment.mean().hex(), count
             else:
                 assert np.isnan(got[i])
 

@@ -12,8 +12,7 @@ O(N) after the sort, below LEVEL_MIN sorted scores, and a level-by-level
 numpy solver, O(N log N) with no Python loop, from there on. They take
 the same controls wherever costs are exact; nothing here approximates
 the optimum. `match_rows` matches many samples at once, one per row of a
-block, by the level solver: one pass solves every row as it solves the
-row alone.
+block, in one pass of the level solver.
 
 Every matcher decides for itself whether a matching exists and raises
 InfeasibleError when none does; callers need not know which methods reuse
@@ -349,12 +348,14 @@ def _level_unused(xs: np.ndarray, is_c: np.ndarray,
     running sum of its steps within each group: each group's total, from
     `np.add.reduceat`, is folded into the next group's first slot, so
     the sum restarts at zero there and its rounding stays local to the
-    group; each row's sum starts at exactly zero, so a row's groups come
-    out bit for bit as they do when the row is solved alone.
-    `np.minimum.reduceat` gives each group's minimum, and the last
-    up-crossing at it is a_l. O(N log N) in a fixed number of numpy
-    calls for N = len(xs), with no Python loop; positions and levels are
-    int32, so N must be below 2**31.
+    group. A restart is exact unless the group's sum rounds, so a row
+    solved with others takes the controls it takes alone wherever costs
+    are exact; where rounding enters, a near-tie may break differently,
+    as between the sweep and this solver. `np.minimum.reduceat` gives
+    each group's minimum, and the last up-crossing at it is a_l.
+    O(N log N) in a fixed number of numpy calls for N = len(xs), with no
+    Python loop; positions and levels are int32, so N must be below
+    2**31.
     """
     # level - 1 of each event: D after a control, D before a treated unit
     lev = np.cumsum(is_c.view(np.int8) * np.int8(2) - np.int8(1),
@@ -395,11 +396,7 @@ def _level_unused(xs: np.ndarray, is_c: np.ndarray,
     group_starts = np.concatenate(([0], first))
     h[group_starts] = 0.0
     h[first] = -np.add.reduceat(h, group_starts)[:-1]
-    if starts.size == 1:
-        np.cumsum(h, out=h)
-    else:
-        # the first up of each row that has one starts its first group
-        _cumsum_by_row(h, group_starts[base[top > base]])
+    np.cumsum(h, out=h)
     lowest = np.minimum.reduceat(h, group_starts)
     del group_starts, first
     at_min = np.flatnonzero(h == lowest[lu])
@@ -407,23 +404,6 @@ def _level_unused(xs: np.ndarray, is_c: np.ndarray,
     lm = lu[at_min]
     at_min = at_min[np.append(lm[1:] != lm[:-1], True)]
     return lu[at_min], pu[at_min]
-
-
-def _cumsum_by_row(h: np.ndarray, first: np.ndarray) -> None:
-    """Running sum of h in place, restarted at exactly zero on each row,
-    the rows starting at the ascending indices `first`. The rows are laid
-    out as the rows of one zero-padded 2D array, so each sum runs in the
-    order a 1D cumsum of the row alone takes."""
-    h[first] = 0.0
-    counts = np.diff(first, append=h.size)
-    width = int(counts.max())
-    # the place of each slot in the grid, rows width apart
-    at = np.repeat(np.arange(0, first.size * width, width) - first, counts)
-    at += np.arange(h.size)
-    grid = np.zeros((first.size, width))
-    grid.ravel()[at] = h
-    np.cumsum(grid, axis=1, out=grid)
-    h[:] = grid.ravel()[at]
 
 
 _ONE_ROW = np.zeros(1, dtype=np.intp)
@@ -507,9 +487,10 @@ def match_rows(scores: np.ndarray, treated: np.ndarray,
     scores and row i of the bool array `treated` flags its treated units;
     every row must have 0 < N1 <= k * N0. A row whose n scores are
     distinct is matched as `_exact_match` matches it alone through the
-    level solver: one argsort per row gives its merged order, each
-    control is repeated k times in place, and `_level_unused` solves all
-    such rows in one pass. A row with a tie is left unmatched.
+    level solver, up to near-ties in rounding (see `_level_unused`): one
+    argsort per row gives its merged order, each control is repeated k
+    times in place, and `_level_unused` solves all such rows in one
+    pass. A row with a tie is left unmatched.
 
     Returns (solved, t, c): solved flags the rows matched; t holds the
     flat indices into `scores` of their treated units, in row-major

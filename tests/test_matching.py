@@ -683,7 +683,8 @@ class TestLevelSolverAgainstSweep:
 
 class TestRowBlocks:
     """`match_rows` matches each row of a block as the level solver
-    matches the row alone, bit for bit, and leaves rows with a tie."""
+    matches the row alone (on these inputs bit for bit, near-grid scores
+    included) and leaves rows with a tie."""
 
     def test_rows_solved_together_as_alone(self):
         rng = np.random.default_rng(61)

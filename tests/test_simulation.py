@@ -365,7 +365,7 @@ BLOCK_SPECS = {
     **{f"prognostic_{a:.3g}": pop.make_prognostic_spec(a) for a in (1 / 3, 4 / 9, 1.0, 2.0)},
     # no population ATT: the sample ATT of each row
     "uniform": pop.make_uniform_propensity_spec(0.8),
-    # two score values: every row with two units or more holds a tie
+    # two score values: every row of three units or more holds a tie
     "categorical": pop.make_categorical_spec(0.5, 0.6, 0.2, mu1_in=1.0),
     "categorical_noise": pop.make_categorical_spec(0.5, 0.6, 0.2, mu1_in=1.0,
                                                    noise_sd=1.0),

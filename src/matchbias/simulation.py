@@ -88,7 +88,8 @@ class SimRow:
 
 # A block holds at most this many sorted scores, N1 + k * N0 <= k * n per
 # sample: 81 samples at n = 100, about 0.9 MB of arrays at its peak.
-# Twice as many ran no faster at n = 100 or 1e3.
+# Twice as many ran at most 9% faster per sample at n = 100 and 1e3, for
+# twice the peak.
 BLOCK_SCORES = 8192
 
 

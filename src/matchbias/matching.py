@@ -9,10 +9,11 @@ choosing which controls stay unused, instead of a general assignment
 solver. Two exact solvers make that choice, for matching without
 replacement and capacity-k matching alike: a sweep with a Python loop,
 O(N) after the sort, below LEVEL_MIN sorted scores, and a level-by-level
-numpy solver, O(N log N) with no Python loop, from there on. They take
-the same controls wherever costs are exact; nothing here approximates
-the optimum. `match_rows` matches many samples at once, one per row of a
-block, in one pass of the level solver.
+numpy solver, O(N log N) with no Python loop over scores, from there on.
+They take the same controls wherever costs are exact; nothing here
+approximates the optimum. `match_rows` matches many samples at once, one
+per row of a block, in one pass of the level solver, each exactly as the
+level solver matches it alone.
 
 Every matcher decides for itself whether a matching exists and raises
 InfeasibleError when none does; callers need not know which methods reuse
@@ -347,32 +348,26 @@ def _level_unused(xs: np.ndarray, is_c: np.ndarray,
     (group, position) make each group's events contiguous. H is a
     running sum of its steps within each group: each group's total, from
     `np.add.reduceat`, is folded into the next group's first slot, so
-    the sum restarts at zero there and its rounding stays local to the
-    group. A restart is exact unless the group's sum rounds, so a row
-    solved with others takes the controls it takes alone wherever costs
-    are exact; where rounding enters, a near-tie may break differently,
-    as between the sweep and this solver. `np.minimum.reduceat` gives
-    each group's minimum, and the last up-crossing at it is a_l.
-    O(N log N) in a fixed number of numpy calls for N = len(xs), with no
-    Python loop; positions and levels are int32, so N must be below
-    2**31.
+    the sum restarts near zero there and its rounding stays local to the
+    group. Each row's sum is one `np.cumsum` of its own, from exactly
+    zero, so a row solved with others takes exactly the controls it
+    takes alone. `np.minimum.reduceat` gives each group's minimum, and
+    the last up-crossing at it is a_l. O(N log N) for N = len(xs), in a
+    fixed number of numpy calls and one more per row; positions and
+    levels are int32, so N must be below 2**31.
     """
     # level - 1 of each event: D after a control, D before a treated unit
     lev = np.cumsum(is_c.view(np.int8) * np.int8(2) - np.int8(1),
                     dtype=np.int32)
-    if starts.size == 1:
-        surplus = int(lev[-1])
-        lev -= is_c
-        inside = lev.view(np.uint32) < surplus
-    else:
-        # the walk at the end of each row: the surpluses of rows so far
-        top = lev[np.append(starts[1:], lev.size) - 1]
-        base = np.zeros_like(top)
-        base[1:] = top[:-1]
-        lengths = np.diff(starts, append=lev.size)
-        lev -= is_c
-        inside = ((lev - np.repeat(base, lengths)).view(np.uint32)
-                  < np.repeat(top - base, lengths))
+    # the walk at the end of each row and before it: the surpluses of the
+    # rows so far
+    ends = np.append(starts[1:], lev.size)
+    top = lev[ends - 1]
+    base = np.zeros_like(top)
+    base[1:] = top[:-1]
+    lev -= is_c
+    inside = ((lev - np.repeat(base, ends - starts)).view(np.uint32)
+              < np.repeat(top - base, ends - starts))
     lu, pu = _by_level(lev, np.flatnonzero(inside & is_c))
     pd = _by_level(lev, np.flatnonzero(inside & ~is_c))[1]
     del lev, inside
@@ -396,7 +391,13 @@ def _level_unused(xs: np.ndarray, is_c: np.ndarray,
     group_starts = np.concatenate(([0], first))
     h[group_starts] = 0.0
     h[first] = -np.add.reduceat(h, group_starts)[:-1]
-    np.cumsum(h, out=h)
+    # the running sum restarts at exactly zero on each row, as in a
+    # one-row call, so a row's rounding does not depend on the rows before
+    bounds = lu.searchsorted(base)
+    h[bounds[bounds < lu.size]] = 0.0
+    bounds = np.append(bounds, lu.size).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.cumsum(h[lo:hi], out=h[lo:hi])
     lowest = np.minimum.reduceat(h, group_starts)
     del group_starts, first
     at_min = np.flatnonzero(h == lowest[lu])
@@ -486,10 +487,11 @@ def match_rows(scores: np.ndarray, treated: np.ndarray,
     Row i of `scores`, an (m, n) float array, holds one sample's finite
     scores and row i of the bool array `treated` flags its treated units;
     every row must have 0 < N1 <= k * N0. A row whose n scores are
-    distinct is matched as `_exact_match` matches it alone through the
-    level solver, up to near-ties in rounding (see `_level_unused`): one
-    argsort per row gives its merged order, each control is repeated k
-    times in place, and `_level_unused` solves all such rows in one
+    distinct is matched exactly as the level solver matches it alone
+    (`_level_used`; `_exact_match` runs the sweep instead below LEVEL_MIN
+    sorted scores, which may break a near-tie in rounding differently):
+    one argsort per row gives its merged order, each control is repeated
+    k times in place, and `_level_unused` solves all such rows in one
     pass. A row with a tie is left unmatched.
 
     Returns (solved, t, c): solved flags the rows matched; t holds the

@@ -8,8 +8,8 @@ parallel without coordination. A seed's whole stream is its Philox key at
 counter 0, which SeedSequence hashes from the seed; derive_streams computes
 the seeds and keys of a range of replications in one vectorized pass, bit
 for bit, so a run can seed each replication by resetting one Philox.
-`sample_rows` draws many samples as the rows of one block, each bit for
-bit as `sample` draws it.
+Given a list of seeds, `sample` draws one sample per seed as the rows of
+one block, each bit for bit as it draws that seed alone.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ class PopulationSpec:
     callables are vectorized over numpy arrays, and assign_prob, mu0 and
     mu1 must be elementwise: the value at a score may not depend on the
     other scores in the array, nor on its shape, because a simulation
-    applies them to a block of many samples at once (`sample_rows`). When
-    the score distribution has a density, score_pdf/score_support enable
-    quadrature in the theory routines; otherwise they fall back to
-    fixed-seed Monte Carlo.
+    applies them to a block of many samples at once (`sample` given a
+    list of seeds). When the score distribution has a density,
+    score_pdf/score_support enable quadrature in the theory routines;
+    otherwise they fall back to fixed-seed Monte Carlo.
     """
 
     score_sampler: ScoreSampler
@@ -290,22 +290,25 @@ def _draws(spec: PopulationSpec, n: int, rng: np.random.Generator):
     yield spec.noise1(rng, n)
 
 
-def _realize(spec: PopulationSpec, s, rest):
-    """(inside, w, y0, y1, y) from the scores of one sample, or of rows of
-    samples, and the rest of their draws in order: treatment where a
-    uniform falls below the assignment probability, and the outcomes.
-    inside flags each probability in [0, 1]. A draw is taken when it is
-    used, so a sample never holds all of them at once."""
+def _assignment(spec: PopulationSpec, s):
+    """(p, inside): the assignment probability at the scores s, and a flag
+    on each value of p that lies in [0, 1]."""
     p = np.asarray(spec.assign_prob(s), dtype=float)
-    inside = (p >= 0.0) & (p <= 1.0)  # NaN fails both comparisons
+    return p, (p >= 0.0) & (p <= 1.0)  # NaN fails both comparisons
+
+
+def _realize(spec: PopulationSpec, s, p, rest):
+    """(w, y0, y1, y) from the scores of one sample, or of rows of samples,
+    their assignment probabilities p and the rest of their draws in order:
+    treatment where a uniform falls below p, and the outcomes. A draw is
+    taken when it is used, so a sample never holds all of them at once."""
     w = (next(rest) < p).astype(np.int8)
-    del p
     y0 = np.asarray(spec.mu0(s), dtype=float) + next(rest)
     y1 = np.asarray(spec.mu1(s), dtype=float) + next(rest)
-    return inside, w, y0, y1, np.where(w == 1, y1, y0)
+    return w, y0, y1, np.where(w == 1, y1, y0)
 
 
-def sample(spec: PopulationSpec, n: int, seed: int) -> Sample:
+def sample(spec: PopulationSpec, n: int, seed) -> Sample | SampleRows:
     """Draw n units i.i.d. from the population.
 
     Per unit: draw the score, assign treatment as Bernoulli of the
@@ -313,14 +316,24 @@ def sample(spec: PopulationSpec, n: int, seed: int) -> Sample:
     outcome under the assigned arm. Deterministic given (spec, n, seed).
     n and seed follow whole_number: whole numbers >= 0, 40.0 drawing as 40;
     n = 0 gives an empty sample. An assignment probability outside [0, 1]
-    raises ValueError.
+    raises ValueError before the outcomes are drawn.
+
+    Given a list of seeds, returns SampleRows: row i is the Sample drawn at
+    the i-th seed, bit for bit. Each seed's stream is drawn in the same
+    order into its row; the spec's assign_prob, mu0 and mu1 then run once
+    on the whole (rows, n) score array, which is why they must be
+    elementwise, and a row whose probabilities leave [0, 1] is flagged
+    rather than raised.
     """
     n = whole_number(n, "n", 0)
+    if isinstance(seed, list):
+        return _sample_rows(spec, n, [whole_number(x, "seed", 0) for x in seed])
     draws = _draws(spec, n, _rng(whole_number(seed, "seed", 0)))
     s = np.asarray(next(draws), dtype=float)
-    inside, w, y0, y1, y = _realize(spec, s, draws)
+    p, inside = _assignment(spec, s)
     if not inside.all():
         raise ValueError("assign_prob left [0, 1] on the drawn scores")
+    w, y0, y1, y = _realize(spec, s, p, draws)
     return Sample(w, s, y0, y1, y)
 
 
@@ -338,20 +351,13 @@ class SampleRows:
     valid: np.ndarray
 
 
-def sample_rows(spec: PopulationSpec, n: int, seeds) -> SampleRows:
-    """`sample` at each of seeds (whole numbers, as n, not checked here),
-    one row per seed, bit for bit.
-
-    Each seed's stream is drawn in `sample`'s order into its row; the
-    spec's assign_prob, mu0 and mu1 then run once on the whole (rows, n)
-    score array, which is why they must be elementwise.
-    """
+def _sample_rows(spec: PopulationSpec, n: int, seeds: list[int]) -> SampleRows:
     s, u, e0, e1 = (np.empty((len(seeds), n)) for _ in range(4))
     for i, seed in enumerate(seeds):
         s[i], u[i], e0[i], e1[i] = _draws(spec, n, _rng(seed))
-    inside, w, y0, y1, y = _realize(spec, s, iter((u, e0, e1)))
+    p, inside = _assignment(spec, s)
     valid = np.broadcast_to(inside, s.shape).all(axis=1)
-    return SampleRows(s, w, y0, y1, y, valid)
+    return SampleRows(s, *_realize(spec, s, p, iter((u, e0, e1))), valid)
 
 
 # --- building blocks (module-level so specs stay picklable) ---

@@ -10,13 +10,17 @@ replications per worker; each range derives its seeds and Philox keys in
 one vectorized pass (population.prepare_streams), and the streams are the
 ones NumPy's SeedSequence gives each seed.
 
-A range runs in blocks of samples, one row per replication: the block is
-sampled, matched and estimated in a fixed number of numpy calls per block
-instead of per replication (`_block`), bit for bit as the per-sample
-pipeline (`_replicate`) would. That pipeline still runs every replication
-a block does not finish, every block of one row and matching with
+Where a block holds two samples or more, a range runs in blocks, one row
+per replication: each block is sampled, matched and estimated in a fixed
+number of numpy calls, and one per row in the solver (`_block`). A row's
+sample is the per-sample pipeline's (`_replicate`) bit for bit, and it is
+matched exactly as the level solver matches that sample alone, so it
+takes the per-sample pipeline's controls wherever costs are exact (below
+matching.LEVEL_MIN sorted scores that pipeline runs the sweep). The
+per-sample pipeline still runs every replication a block does not finish,
+every one where a block would hold a single sample and matching with
 replacement, and it replays the first replication a block finishes in
-each range, which must come out the same.
+each range, whose sample must come out the same.
 """
 
 from __future__ import annotations
@@ -103,15 +107,16 @@ def _rep_task(args):
     pass, in the process that runs the task, after re-deriving the first
     through NumPy's SeedSequence.
 
-    The range runs in blocks of BLOCK_SCORES // (k * n) replications
-    (k = the capacity, 1 but for "capacitated"), one row per sample, in
-    `_block`. A block of one row, every block of "replacement" and each
-    replication the block leaves to it runs through `_replicate`, the
-    per-sample pipeline, alone; after a block that finishes none of its
-    replications, so does the rest of the range. The first replication
-    that a block finishes is replayed through `_replicate`, which must
-    give the same result bit for bit; otherwise RuntimeError names the
-    spec, n and the rep seed.
+    Where a block holds two samples or more, BLOCK_SCORES // (k * n) of
+    them (k = the capacity, 1 but for "capacitated"), the range runs in
+    such blocks, one row per sample, in `_block`, down to a last block of
+    one; each replication a block leaves to it runs through `_replicate`,
+    the per-sample pipeline, alone. Elsewhere, and for "replacement",
+    every replication runs through `_replicate`. So which pipeline a
+    replication takes depends on n, k, the method and its own sample,
+    never on where a range or a block begins, and the results do not
+    depend on the worker count. The first replication in the range that
+    a block finishes is replayed (`_replay`).
 
     Only a ValueError from sampling and a MatchingError from the matcher
     other than InfeasibleError, which applies the zero convention, count
@@ -121,27 +126,22 @@ def _rep_task(args):
     spec, n, seed, start, stop, method, config = args
     rep_seeds = population.prepare_streams(seed, start, stop)
     k = config.capacity if method == "capacitated" else 1
-    size = 1 if method == "replacement" else max(BLOCK_SCORES // max(k * n, 1), 1)
+    size = 1 if method == "replacement" else BLOCK_SCORES // max(k * n, 1)
+    if size < 2:
+        return [_checked(spec, n, rep_seed, method, config) for rep_seed in rep_seeds]
     results = []
     replayed = False
-    lo = 0
-    while lo < len(rep_seeds):
+    for lo in range(0, len(rep_seeds), size):
         seeds = rep_seeds[lo:lo + size]
-        lo += len(seeds)
-        block = _block(spec, n, seeds, method, config) if len(seeds) > 1 \
-            else [None]
+        rows, block = _block(spec, n, seeds, method, config)
         for rep_seed, result in zip(seeds, block):
             results.append(result or _checked(spec, n, rep_seed, method, config))
         done = [i for i, r in enumerate(block) if r is not None]
-        if not done:
-            # as with ties in every row: sampling the rest twice, in a
-            # block and then alone, would only slow the range down
-            size = 1
-        elif not replayed:
+        if done and not replayed:
             # one the block matched, if there is one, so that the replay
             # runs the whole pipeline
             i = next((i for i in done if not block[i][3]), done[0])
-            _replay(spec, n, seeds[i], block[i], method, config)
+            _replay(spec, n, seeds[i], rows, i, method, config)
             replayed = True
     return results
 
@@ -156,38 +156,57 @@ def _checked(spec, n, rep_seed, method, config):
                            f"{rep_seed} failed: {exc!r}") from exc
 
 
-def _replay(spec, n, rep_seed, result, method, config):
-    """Raise RuntimeError unless `_replicate` gives `result` bit for bit."""
-    want = _checked(spec, n, rep_seed, method, config)
-    if _bits(result) != _bits(want):
-        raise RuntimeError(
-            f"replication of {spec.name} at n={n} with rep seed {rep_seed}: "
-            f"its block gave {result!r}, the per-sample pipeline {want!r}; "
-            "are the spec's assign_prob, mu0 and mu1 elementwise?")
+def _replay(spec, n, rep_seed, rows, i, method, config):
+    """Replay the replication at rep_seed, row i of a block that finished
+    it, through `population.sample` and `_replicate`.
 
-
-def _bits(result):
-    return tuple(x.hex() if isinstance(x, float) else x for x in result)
+    Raises RuntimeError, naming the spec, n and the rep seed, unless
+    `population.sample` draws row i of `rows` bit for bit, which a spec
+    whose assign_prob, mu0 or mu1 is not elementwise fails, and unless
+    `_replicate` finishes the replication too. `_replicate` reaches
+    `population.sample`, `matching.match_scores` and `estimators.att_*` as
+    module attributes, so a wrapper of those sees one whole replication
+    per range. Its estimate is not compared with the block's: below
+    matching.LEVEL_MIN sorted scores the matcher runs the sweep, which may
+    break a near-tie in rounding differently from the block's level
+    solver.
+    """
+    name = f"replication of {spec.name} at n={n} with rep seed {rep_seed}"
+    try:
+        alone = population.sample(spec, n, rep_seed)
+    except ValueError:
+        alone = None
+    if alone is None or any(getattr(alone, f).tobytes() != getattr(rows, f)[i].tobytes()
+                            for f in ("s", "w", "y0", "y1", "y")):
+        raise RuntimeError(f"{name}: its block drew another sample than "
+                           "population.sample; are the spec's assign_prob, mu0 "
+                           "and mu1 elementwise?")
+    ok, *_, message = _checked(spec, n, rep_seed, method, config)
+    if not ok:
+        raise RuntimeError(f"{name}: its block finished it, the per-sample "
+                           f"pipeline failed it: {message}")
 
 
 def _block(spec, n, seeds, method, config):
-    """The replications at seeds, one row apiece: the result tuple of each
-    one the block finishes, None for each it leaves to `_replicate`.
+    """(rows, results) for the replications at seeds, one row apiece:
+    rows is the SampleRows that `population.sample` draws for the list of
+    seeds, None if it raised, and results holds the result tuple of each
+    replication the block finishes, None for each it leaves to
+    `_replicate`.
 
-    `population.sample_rows` draws the rows, `matching.match_rows` matches
-    them, the caliper drops pairs across the block, and
-    `estimators.segment_means` takes each row's mean pair difference in
-    treated-position order, as att_matching and att_caliper do. A row
-    with no matching (N1 = 0 or N1 > k * N0) takes the zero convention.
-    Left to `_replicate`: every row when a spec callable raised, and
+    `matching.match_rows` matches the rows, the caliper drops pairs across
+    the block, and `estimators.segment_means` takes each row's mean pair
+    difference in treated-position order, as att_matching and att_caliper
+    do. A row with no matching (N1 = 0 or N1 > k * N0) takes the zero
+    convention. Left to `_replicate`: every row when sampling raised, and
     rows with an assignment probability outside [0, 1], a non-finite
     score, a tied score or a surplus above the band, so each fails or
     raises with the message it always has.
     """
     try:
-        smp = population.sample_rows(spec, n, seeds)
-    except Exception:  # `_replicate` calls the spec again and reports it
-        return [None] * len(seeds)
+        smp = population.sample(spec, n, seeds)
+    except Exception:  # `_replicate` samples each seed alone and reports it
+        return None, [None] * len(seeds)
     k = config.capacity if method == "capacitated" else 1
     n1 = np.count_nonzero(smp.w, axis=1)
     n0 = n - n1
@@ -219,8 +238,8 @@ def _block(spec, n, seeds, method, config):
     else:  # the sample ATT; NaN without a treated unit
         taus = estimators.segment_means((smp.y1 - smp.y0).ravel().compress(
             smp.w.ravel()), n1).tolist()
-    return [(True, v, v - tau, d, "") if f else None for f, v, tau, d in
-            zip(finish.tolist(), value.tolist(), taus, degenerate.tolist())]
+    return smp, [(True, v, v - tau, d, "") if f else None for f, v, tau, d in
+                 zip(finish.tolist(), value.tolist(), taus, degenerate.tolist())]
 
 
 def _replicate(spec, n, rep_seed, method, config):

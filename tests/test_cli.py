@@ -3,6 +3,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from matchbias import matching, simulation
@@ -25,6 +26,25 @@ def write_config(path, **overrides):
 def toy_units_csv(path, rows):
     lines = ["id,w,s"] + [f"{i},{w},{s}" for i, (w, s) in enumerate(rows)]
     path.write_text("\n".join(lines) + "\n")
+
+
+def assert_n80_bug_written(tmp_path, capsys, method):
+    """simulate at n = 60 and 80 exits 4 naming the n = 80 cell's bug and
+    writes the n = 60 cell."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, matching={"method": method},
+                 simulation={"n_values": [60, 80]})
+    assert main(["simulate", "--config", str(cfg_path)]) == 4
+    err = capsys.readouterr().err
+    assert "rep seed" in err and "n=80" in err
+    out_dir = tmp_path / "out"
+    with open(out_dir / "table.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2 and rows[1][1] == "60"
+    assert (out_dir / "table.md").is_file()
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert "rep seed" in manifest["error"] and "n=80" in manifest["error"]
+    assert [c["n"] for c in manifest["cells"]] == [60]
 
 
 class TestSimulate:
@@ -239,6 +259,22 @@ class TestSimulate:
 
     def test_replication_bug_writes_finished_cells_and_exits_four(
             self, tmp_path, capsys, monkeypatch):
+        # the row solver marks one control too many on rows of 80 units:
+        # the n=60 cell finishes, the n=80 cell's block hits the bug
+        rows_used = matching._rows_used
+
+        def flipping(xs, is_c, starts):
+            used = rows_used(xs, is_c, starts)
+            if xs.size == 80 * starts.size:
+                used[np.flatnonzero(is_c & ~used)[:1]] = True
+            return used
+
+        monkeypatch.setattr(matching, "_rows_used", flipping)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        assert_n80_bug_written(tmp_path, capsys, "exact")
+
+    def test_per_sample_replication_bug_writes_finished_cells_and_exits_four(
+            self, tmp_path, capsys, monkeypatch):
         # the third matcher call drops a pair: the n=60 cell finishes, n=80
         # hits the bug. Matching with replacement runs every replication
         # through the per-sample pipeline, so each one calls the matcher.
@@ -253,20 +289,7 @@ class TestSimulate:
 
         monkeypatch.setattr(matching, "match_scores", dropping)
         monkeypatch.setenv("MATCHBIAS_THREADS", "1")
-        cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path, matching={"method": "replacement"},
-                     simulation={"n_values": [60, 80]})
-        assert main(["simulate", "--config", str(cfg_path)]) == 4
-        err = capsys.readouterr().err
-        assert "rep seed" in err and "n=80" in err
-        out_dir = tmp_path / "out"
-        with open(out_dir / "table.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 2 and rows[1][1] == "60"
-        assert (out_dir / "table.md").is_file()
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert "rep seed" in manifest["error"] and "n=80" in manifest["error"]
-        assert [c["n"] for c in manifest["cells"]] == [60]
+        assert_n80_bug_written(tmp_path, capsys, "replacement")
 
     def test_replication_bug_reported_when_output_unwritable(
             self, tmp_path, capsys, monkeypatch):

@@ -298,7 +298,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("n", [0, 1, 7, 100])
     def test_rows_are_the_samples(self, spec, n):
         seeds = pop.prepare_streams(6, 0, 5)
-        rows = pop.sample_rows(spec, n, seeds)
+        rows = pop.sample(spec, n, seeds)
         assert rows.valid.tolist() == [True] * 5
         for i, seed in enumerate(seeds):
             smp = pop.sample(spec, n, seed)
@@ -311,7 +311,7 @@ class TestRowBlocks:
         spec = replace(base, assign_prob=lambda s: np.where(
             s > 1.9, np.nan, base.assign_prob(s)))
         seeds = [pop.derive_seed(2, r) for r in range(60)]
-        valid = pop.sample_rows(spec, 100, seeds).valid.tolist()
+        valid = pop.sample(spec, 100, seeds).valid.tolist()
         for seed, ok in zip(seeds, valid):
             if ok:
                 pop.sample(spec, 100, seed)
@@ -319,6 +319,27 @@ class TestRowBlocks:
                 with pytest.raises(ValueError, match=r"left \[0, 1\]"):
                     pop.sample(spec, 100, seed)
         assert True in valid and False in valid
+
+    def test_outcomes_are_not_drawn_where_assignment_fails(self):
+        # the outcome model is undefined above 1.9, where assign_prob is
+        # NaN: a sample there fails on assign_prob and never reaches it
+        base = pop.make_prognostic_spec(0.5)
+
+        def mu0(s):
+            if (s > 1.9).any():
+                raise ZeroDivisionError("mu0 undefined above 1.9")
+            return base.mu0(s)
+
+        spec = replace(base, mu0=mu0, assign_prob=lambda s: np.where(
+            s > 1.9, np.nan, base.assign_prob(s)))
+        outcomes = 0
+        for r in range(60):
+            try:
+                pop.sample(spec, 100, pop.derive_seed(2, r))
+                outcomes += 1
+            except ValueError as exc:
+                assert str(exc) == "assign_prob left [0, 1] on the drawn scores"
+        assert 0 < outcomes < 60
 
 
 class TestCsvRoundTrip:

@@ -374,6 +374,7 @@ BLOCK_SPECS = {
         nan_assign_above, assign_prob=pop.make_prognostic_spec(0.5).assign_prob,
         cut=1.9)),
 }
+
 # a band of 25 refuses some rows at n = 60 and 100 and every row at
 # n = 1000; a caliper of 0.005 drops every pair of many rows at n = 10
 BLOCK_METHODS = {
@@ -384,6 +385,15 @@ BLOCK_METHODS = {
 # at n = 100 a block holds 81 rows: 170 reps are blocks of 81, 81 and 8 on
 # one worker and of 81 and 4 in each range of two; at n = 60, 136 rows
 BLOCK_REPS = {2: 40, 10: 40, 60: 150, 100: 170, 1000: 20}
+
+
+def grid_scores(rng, n):
+    """n distinct scores from the grid 0, 0.01, ..., 1.99."""
+    return rng.choice(200, n, replace=False) / 100
+
+
+NEAR_GRID = replace(pop.make_prognostic_spec(1 / 3), score_sampler=grid_scores,
+                    name="near-grid")
 
 
 class TestRowBlocks:
@@ -425,29 +435,64 @@ class TestRowBlocks:
         monkeypatch.setattr(sim, "_block", refuse)
         monkeypatch.setenv("MATCHBIAS_THREADS", "1")
         spec = pop.make_prognostic_spec(0.5)
-        assert sim.run_cell(spec, 100, 1, 3).reps_done == 1
         assert sim.run_cell(spec, sim.BLOCK_SCORES // 2 + 1, 2, 3).reps_done == 2
         assert sim.run_cell(spec, 100, 3, 3, "capacitated",
                             MatchConfig(capacity=sim.BLOCK_SCORES)).reps_done == 3
         assert sim.run_cell(spec, 100, 3, 3, "replacement").reps_done == 3
 
-    def test_range_stops_blocking_after_a_block_that_finishes_nothing(self, monkeypatch):
-        # every categorical sample of 100 units has a tie: after the first
-        # block, the range samples each replication once, alone
-        block, blocks = sim._block, []
+    def test_ranges_of_any_length_run_in_blocks(self, monkeypatch):
+        # at n = 100 every replication goes through a block, the last of
+        # a range and a range of one included; a categorical block, all of
+        # whose rows hold a tie, leaves each of them to `_replicate`
+        block, sizes = sim._block, []
 
-        def counted(*args):
-            blocks.append(block(*args))
-            return blocks[-1]
+        def counted(spec, n, seeds, *args):
+            sizes.append(len(seeds))
+            return block(spec, n, seeds, *args)
 
         monkeypatch.setattr(sim, "_block", counted)
-        spec, config = BLOCK_SPECS["categorical"], MatchConfig()
+        config = MatchConfig()
+        for start, stop in ((0, 163), (7, 8)):
+            sim._rep_task((BLOCK_SPECS["prognostic_1"], 100, 5, start, stop, "exact", config))
+        assert sizes == [81, 81, 1, 1]
+        sizes.clear()
+        spec = BLOCK_SPECS["categorical"]
         assert sim._rep_task((spec, 100, 5, 0, 170, "exact", config)) == \
             per_sample(spec, 100, 170, 5, "exact", config)
-        assert blocks == [[None] * 81]
-        blocks.clear()
-        sim._rep_task((BLOCK_SPECS["prognostic_1"], 100, 5, 0, 170, "exact", config))
-        assert len(blocks) == 3
+        assert sizes == [81, 81, 8]
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_near_grid_scores_do_not_depend_on_the_worker_count(self, monkeypatch, threads):
+        # distinct scores on a grid of 1/100: many matchings cost the same
+        # in exact arithmetic and differ only in rounding. At n = 100
+        # `_replicate` runs the sweep, which breaks such a near-tie
+        # otherwise than the level solver on rep 0 of cell seed 573, the
+        # one each range's replay draws again
+        spec, config = NEAR_GRID, MatchConfig()
+        seeds = [pop.derive_seed(573, r) for r in range(200)]
+        alone = [sim._block(spec, 100, [s], "exact", config)[1][0] for s in seeds]
+        assert all(alone)
+        assert bits(alone[:1]) != bits(per_sample(spec, 100, 1, 573, "exact", config))
+        monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+        assert bits(sim._run_reps(spec, 100, 200, 573, "exact", config)) == bits(alone)
+
+    def test_outcomes_undefined_where_assignment_fails(self, monkeypatch):
+        # mu0 raises above 1.9, where assign_prob is NaN: the block that
+        # holds such a row raises, and `_replicate` fails that replication
+        # before it reaches mu0
+        base = pop.make_prognostic_spec(0.5)
+
+        def mu0(s):
+            if (s > 1.9).any():
+                raise ZeroDivisionError("mu0 undefined above 1.9")
+            return base.mu0(s)
+
+        spec = replace(BLOCK_SPECS["nan_above"], mu0=mu0)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        row = sim.run_cell(spec, 100, 170, 5)
+        assert 0 < row.reps_done < 170
+        assert row.note.endswith("replications failed: assign_prob left [0, 1] on the "
+                                 "drawn scores")
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_broken_row_solver_fails_loudly(self, monkeypatch, threads):

@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-ScoreSampler = Callable[[np.random.Generator, int], np.ndarray]
 ScoreFunc = Callable[[np.ndarray], np.ndarray]
 
 
@@ -32,29 +31,40 @@ ScoreFunc = Callable[[np.ndarray], np.ndarray]
 class PopulationSpec:
     """A data-generating process on a scalar score.
 
-    score_sampler draws score values, assign_prob maps a score to the
-    probability of treatment, mu0/mu1 are the conditional means of the two
-    potential outcomes, and noise0/noise1 draw zero-mean disturbances. All
-    callables are vectorized over numpy arrays, and assign_prob, mu0 and
-    mu1 must be elementwise: the value at a score may not depend on the
-    other scores in the array, nor on its shape, because a simulation
-    applies them to a block of many samples at once (`sample` given a
-    list of seeds). When the score distribution has a density,
-    score_pdf/score_support enable quadrature in the theory routines;
-    otherwise they fall back to fixed-seed Monte Carlo.
+    score_from_uniform maps a unit's Uniform[0, 1) draw to its score,
+    assign_prob maps a score to the probability of treatment, mu0/mu1 are
+    the conditional means of the two potential outcomes, and
+    noise_sd0/noise_sd1 are the sds of their normal disturbances: None or
+    a finite number >= 0 (real_number). None draws no noise, unlike an sd
+    of 0, so the two are not the same stream. All callables are vectorized
+    over numpy arrays and must be elementwise: the value at a uniform or a
+    score may not depend on the other values in the array, nor on its
+    shape, because a simulation applies them to a block of many samples at
+    once (`sample` given a list of seeds). When the score distribution has
+    a density, score_pdf/score_support enable quadrature in the theory
+    routines; otherwise they fall back to fixed-seed Monte Carlo.
     """
 
-    score_sampler: ScoreSampler
+    score_from_uniform: ScoreFunc
     assign_prob: ScoreFunc
     mu0: ScoreFunc
     mu1: ScoreFunc
-    noise0: ScoreSampler
-    noise1: ScoreSampler
+    noise_sd0: float | None
+    noise_sd1: float | None
     tau_att_true: float | None = None
     score_pdf: ScoreFunc | None = None
     score_support: tuple[float, float] | None = None
     score_breakpoints: tuple[float, ...] = ()
     name: str = "custom"
+
+    def __post_init__(self):
+        if not callable(self.score_from_uniform):
+            raise ValueError("score_from_uniform must be callable, "
+                             f"got {self.score_from_uniform!r}")
+        for field in ("noise_sd0", "noise_sd1"):
+            if (sd := getattr(self, field)) is not None:
+                object.__setattr__(self, field, real_number(
+                    sd, field, "None or a finite number >= 0", lambda v: 0.0 <= v < math.inf))
 
 
 @dataclass
@@ -281,15 +291,6 @@ def _rng(seed: int) -> np.random.Generator:
     return _streams.generator
 
 
-def _draws(spec: PopulationSpec, n: int, rng: np.random.Generator):
-    """One sample's draws, in the order they take its stream: the scores,
-    the uniforms that assign treatment, the noise of y0, the noise of y1."""
-    yield spec.score_sampler(rng, n)
-    yield rng.random(n)
-    yield spec.noise0(rng, n)
-    yield spec.noise1(rng, n)
-
-
 def _assignment(spec: PopulationSpec, s):
     """(p, inside): the assignment probability at the scores s, and a flag
     on each value of p that lies in [0, 1]."""
@@ -297,15 +298,14 @@ def _assignment(spec: PopulationSpec, s):
     return p, (p >= 0.0) & (p <= 1.0)  # NaN fails both comparisons
 
 
-def _realize(spec: PopulationSpec, s, p, rest):
-    """(w, y0, y1, y) from the scores of one sample, or of rows of samples,
-    their assignment probabilities p and the rest of their draws in order:
-    treatment where a uniform falls below p, and the outcomes. A draw is
-    taken when it is used, so a sample never holds all of them at once."""
-    w = (next(rest) < p).astype(np.int8)
-    y0 = np.asarray(spec.mu0(s), dtype=float) + next(rest)
-    y1 = np.asarray(spec.mu1(s), dtype=float) + next(rest)
-    return w, y0, y1, np.where(w == 1, y1, y0)
+def _outcomes(spec: PopulationSpec, s, w, normals):
+    """(y0, y1, y) of one sample, or of rows of samples, from their scores
+    s, treatment flags w and an iterator over the standard normals of each
+    arm with an sd: each arm's mean plus its noise (0.0 without), and the
+    outcome under the assigned arm."""
+    y0, y1 = (np.asarray(mu(s), dtype=float) + (0.0 if sd is None else sd * next(normals))
+              for mu, sd in ((spec.mu0, spec.noise_sd0), (spec.mu1, spec.noise_sd1)))
+    return y0, y1, np.where(w == 1, y1, y0)
 
 
 def sample(spec: PopulationSpec, n: int, seed) -> Sample | SampleRows:
@@ -313,28 +313,31 @@ def sample(spec: PopulationSpec, n: int, seed) -> Sample | SampleRows:
 
     Per unit: draw the score, assign treatment as Bernoulli of the
     assignment probability, draw both potential outcomes, and realize the
-    outcome under the assigned arm. Deterministic given (spec, n, seed).
-    n and seed follow whole_number: whole numbers >= 0, 40.0 drawing as 40;
-    n = 0 gives an empty sample. An assignment probability outside [0, 1]
-    raises ValueError before the outcomes are drawn.
+    outcome under the assigned arm, drawing the stream in calls of n as they
+    are used: the score uniforms, the assignment uniforms, and the normals
+    of y0 and of y1 where the arm has an sd. Deterministic given (spec, n,
+    seed). n and seed follow whole_number: whole numbers >= 0, 40.0
+    drawing as 40; n = 0 gives an empty sample. An assignment probability
+    outside [0, 1] raises ValueError before the outcomes are drawn.
 
     Given a list of seeds, returns SampleRows: row i is the Sample drawn at
     the i-th seed, bit for bit. Each seed's stream is drawn in the same
-    order into its row; the spec's assign_prob, mu0 and mu1 then run once
-    on the whole (rows, n) score array, which is why they must be
-    elementwise, and a row whose probabilities leave [0, 1] is flagged
-    rather than raised.
+    order into its row, in two generator calls; the spec's
+    score_from_uniform, assign_prob, mu0 and mu1 then run once on the
+    whole (rows, n) block, which is why they must be elementwise, and a
+    row whose probabilities leave [0, 1] is flagged rather than raised.
     """
     n = whole_number(n, "n", 0)
     if isinstance(seed, list):
         return _sample_rows(spec, n, [whole_number(x, "seed", 0) for x in seed])
-    draws = _draws(spec, n, _rng(whole_number(seed, "seed", 0)))
-    s = np.asarray(next(draws), dtype=float)
+    rng = _rng(whole_number(seed, "seed", 0))
+    s = np.asarray(spec.score_from_uniform(rng.random(n)), dtype=float)
     p, inside = _assignment(spec, s)
     if not inside.all():
         raise ValueError("assign_prob left [0, 1] on the drawn scores")
-    w, y0, y1, y = _realize(spec, s, p, draws)
-    return Sample(w, s, y0, y1, y)
+    w = (rng.random(n) < p).astype(np.int8)
+    normals = (rng.standard_normal(n) for _ in range(2))  # drawn as _outcomes takes them
+    return Sample(w, s, *_outcomes(spec, s, w, normals))
 
 
 @dataclass(frozen=True)
@@ -352,19 +355,23 @@ class SampleRows:
 
 
 def _sample_rows(spec: PopulationSpec, n: int, seeds: list[int]) -> SampleRows:
-    s, u, e0, e1 = (np.empty((len(seeds), n)) for _ in range(4))
-    for i, seed in enumerate(seeds):
-        s[i], u[i], e0[i], e1[i] = _draws(spec, n, _rng(seed))
+    u = np.empty((len(seeds), 2, n))
+    e = np.empty((len(seeds), (spec.noise_sd0 is not None) + (spec.noise_sd1 is not None), n))
+    for seed, u_row, e_row in zip(seeds, u, e):  # `sample`'s stream, in two calls
+        rng = _rng(seed)
+        rng.random(out=u_row)
+        rng.standard_normal(out=e_row)
+    s = np.asarray(spec.score_from_uniform(u[:, 0]), dtype=float)
     p, inside = _assignment(spec, s)
     valid = np.broadcast_to(inside, s.shape).all(axis=1)
-    return SampleRows(s, *_realize(spec, s, p, iter((u, e0, e1))), valid)
+    w = (u[:, 1] < p).astype(np.int8)
+    return SampleRows(s, w, *_outcomes(spec, s, w, iter(e.swapaxes(0, 1))), valid)
 
 
 # --- building blocks (module-level so specs stay picklable) ---
 
-def _triangular_scores(rng, n):
+def _triangular_quantile(u):
     # inverse CDF of f(s) = s on [0,1], 2-s on (1,2]
-    u = rng.random(n)
     return np.where(u <= 0.5, np.sqrt(2.0 * u), 2.0 - np.sqrt(2.0 * (1.0 - u)))
 
 
@@ -385,16 +392,8 @@ def _const(s, value):
     return np.full_like(np.asarray(s, dtype=float), value)
 
 
-def _std_normal(rng, n):
-    return rng.standard_normal(n)
-
-
-def _no_noise(rng, n):
-    return np.zeros(n)
-
-
-def _uniform_scores(rng, n, upper):
-    return rng.random(n) * upper
+def _uniform_quantile(u, upper):
+    return u * upper
 
 
 def _uniform_pdf(s, upper):
@@ -406,8 +405,8 @@ def _identity(s):
     return np.asarray(s, dtype=float)
 
 
-def _two_point_scores(rng, n, mass_a, s_a, s_b):
-    return np.where(rng.random(n) < mass_a, s_a, s_b)
+def _two_point_quantile(u, mass_a, s_a, s_b):
+    return np.where(u < mass_a, s_a, s_b)
 
 
 def _two_point_values(s, s_a, value_a, value_b):
@@ -421,17 +420,18 @@ def make_prognostic_spec(a: float) -> PopulationSpec:
     The score has triangular density on [0, 2]; treatment probability given
     the score is s / (2a + 2); Y(0) = S^2 + e0 and Y(1) = 5/2 + e1 with
     standard-normal noise. The true ATT is 1 for every a. Scores are drawn
-    directly from the triangular law rather than via the three covariates
-    (distributionally equivalent, roughly twice as fast).
+    directly from the triangular law, one uniform per unit, rather than via
+    the three covariates (distributionally equivalent, and four draws per
+    unit instead of six).
     """
     a = real_number(a, "a", "a number >= 1/3", lambda v: v >= 1.0 / 3.0)
     return PopulationSpec(
-        score_sampler=_triangular_scores,
+        score_from_uniform=_triangular_quantile,
         assign_prob=partial(_linear_assign, denom=2.0 * a + 2.0),
         mu0=_square,
         mu1=partial(_const, value=2.5),
-        noise0=_std_normal,
-        noise1=_std_normal,
+        noise_sd0=1.0,  # 1.0 * x is x: the stream of unscaled normals
+        noise_sd1=1.0,
         tau_att_true=1.0,
         score_pdf=_triangular_pdf,
         score_support=(0.0, 2.0),
@@ -447,20 +447,16 @@ def make_uniform_propensity_spec(upper: float) -> PopulationSpec:
     """
     upper = real_number(upper, "upper", "in (0, 1]", lambda v: 0.0 < v <= 1.0)
     return PopulationSpec(
-        score_sampler=partial(_uniform_scores, upper=upper),
+        score_from_uniform=partial(_uniform_quantile, upper=upper),
         assign_prob=_identity,
         mu0=_identity,
         mu1=_identity,
-        noise0=_no_noise,
-        noise1=_no_noise,
+        noise_sd0=None,
+        noise_sd1=None,
         score_pdf=partial(_uniform_pdf, upper=upper),
         score_support=(0.0, upper),
         name=f"uniform-propensity[0,{upper:g}]",
     )
-
-
-def _scaled_normal(rng, n, sd):
-    return sd * rng.standard_normal(n)
 
 
 def make_categorical_spec(mass_a: float, p_in_a: float, p_out: float,
@@ -491,15 +487,15 @@ def make_categorical_spec(mass_a: float, p_in_a: float, p_out: float,
         pr_a_treated = mass_a * p_in_a / pi_bar
         tau = (pr_a_treated * (mu1_in - mu0_in)
                + (1.0 - pr_a_treated) * (mu1_out - mu0_out))
-    noise = _no_noise if noise_sd == 0.0 else partial(_scaled_normal, sd=noise_sd)
+    noise = None if noise_sd == 0.0 else noise_sd  # zero noise draws nothing
     return PopulationSpec(
-        score_sampler=partial(_two_point_scores, mass_a=mass_a,
-                              s_a=p_in_a, s_b=p_out),
+        score_from_uniform=partial(_two_point_quantile, mass_a=mass_a,
+                                   s_a=p_in_a, s_b=p_out),
         assign_prob=_identity,
         mu0=partial(_two_point_values, s_a=p_in_a, value_a=mu0_in, value_b=mu0_out),
         mu1=partial(_two_point_values, s_a=p_in_a, value_a=mu1_in, value_b=mu1_out),
-        noise0=noise,
-        noise1=noise,
+        noise_sd0=noise,
+        noise_sd1=noise,
         tau_att_true=tau,
         score_support=(min(p_in_a, p_out), max(p_in_a, p_out)),
         name=f"categorical(mass_a={mass_a:g}, p_in_a={p_in_a:g}, p_out={p_out:g})",

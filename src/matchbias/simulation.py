@@ -162,14 +162,14 @@ def _replay(spec, n, rep_seed, rows, i, method, config):
 
     Raises RuntimeError, naming the spec, n and the rep seed, unless
     `population.sample` draws row i of `rows` bit for bit, which a spec
-    whose assign_prob, mu0 or mu1 is not elementwise fails, and unless
-    `_replicate` finishes the replication too. `_replicate` reaches
-    `population.sample`, `matching.match_scores` and `estimators.att_*` as
-    module attributes, so a wrapper of those sees one whole replication
-    per range. Its estimate is not compared with the block's: below
-    matching.LEVEL_MIN sorted scores the matcher runs the sweep, which may
-    break a near-tie in rounding differently from the block's level
-    solver.
+    whose score_from_uniform, assign_prob, mu0 or mu1 is not elementwise
+    fails, and unless `_replicate` finishes the replication too.
+    `_replicate` reaches `population.sample`, `matching.match_scores` and
+    `estimators.att_*` as module attributes, so a wrapper of those sees
+    one whole replication per range. Its estimate is not compared with
+    the block's: below matching.LEVEL_MIN sorted scores the matcher runs
+    the sweep, which may break a near-tie in rounding differently from the
+    block's level solver.
     """
     name = f"replication of {spec.name} at n={n} with rep seed {rep_seed}"
     try:
@@ -179,8 +179,8 @@ def _replay(spec, n, rep_seed, rows, i, method, config):
     if alone is None or any(getattr(alone, f).tobytes() != getattr(rows, f)[i].tobytes()
                             for f in ("s", "w", "y0", "y1", "y")):
         raise RuntimeError(f"{name}: its block drew another sample than "
-                           "population.sample; are the spec's assign_prob, mu0 "
-                           "and mu1 elementwise?")
+                           "population.sample; are the spec's score_from_uniform, "
+                           "assign_prob, mu0 and mu1 elementwise?")
     ok, *_, message = _checked(spec, n, rep_seed, method, config)
     if not ok:
         raise RuntimeError(f"{name}: its block finished it, the per-sample "

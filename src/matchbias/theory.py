@@ -96,7 +96,7 @@ def _quad(fn, lo: float, hi: float, breakpoints=()) -> float:
 
 def _mc_scores(spec: PopulationSpec) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_MC_SEED)))
-    return np.asarray(spec.score_sampler(rng, _MC_DRAWS), dtype=float)
+    return np.asarray(spec.score_from_uniform(rng.random(_MC_DRAWS)), dtype=float)
 
 
 def _score_grid(spec: PopulationSpec) -> np.ndarray:

@@ -236,12 +236,12 @@ class TestZeroBiasSanity:
         # flat Y(0) removes the confounding channel entirely
         from functools import partial
         spec = pop.PopulationSpec(
-            score_sampler=pop._triangular_scores,
+            score_from_uniform=pop._triangular_quantile,
             assign_prob=partial(pop._linear_assign, denom=8 / 3),
             mu0=partial(pop._const, value=1.0),
             mu1=partial(pop._const, value=2.0),
-            noise0=pop._std_normal,
-            noise1=pop._std_normal,
+            noise_sd0=1.0,
+            noise_sd1=1.0,
             tau_att_true=1.0,
             score_pdf=pop._triangular_pdf,
             score_support=(0.0, 2.0),

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -342,6 +343,65 @@ class TestRowBlocks:
         assert 0 < outcomes < 60
 
 
+STREAM_BASE = pop.make_prognostic_spec(1 / 3)
+STREAM_SPECS = {
+    "prognostic": STREAM_BASE,
+    "uniform": pop.make_uniform_propensity_spec(0.8),
+    "categorical": pop.make_categorical_spec(0.5, 0.6, 0.2, mu1_in=1.0),
+    "categorical_noise": pop.make_categorical_spec(0.5, 0.6, 0.2, mu1_in=1.0, noise_sd=1.5),
+    "noise_on_arm_1": replace(STREAM_BASE, noise_sd0=None, name="noise-on-arm-1"),
+}
+# the first 128 bits of the SHA-256 of s, w, y0, y1 and y, each as its dtype
+# and bytes, that a spec draws at n for seed 2024 alone ("seed") and for the
+# rows of prepare_streams(31, 0, 3) ("rows"); recorded when each spec still
+# ran its own draws
+STREAM_DIGESTS = {
+    ("prognostic", 3, "seed"): "4cffe2a26d05112c3d3b814aeda37401",
+    ("prognostic", 3, "rows"): "9d6a63fe468fea5984fa3275b89b3dc3",
+    ("prognostic", 100, "seed"): "2bb229cbcf4bbff38aecf3492c9ea865",
+    ("prognostic", 100, "rows"): "db49166d2fc9763aaf5fd5b4db0941fb",
+    ("prognostic", 4096, "seed"): "951aa16a5aba54c9d4812f25b3dd55b1",
+    ("prognostic", 4096, "rows"): "b2a13f5fa8e60b5bfabb8d55132acb85",
+    ("uniform", 3, "seed"): "59abee1114d21c2cdf6a3ecc262c04cc",
+    ("uniform", 3, "rows"): "ed64e059a889d7cbc6725cd38b1bcbee",
+    ("uniform", 100, "seed"): "05ef6af27a1aa8407962b126c1b3d4a9",
+    ("uniform", 100, "rows"): "fa5348713495c75d41e0c614034a7e76",
+    ("uniform", 4096, "seed"): "51c659a2e67e85e2c07d2bf9b0b20063",
+    ("uniform", 4096, "rows"): "d5c693ae8884967431c58d643dd9d634",
+    ("categorical", 3, "seed"): "972969c4588272d6f3a4a6cc0348560a",
+    ("categorical", 3, "rows"): "6eb16bc68f0ceda6a7a018916a4e4673",
+    ("categorical", 100, "seed"): "910f0ca1e489cd0d21251f2769dbeae2",
+    ("categorical", 100, "rows"): "6b460c41e23fec5339885167d98baccd",
+    ("categorical", 4096, "seed"): "00ffb2092e424c2c38488fa128d08257",
+    ("categorical", 4096, "rows"): "7e81b0fb8201f19c8aaadc94204e209d",
+    ("categorical_noise", 3, "seed"): "d1c65c50c552b317756063f71e6fb9f5",
+    ("categorical_noise", 3, "rows"): "1a784e219dbaf7d887ceb0fe2e6c4295",
+    ("categorical_noise", 100, "seed"): "318b0e56b9fa4d95717ecc069571fea6",
+    ("categorical_noise", 100, "rows"): "9e19c9845ca2ab7c847c6b10a3c67c8e",
+    ("categorical_noise", 4096, "seed"): "77963eca8a380943b05f48d21f96b22d",
+    ("categorical_noise", 4096, "rows"): "5ec15aa323a7356a93d69d9aa80b98ba",
+    ("noise_on_arm_1", 3, "seed"): "ab8fd588807d8934eb9a07f1259e357d",
+    ("noise_on_arm_1", 3, "rows"): "c14e97ab5fa603a49dc58752938a6dd7",
+    ("noise_on_arm_1", 100, "seed"): "d8138552bd75d6d69b8905e76d2feb2e",
+    ("noise_on_arm_1", 100, "rows"): "420fe01708e1ce6fdd5252b6bcd5eb65",
+    ("noise_on_arm_1", 4096, "seed"): "82e8df974c3c60e989f9ab9e9519db23",
+    ("noise_on_arm_1", 4096, "rows"): "351ee22296a9dabfa0e72661f87357b5",
+}
+
+
+class TestStreamPins:
+    @pytest.mark.parametrize("spec, n, path", STREAM_DIGESTS)
+    def test_streams_are_pinned(self, spec, n, path):
+        seed = 2024 if path == "seed" else pop.prepare_streams(31, 0, 3)
+        result = pop.sample(STREAM_SPECS[spec], n, seed)
+        digest = hashlib.sha256()
+        for col in ("s", "w", "y0", "y1", "y"):
+            values = getattr(result, col)
+            digest.update(values.dtype.str.encode())
+            digest.update(values.tobytes())
+        assert digest.hexdigest()[:32] == STREAM_DIGESTS[spec, n, path]
+
+
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
         spec = pop.make_prognostic_spec(0.5)
@@ -392,7 +452,7 @@ MATCHED = matching.match_optimal_exact(T_SCORES, C_SCORES)
 
 
 def _spec(spec, live):
-    return spec if live else replace(spec, score_sampler=untouched,
+    return spec if live else replace(spec, score_from_uniform=untouched,
                                      assign_prob=untouched, score_pdf=untouched)
 
 
@@ -434,6 +494,10 @@ RULES = {
         field, 2, (True, math.nan, "2", math.inf, -math.inf, HUGE, -HUGE),
         lambda v, live, field=field: pop.make_categorical_spec(0.5, 0.5, 0.25, **{field: v}))
        for field in ("mu0_in", "mu0_out", "mu1_in", "mu1_out")},
+    **{f"PopulationSpec.{field}": (
+        field, 1, (True, math.nan, "1", -1.0, math.inf, HUGE),
+        lambda v, live, field=field: replace(PROGNOSTIC, **{field: v}))
+       for field in ("noise_sd0", "noise_sd1")},
     "make_categorical_spec.noise_sd": (
         "noise_sd", 1, (True, math.nan, "1", -1.0, math.inf, HUGE),
         lambda v, live: pop.make_categorical_spec(0.5, 0.5, 0.25, noise_sd=v)),
@@ -465,6 +529,11 @@ class TestInputRules:
         field, _, _, call = RULES[entry]
         with pytest.raises(ValueError, match=f"^{field} must be "):
             call(bad, False)
+
+    @pytest.mark.parametrize("bad", [None, 0.5, "tri"])
+    def test_score_map_must_be_callable(self, bad):
+        with pytest.raises(ValueError, match="^score_from_uniform must be callable, got "):
+            replace(PROGNOSTIC, score_from_uniform=bad)
 
     @pytest.mark.parametrize("entry", RULES)
     def test_valid_value_and_its_whole_float_agree(self, monkeypatch, entry):

@@ -29,12 +29,12 @@ needs_glibc_fork = pytest.mark.skipif(
 def constant_outcome_spec():
     # all outcomes identically zero, tau = 0
     return pop.PopulationSpec(
-        score_sampler=pop._triangular_scores,
+        score_from_uniform=pop._triangular_quantile,
         assign_prob=partial(pop._linear_assign, denom=8 / 3),
         mu0=partial(pop._const, value=0.0),
         mu1=partial(pop._const, value=0.0),
-        noise0=pop._no_noise,
-        noise1=pop._no_noise,
+        noise_sd0=None,
+        noise_sd1=None,
         tau_att_true=0.0,
         score_pdf=pop._triangular_pdf,
         score_support=(0.0, 2.0),
@@ -44,12 +44,12 @@ def constant_outcome_spec():
 
 def mostly_treated_spec():
     return pop.PopulationSpec(
-        score_sampler=partial(pop._uniform_scores, upper=1.0),
+        score_from_uniform=partial(pop._uniform_quantile, upper=1.0),
         assign_prob=partial(pop._const, value=0.9),
         mu0=pop._identity,
         mu1=pop._identity,
-        noise0=pop._no_noise,
-        noise1=pop._no_noise,
+        noise_sd0=None,
+        noise_sd1=None,
         tau_att_true=0.0,
     )
 
@@ -387,12 +387,14 @@ BLOCK_METHODS = {
 BLOCK_REPS = {2: 40, 10: 40, 60: 150, 100: 170, 1000: 20}
 
 
-def grid_scores(rng, n):
-    """n distinct scores from the grid 0, 0.01, ..., 1.99."""
-    return rng.choice(200, n, replace=False) / 100
+def grid_quantile(u):
+    """The score on the grid 0, 0.001, ..., 1.999 of a uniform draw."""
+    return np.floor(u * 2000) / 1000
 
 
-NEAR_GRID = replace(pop.make_prognostic_spec(1 / 3), score_sampler=grid_scores,
+# scores on a grid, where many matchings cost the same in exact arithmetic
+# and differ only in rounding; at n = 100 most samples also hold a tie
+NEAR_GRID = replace(pop.make_prognostic_spec(1 / 3), score_from_uniform=grid_quantile,
                     name="near-grid")
 
 
@@ -461,18 +463,31 @@ class TestRowBlocks:
             per_sample(spec, 100, 170, 5, "exact", config)
         assert sizes == [81, 81, 8]
 
+    def test_the_sweep_breaks_a_near_tie_otherwise_than_the_level_solver(self):
+        # 100 distinct scores from the grid 0, 0.01, ..., 1.99, drawn on
+        # the stream of rep 0 of cell seed 573: below matching.LEVEL_MIN
+        # sorted scores `_replicate` runs the sweep, which picks other
+        # controls than a block's level solver, so a replay compares the
+        # samples and not the estimates
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            pop.derive_seed(573, 0))))
+        s = rng.choice(200, 100, replace=False) / 100
+        w = rng.random(100) < pop.make_prognostic_spec(1 / 3).assign_prob(s)
+        solved, _, c = matching.match_rows(s[None], w[None])
+        assert solved.all()
+        m = matching.match_scores(s[w], s[~w], "exact", MatchConfig())
+        assert np.flatnonzero(~w)[np.sort(m.pair_arrays()[1])].tolist() != sorted(c.tolist())
+
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_near_grid_scores_do_not_depend_on_the_worker_count(self, monkeypatch, threads):
-        # distinct scores on a grid of 1/100: many matchings cost the same
-        # in exact arithmetic and differ only in rounding. At n = 100
-        # `_replicate` runs the sweep, which breaks such a near-tie
-        # otherwise than the level solver on rep 0 of cell seed 573, the
-        # one each range's replay draws again
+        # each replication's result is the one it gets alone, in a block
+        # of one or, for a sample with a tie, through `_replicate`
         spec, config = NEAR_GRID, MatchConfig()
         seeds = [pop.derive_seed(573, r) for r in range(200)]
-        alone = [sim._block(spec, 100, [s], "exact", config)[1][0] for s in seeds]
-        assert all(alone)
-        assert bits(alone[:1]) != bits(per_sample(spec, 100, 1, 573, "exact", config))
+        block = [sim._block(spec, 100, [s], "exact", config)[1][0] for s in seeds]
+        assert any(block) and not all(block)
+        alone = [r or sim._replicate(spec, 100, s, "exact", config)
+                 for r, s in zip(block, seeds)]
         monkeypatch.setenv("MATCHBIAS_THREADS", threads)
         assert bits(sim._run_reps(spec, 100, 200, 573, "exact", config)) == bits(alone)
 
@@ -519,20 +534,24 @@ class TestRowBlocks:
         assert f"prognostic(a=0.5) at n=100 with rep seed {pop.derive_seed(3, failing[0])} " \
             "failed" in str(exc.value)
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_spec_that_is_not_elementwise_fails_the_replay(self, monkeypatch, threads):
+    @pytest.mark.parametrize("threads, field", [
+        pytest.param(threads, field, id=threads if field == "mu0" else f"{field}-{threads}")
+        for field in ("mu0", "score_from_uniform") for threads in ("1", "2")])
+    def test_spec_that_is_not_elementwise_fails_the_replay(self, monkeypatch, threads, field):
         # over a block the mean runs across many samples; the replay of the
         # first replication the block matched catches the difference
-        spec = replace(pop.make_prognostic_spec(0.5), mu0=lambda s: s - s.mean(),
-                       name="centred")
+        centred = {"mu0": lambda s: s - s.mean(), "score_from_uniform": lambda u:
+                   pop._triangular_quantile(u) - pop._triangular_quantile(u).mean() + 1}
+        spec = replace(pop.make_prognostic_spec(0.5), name="centred", **{field: centred[field]})
         monkeypatch.setenv("MATCHBIAS_THREADS", threads)
         with pytest.raises(RuntimeError, match="elementwise") as exc:
             sim.run_cell(spec, 100, 170, 3)
         assert_no_children()
-        first = next(r for r, res in enumerate(per_sample(spec, 100, 170, 3, "exact",
-                                                          MatchConfig())) if not res[3])
+        seeds = [pop.derive_seed(3, r) for r in range(sim.BLOCK_SCORES // 100)]
+        _, block = sim._block(spec, 100, seeds, "exact", MatchConfig())
+        first = next(i for i, res in enumerate(block) if res and not res[3])
         assert str(exc.value).startswith(
-            f"replication of centred at n=100 with rep seed {pop.derive_seed(3, first)}: ")
+            f"replication of centred at n=100 with rep seed {seeds[first]}: ")
 
 
 class TestWorkerHeap:
@@ -622,7 +641,7 @@ class TestForkedWorkers:
     def test_lambda_spec_runs_on_forked_workers(self, monkeypatch):
         # nothing is pickled on the way to a worker
         base = pop.make_prognostic_spec(0.5)
-        spec = replace(base, score_sampler=lambda rng, n: base.score_sampler(rng, n))
+        spec = replace(base, score_from_uniform=lambda u: base.score_from_uniform(u))
         fork, forked = os.fork, []
 
         def counting_fork():
@@ -646,14 +665,14 @@ class TestForkedWorkers:
         parent = os.getpid()
         base = pop.make_prognostic_spec(0.5)
 
-        def dying(rng, n):
+        def dying(u):
             if os.getpid() != parent:
                 die()
-            return base.score_sampler(rng, n)
+            return base.score_from_uniform(u)
 
         monkeypatch.setenv("MATCHBIAS_THREADS", "2")
         with pytest.raises(RuntimeError, match="died without a result") as exc:
-            sim.run_cell(replace(base, score_sampler=dying), 200, 4, 3)
+            sim.run_cell(replace(base, score_from_uniform=dying), 200, 4, 3)
         assert str(exc.value) == (
             "worker for replications 0..1 of prognostic(a=0.5) at n=200 with "
             f"cell seed 3 died without a result ({status})")

@@ -33,8 +33,8 @@ def prognostic_outcome_gap(a):
     return (a - 1.0) ** 2 * (9.0 * a + 11.0) / (20.0 * a + 20.0)
 
 
-def _scaled_triangular_scores(rng, n, denom):
-    return pop._triangular_scores(rng, n) / denom
+def _scaled_triangular_quantile(u, denom):
+    return pop._triangular_quantile(u) / denom
 
 
 def _scaled_triangular_pdf(t, denom):
@@ -55,12 +55,12 @@ def make_prognostic_propensity_spec(a):
     """
     denom = 2.0 * a + 2.0
     return pop.PopulationSpec(
-        score_sampler=partial(_scaled_triangular_scores, denom=denom),
+        score_from_uniform=partial(_scaled_triangular_quantile, denom=denom),
         assign_prob=pop._identity,
         mu0=partial(_scaled_square, denom=denom),
         mu1=partial(pop._const, value=2.5),
-        noise0=pop._std_normal,
-        noise1=pop._std_normal,
+        noise_sd0=1.0,
+        noise_sd1=1.0,
         tau_att_true=1.0,
         score_pdf=partial(_scaled_triangular_pdf, denom=denom),
         score_support=(0.0, 2.0 / denom),
@@ -72,8 +72,8 @@ def make_prognostic_propensity_spec(a):
 def _without_density(spec):
     """spec with no density or support, so the theory routines use fixed-seed draws."""
     return pop.PopulationSpec(
-        score_sampler=spec.score_sampler, assign_prob=spec.assign_prob,
-        mu0=spec.mu0, mu1=spec.mu1, noise0=spec.noise0, noise1=spec.noise1)
+        score_from_uniform=spec.score_from_uniform, assign_prob=spec.assign_prob,
+        mu0=spec.mu0, mu1=spec.mu1, noise_sd0=spec.noise_sd0, noise_sd1=spec.noise_sd1)
 
 
 class TestClosedForms:
@@ -175,20 +175,20 @@ class TestSStarThreshold:
 
     def test_half_treated_support_gives_its_lower_end(self):
         treated = pop.PopulationSpec(
-            score_sampler=partial(pop._uniform_scores, upper=0.5),
+            score_from_uniform=partial(pop._uniform_quantile, upper=0.5),
             assign_prob=partial(pop._const, value=0.75),
             mu0=pop._identity, mu1=pop._identity,
-            noise0=pop._no_noise, noise1=pop._no_noise,
+            noise_sd0=None, noise_sd1=None,
             score_pdf=partial(pop._uniform_pdf, upper=0.5),
             score_support=(0.0, 0.5))
         assert theory.sstar_threshold(treated) == 0.0
 
     def test_requires_monotone_assign(self):
         bumpy = pop.PopulationSpec(
-            score_sampler=pop._triangular_scores,
+            score_from_uniform=pop._triangular_quantile,
             assign_prob=pop._triangular_pdf,  # rises then falls
             mu0=pop._square, mu1=partial(pop._const, value=1.0),
-            noise0=pop._no_noise, noise1=pop._no_noise,
+            noise_sd0=None, noise_sd1=None,
             score_pdf=pop._triangular_pdf, score_support=(0.0, 2.0))
         with pytest.raises(ValueError, match="monotone"):
             theory.sstar_threshold(bumpy)
@@ -333,10 +333,10 @@ class TestBiasPropensity:
 
     def test_rejects_zero_treated(self):
         dead = pop.PopulationSpec(
-            score_sampler=partial(pop._uniform_scores, upper=0.5),
+            score_from_uniform=partial(pop._uniform_quantile, upper=0.5),
             assign_prob=partial(pop._const, value=0.0),
             mu0=pop._identity, mu1=pop._identity,
-            noise0=pop._no_noise, noise1=pop._no_noise,
+            noise_sd0=None, noise_sd1=None,
             score_pdf=partial(pop._uniform_pdf, upper=0.5),
             score_support=(0.0, 0.5))
         with pytest.raises(ValueError, match="pi_bar"):
@@ -386,10 +386,10 @@ class TestWeightedObjective:
 
     def test_identical_conditional_laws(self):
         flat = pop.PopulationSpec(
-            score_sampler=partial(pop._uniform_scores, upper=1.0),
+            score_from_uniform=partial(pop._uniform_quantile, upper=1.0),
             assign_prob=partial(pop._const, value=0.3),
             mu0=pop._identity, mu1=pop._identity,
-            noise0=pop._no_noise, noise1=pop._no_noise,
+            noise_sd0=None, noise_sd1=None,
             score_pdf=partial(pop._uniform_pdf, upper=1.0),
             score_support=(0.0, 1.0))
         assert theory.weighted_wasserstein_objective(flat, 0.4) == pytest.approx(

@@ -9,7 +9,8 @@ counter 0, which SeedSequence hashes from the seed; derive_streams computes
 the seeds and keys of a range of replications in one vectorized pass, bit
 for bit, so a run can seed each replication by resetting one Philox.
 Given a list of seeds, `sample` draws one sample per seed as the rows of
-one block, each bit for bit as it draws that seed alone.
+one block, each bit for bit as it draws that seed alone: a spec states its
+draws, so a row takes two generator calls and the block one score map.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ O(N) after the sort, below LEVEL_MIN sorted scores, and a level-by-level
 numpy solver, O(N log N) with no Python loop over scores, from there on.
 They take the same controls wherever costs are exact; nothing here
 approximates the optimum. `match_rows` matches many samples at once, one
-per row of a block, in one pass of the level solver, each exactly as the
-level solver matches it alone.
+per row of a block, in one pass of the level solver and a fixed number of
+numpy calls whatever the number of rows, each exactly as the level solver
+matches it alone.
 
 Every matcher decides for itself whether a matching exists and raises
 InfeasibleError when none does; callers need not know which methods reuse
@@ -349,12 +350,14 @@ def _level_unused(xs: np.ndarray, is_c: np.ndarray,
     running sum of its steps within each group: each group's total, from
     `np.add.reduceat`, is folded into the next group's first slot, so
     the sum restarts near zero there and its rounding stays local to the
-    group. Each row's sum is one `np.cumsum` of its own, from exactly
-    zero, so a row solved with others takes exactly the controls it
-    takes alone. `np.minimum.reduceat` gives each group's minimum, and
-    the last up-crossing at it is a_l. O(N log N) for N = len(xs), in a
-    fixed number of numpy calls and one more per row; positions and
-    levels are int32, so N must be below 2**31.
+    group. Each row's steps fill one line of a zero-padded array, and one
+    cumsum along the lines sums each row from exactly zero, adding in the
+    order of a 1-D cumsum of that row alone, so a row solved with others
+    takes exactly the controls it takes alone; a one-row call sums in
+    place. `np.minimum.reduceat` gives each group's minimum, and the last
+    up-crossing at it is a_l. O(N log N) for N = len(xs), in a fixed
+    number of numpy calls; positions and levels are int32, so N must be
+    below 2**31.
     """
     # level - 1 of each event: D after a control, D before a treated unit
     lev = np.cumsum(is_c.view(np.int8) * np.int8(2) - np.int8(1),
@@ -395,9 +398,17 @@ def _level_unused(xs: np.ndarray, is_c: np.ndarray,
     # one-row call, so a row's rounding does not depend on the rows before
     bounds = lu.searchsorted(base)
     h[bounds[bounds < lu.size]] = 0.0
-    bounds = np.append(bounds, lu.size).tolist()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        np.cumsum(h[lo:hi], out=h[lo:hi])
+    width = lu.searchsorted(top) - bounds  # row r's groups: base[r] <= l < top[r]
+    if width.size == 1:
+        np.cumsum(h, out=h)
+    else:
+        # one row per line, zero-padded; a cumsum along a line adds as a
+        # 1-D cumsum of that row does
+        inside = np.arange(width.max()) < width[:, None]
+        pad = np.zeros(inside.shape)
+        pad[inside] = h
+        h = pad.cumsum(axis=1, out=pad)[inside]
+        del pad, inside
     lowest = np.minimum.reduceat(h, group_starts)
     del group_starts, first
     at_min = np.flatnonzero(h == lowest[lu])

@@ -216,9 +216,11 @@ def derive_streams(seed: int, start: int, stop: int) -> tuple[list[int], list[li
     # seed below 2**32 is one word, but SeedSequence pads its pool with zero
     # words, so the two words give the same pool.
     seed_words = _hashmix(_seed_pools(entropy)[:2], _OUT_CONSTS[:3])
-    key_words = _hashmix(_seed_pools(seed_words), _OUT_CONSTS).tolist()
-    return ([lo | hi << 32 for lo, hi in zip(*seed_words.tolist())],
-            [[a | b << 32, c | d << 32] for a, b, c, d in zip(*key_words)])
+    key_words = _hashmix(_seed_pools(seed_words), _OUT_CONSTS)
+    # rows seed, key[0], key[1] of uint64, each from two words, low first
+    words = np.concatenate((seed_words, key_words)).astype(np.uint64)
+    joined = words[0::2] | words[1::2] << np.uint64(32)
+    return joined[0].tolist(), joined[1:].T.tolist()
 
 
 def whole_number(value, name: str, least: int) -> int:
@@ -304,9 +306,18 @@ def _outcomes(spec: PopulationSpec, s, w, normals):
     s, treatment flags w and an iterator over the standard normals of each
     arm with an sd: each arm's mean plus its noise (0.0 without), and the
     outcome under the assigned arm."""
-    y0, y1 = (np.asarray(mu(s), dtype=float) + (0.0 if sd is None else sd * next(normals))
+    y0, y1 = (np.asarray(mu(s), dtype=float) + _noise(sd, normals)
               for mu, sd in ((spec.mu0, spec.noise_sd0), (spec.mu1, spec.noise_sd1)))
     return y0, y1, np.where(w == 1, y1, y0)
+
+
+def _noise(sd, normals):
+    """An arm's noise: 0.0 without an sd, else its sd times the arm's next
+    normals from the iterator, the normals themselves at sd 1.0 (1.0 * x is x)."""
+    if sd is None:
+        return 0.0
+    e = next(normals)
+    return e if sd == 1.0 else sd * e
 
 
 def sample(spec: PopulationSpec, n: int, seed) -> Sample | SampleRows:
@@ -372,8 +383,17 @@ def _sample_rows(spec: PopulationSpec, n: int, seeds: list[int]) -> SampleRows:
 # --- building blocks (module-level so specs stay picklable) ---
 
 def _triangular_quantile(u):
-    # inverse CDF of f(s) = s on [0,1], 2-s on (1,2]
-    return np.where(u <= 0.5, np.sqrt(2.0 * u), 2.0 - np.sqrt(2.0 * (1.0 - u)))
+    # inverse CDF of f(s) = s on [0,1], 2-s on (1,2]: r = sqrt(2u) up to
+    # u = 1/2, else 2 - r with r = sqrt(2(1 - u)). min(u, 1 - u) is the
+    # argument in both (1 - u is exact above 1/2 and at least 1/2 below),
+    # and r * 1 + 0 and r * -1 + 2 are exact, so no branch is taken on u
+    r = np.minimum(u, 1.0 - u)
+    r *= 2.0
+    np.sqrt(r, out=r)
+    two = (u > 0.5) * 2.0
+    r *= 1.0 - two
+    r += two
+    return r
 
 
 def _triangular_pdf(s):
@@ -390,7 +410,9 @@ def _square(s):
 
 
 def _const(s, value):
-    return np.full_like(np.asarray(s, dtype=float), value)
+    out = np.empty_like(s, dtype=float)  # cheaper than np.full_like on small arrays
+    out.fill(value)
+    return out
 
 
 def _uniform_quantile(u, upper):

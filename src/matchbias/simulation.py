@@ -12,10 +12,10 @@ ones NumPy's SeedSequence gives each seed.
 
 Where a block holds two samples or more, a range runs in blocks, one row
 per replication: each block is sampled, matched and estimated in a fixed
-number of numpy calls, and one per row in the solver (`_block`). A row's
-sample is the per-sample pipeline's (`_replicate`) bit for bit, and it is
-matched exactly as the level solver matches that sample alone, so it
-takes the per-sample pipeline's controls wherever costs are exact (below
+number of numpy calls (`_block`). A row's sample is the per-sample
+pipeline's (`_replicate`) bit for bit, and it is matched exactly as the
+level solver matches that sample alone, so it takes the per-sample
+pipeline's controls wherever costs are exact (below
 matching.LEVEL_MIN sorted scores that pipeline runs the sweep). The
 per-sample pipeline still runs every replication a block does not finish,
 every one where a block would hold a single sample and matching with

@@ -686,6 +686,23 @@ class TestRowBlocks:
     matches the row alone (on these inputs bit for bit, near-grid scores
     included) and leaves rows with a tie."""
 
+    @staticmethod
+    def assert_rows_as_alone(scores, treated, k):
+        m, n = scores.shape
+        solved, t, c = mt.match_rows(scores, treated, k)
+        assert solved.tolist() == [np.unique(row).size == n for row in scores]
+        assert np.array_equal(t, np.flatnonzero(treated & solved[:, None]))
+        mate = dict(zip(t.tolist(), c.tolist()))
+        for i in np.flatnonzero(solved):
+            tp, cp = np.flatnonzero(treated[i]), np.flatnonzero(~treated[i])
+            t_order, t_sorted = mt._argsort_ties_stable(scores[i][tp])
+            c_order, c_sorted = mt._argsort_ties_stable(scores[i][cp])
+            used = mt._level_used(t_sorted, np.repeat(c_sorted, k)).nonzero()[0]
+            want = np.empty(tp.size, dtype=np.intp)
+            want[t_order] = cp[c_order[used // k]]
+            assert [mate[i * n + j] - i * n for j in tp] == want.tolist(), f"row {i}"
+        return solved
+
     def test_rows_solved_together_as_alone(self):
         rng = np.random.default_rng(61)
         for trial in range(400):
@@ -696,19 +713,27 @@ class TestRowBlocks:
             treated = rng.random((m, n)) < rng.random((m, 1))
             n1 = treated.sum(axis=1)
             keep = (n1 > 0) & (n1 <= k * (n - n1))
-            scores, treated = scores[keep], treated[keep]
-            solved, t, c = mt.match_rows(scores, treated, k)
-            assert solved.tolist() == [np.unique(row).size == n for row in scores]
-            assert np.array_equal(t, np.flatnonzero(treated & solved[:, None]))
-            mate = dict(zip(t.tolist(), c.tolist()))
-            for i in np.flatnonzero(solved):
-                tp, cp = np.flatnonzero(treated[i]), np.flatnonzero(~treated[i])
-                t_order, t_sorted = mt._argsort_ties_stable(scores[i][tp])
-                c_order, c_sorted = mt._argsort_ties_stable(scores[i][cp])
-                used = mt._level_used(t_sorted, np.repeat(c_sorted, k)).nonzero()[0]
-                want = np.empty(tp.size, dtype=np.intp)
-                want[t_order] = cp[c_order[used // k]]
-                assert [mate[i * n + j] - i * n for j in tp] == want.tolist()
+            self.assert_rows_as_alone(scores[keep], treated[keep], k)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_row_does_not_round_with_the_row_before(self, k):
+        # Rows of scores spread over 1e9 with a few levels (2 to 8 at k = 1)
+        # alternate with rows offset by 1e6 on a grid of 2**-33, the spacing
+        # of floats there, with 0 to 56 levels (15 to 114 at k = 2). A wide
+        # row's running sum ends far from zero; carried into the next row it
+        # would round that row's tied costs apart, and a cumsum down the
+        # columns would mix the rows. Rows of surplus 0, which have no
+        # levels, open and close the block.
+        n, full = 60, 60 * k // (k + 1)
+        rng = np.random.default_rng(3)
+        wide_grid = [(full - 2, 2), (full - 3, 30), (full - 1, 10), (full - 4, full - 5),
+                     (full - 2, 20), (full - 1, 5)]
+        n1 = [full, *(x for pair in wide_grid for x in pair), full]
+        treated = np.array([rng.permutation(n) < t for t in n1])
+        wide = rng.random((len(n1), n)) * 1e9
+        grid = 1e6 + np.array([rng.permutation(3 * n)[:n] for _ in n1]) * 2.0 ** -33
+        scores = np.where(np.arange(len(n1))[:, None] % 2 == 1, wide, grid)
+        assert self.assert_rows_as_alone(scores, treated, k).all()
 
     def test_ties_are_left(self):
         scores = np.array([[0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.2, 0.4]])

@@ -119,6 +119,16 @@ class TestPrognosticSpec:
     def test_true_att_is_one(self):
         assert pop.make_prognostic_spec(0.7).tau_att_true == 1.0
 
+    @pytest.mark.parametrize("u", [
+        np.array([0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                  np.nextafter(1.0, 0.0), 5e-324, 0.25, 0.75]),
+        np.random.default_rng(8).random((7, 100)),
+        np.random.default_rng(9).random((3, 4096))], ids=["edges", "rows", "wide_rows"])
+    def test_triangular_quantile_is_the_two_branch_formula(self, u):
+        want = np.where(u <= 0.5, np.sqrt(2.0 * u), 2.0 - np.sqrt(2.0 * (1.0 - u)))
+        got = pop._triangular_quantile(u)
+        assert got.shape == u.shape and got.tobytes() == want.tobytes()
+
     def test_score_distribution_is_triangular(self):
         spec = pop.make_prognostic_spec(1.0)
         smp = pop.sample(spec, 200_000, 5)

@@ -8,7 +8,9 @@ forked worker processes (as many as the MATCHBIAS_THREADS environment
 variable allows). A cell is split into one contiguous range of
 replications per worker; each range derives its seeds and Philox keys in
 one vectorized pass (population.prepare_streams), and the streams are the
-ones NumPy's SeedSequence gives each seed.
+ones NumPy's SeedSequence gives each seed. The workers are forked once
+per run_table or compare_methods call, or per lone run_cell call, and
+each runs its range of every cell in turn (`_Workers`).
 
 Where a block holds two samples or more, a range runs in blocks, one row
 per replication: each block is sampled, matched and estimated in a fixed
@@ -25,6 +27,7 @@ each range, whose sample must come out the same.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import logging
 import math
@@ -296,7 +299,8 @@ def _keep_freed_heap() -> None:
     threshold keeps arrays up to that size in it (setting either one turns
     off glibc's dynamic thresholds, and the trim threshold alone sends the
     800 KB arrays of n = 1e5 to mmap on every allocation). A worker lives
-    for one cell, so the heap it keeps goes away with it.
+    for one table (or one lone cell), so the heap it keeps goes away with
+    it.
 
     The heap a worker keeps would still be faulted in 4 KiB at a time by
     its first replication (about 2,600-2,750 minor faults at n = 1e5, and
@@ -328,14 +332,12 @@ def _keep_freed_heap() -> None:
         pass
 
 
-def _fork_range(task):
-    """Fork a worker for one range task: (pid, read end of its pipe), or
-    None, after a warning, when the pipe or the fork fails.
+def _fork_worker(workers, w):
+    """Fork worker w of `workers`: (pid, read end of its pipe as a binary
+    file), or None, after a warning, when the pipe or the fork fails.
 
-    The worker runs `_keep_freed_heap` and `_rep_task`, pickles the result
-    list or the exception raised to the pipe and leaves by os._exit; it
-    never returns into the caller's code. An exception that does not
-    survive pickling is sent as a RuntimeError holding its text.
+    The worker runs `_serve` and leaves by os._exit; it never returns into
+    the caller's code.
     """
     fds = ()
     try:
@@ -344,88 +346,177 @@ def _fork_range(task):
     except OSError as exc:
         for fd in fds:
             os.close(fd)
-        log.warning("cannot fork a worker (%s); running replications %d..%d "
-                    "serially", exc, task[3], task[4] - 1)
+        start, stop = workers.bounds(w)
+        each = f" of each of {len(workers.cells)} cells" if len(workers.cells) > 1 else ""
+        log.warning("cannot fork a worker (%s); running replications %d..%d%s "
+                    "serially", exc, start, stop - 1, each)
         return None
     read_fd, write_fd = fds
     if pid:
         os.close(write_fd)
-        return pid, read_fd
+        return pid, open(read_fd, "rb")
     code = 1
     try:
         os.close(read_fd)
-        try:
-            _keep_freed_heap()
-            payload = _rep_task(task)
-        except BaseException as exc:  # sent to the parent, which raises it
-            payload = exc
-        try:
-            data = pickle.dumps(payload)
-            if isinstance(payload, BaseException):
-                pickle.loads(data)  # an exception can pickle and still not unpickle
-        except Exception as exc:
-            data = pickle.dumps(RuntimeError(
-                f"worker could not send {payload!r}: {exc!r}"))
         with open(write_fd, "wb") as pipe:
-            pipe.write(data)
+            _serve(workers, w, pipe)
         code = 0
     finally:
         os._exit(code)
 
 
-def _run_reps(spec, n, reps, seed, method, config):
-    """Run the replications in forked workers, or serially with one worker.
-
-    The cell is split into one contiguous range of replication indices per
-    worker, and `_rep_task` derives the seeds of its range wherever it
-    runs, so the results do not depend on the worker count. Each range
-    gets a direct child from `_fork_range`; a range whose fork fails runs
-    in the calling process, which keeps its allocator settings. The ranges
-    are read in order, so an error from the lowest failing range is raised
-    and names the first failing replication's seed; a worker that dies
-    without a result raises a RuntimeError naming the range and its exit
-    status. Every worker is killed if still running and reaped before this
-    returns or raises, so RUSAGE_CHILDREN counts it and none outlives the
-    cell.
-    """
-    workers = _worker_count(reps)
-    tasks = [(spec, n, seed, reps * w // workers, reps * (w + 1) // workers,
-              method, config) for w in range(workers)]
-    if workers == 1:
-        return _rep_task(tasks[0])
-    pids, fds = {}, {}  # range index -> worker pid, read end; until reaped
+def _serve(workers, w, pipe):
+    """In worker w: run `_keep_freed_heap`, then `_rep_task` on range w of
+    each cell in turn, sending each result list through the pipe as it is
+    done; the first exception raised is sent in place of its cell's list,
+    and ends the loop."""
     try:
-        for w, task in enumerate(tasks):
-            forked = _fork_range(task)
-            if forked is not None:
-                pids[w], fds[w] = forked
+        _keep_freed_heap()
+        for spec, n, seed, method, config in workers.cells:
+            _send(pipe, _rep_task((spec, n, seed, *workers.bounds(w), method, config)))
+    except BaseException as exc:  # sent to the parent, which raises it
+        _send(pipe, exc)
+
+
+def _send(pipe, payload):
+    """Write payload to the pipe as one message: its pickle's length in 8
+    bytes, then the pickle. An exception that does not survive pickling is
+    sent as a RuntimeError holding its text."""
+    try:
+        data = pickle.dumps(payload)
+        if isinstance(payload, BaseException):
+            pickle.loads(data)  # an exception can pickle and still not unpickle
+    except Exception as exc:
+        data = pickle.dumps(RuntimeError(f"worker could not send {payload!r}: {exc!r}"))
+    pipe.write(len(data).to_bytes(8, "little") + data)
+    pipe.flush()
+
+
+def _receive(pipe):
+    """The next message written by `_send` to the pipe, or None if the
+    pipe ends before a whole one."""
+    head = pipe.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    return data if len(data) == size else None
+
+
+class _Workers:
+    """The workers of a list of cells that share one replication count,
+    forked once when the list is entered and each running its range of
+    every cell in list order.
+
+    A cell is (spec, n, seed, method, config). Each cell is split into one
+    contiguous range of replication indices per worker, worker w taking the
+    same range w of each, and `_rep_task` derives the seeds of its range
+    wherever it runs, so the results do not depend on the worker count. A
+    worker gets the cell list through the fork, so nothing is pickled on
+    the way to it, and sends one message per cell back through its pipe.
+    With one worker nothing forks and `take` runs each cell in the calling
+    process; a range whose fork fails runs there too, keeping its
+    allocator settings. Every worker is killed if still running and reaped
+    on exit, so RUSAGE_CHILDREN counts it and none outlives the list.
+    """
+
+    def __init__(self, cells, reps):
+        self.cells, self.reps = cells, reps
+        self.count = _worker_count(reps)
+        self.taken = 0  # cells whose results `take` has returned
+        self.pids, self.pipes = {}, {}  # worker index -> pid, read end; until reaped
+
+    def bounds(self, w):
+        """start, stop of worker w's range of replication indices in each cell."""
+        return self.reps * w // self.count, self.reps * (w + 1) // self.count
+
+    def __enter__(self):
+        try:
+            for w in range(self.count) if self.count > 1 else ():
+                forked = _fork_worker(self, w)
+                if forked is not None:
+                    self.pids[w], self.pipes[w] = forked
+        except BaseException:  # reap the workers already forked
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc_info):
+        for pipe in self.pipes.values():
+            pipe.close()
+        for pid in self.pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    def runs_next(self, cell, reps) -> bool:
+        """Whether `cell` of `reps` replications is the next one they run."""
+        return (reps == self.reps and self.taken < len(self.cells)
+                and self.cells[self.taken] == cell)
+
+    def take(self):
+        """The next cell's results, one per replication, in order.
+
+        The ranges are read in order, so an error from the lowest failing
+        range is raised and names the first failing replication's seed. A
+        worker that ends without this cell's message, or with a nonzero
+        exit after its last cell's, raises a RuntimeError naming the range
+        and the exit status.
+        """
+        spec, n, seed, method, config = self.cells[self.taken]
+        self.taken += 1
         results = []
-        for w, task in enumerate(tasks):
-            if w not in pids:
+        for w in range(self.count):
+            task = (spec, n, seed, *self.bounds(w), method, config)
+            if w not in self.pids:
                 results += _rep_task(task)
                 continue
-            with open(fds.pop(w), "rb") as pipe:
-                data = pipe.read()
-            status = os.waitpid(pids[w], 0)[1]
-            del pids[w]
-            if status or not data:
-                code = os.waitstatus_to_exitcode(status)
-                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                raise RuntimeError(
-                    f"worker for replications {task[3]}..{task[4] - 1} of "
-                    f"{spec.name} at n={n} with cell seed {seed} died without "
-                    f"a result ({how})")
+            data = _receive(self.pipes[w])
+            if data is None or self.taken == len(self.cells):
+                self.pipes.pop(w).close()
+                status = os.waitpid(self.pids.pop(w), 0)[1]
+                if status or data is None:
+                    code = os.waitstatus_to_exitcode(status)
+                    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                    raise RuntimeError(
+                        f"worker for replications {task[3]}..{task[4] - 1} of "
+                        f"{spec.name} at n={n} with cell seed {seed} died without "
+                        f"a result ({how})")
             part = pickle.loads(data)
             if isinstance(part, BaseException):
                 raise part
             results += part
         return results
-    finally:
-        for fd in fds.values():
-            os.close(fd)
-        for pid in pids.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+
+
+# The _Workers of the run_table or compare_methods call under way, where
+# it runs more than one worker
+_table = None
+
+
+@contextlib.contextmanager
+def _forked(cells, reps):
+    """Fork the workers of `cells` for the body, whose run_cell calls take
+    their results (see `_run_reps`)."""
+    global _table
+    outer = _table
+    with _Workers(cells, reps) as workers:
+        if workers.count > 1:
+            _table = workers
+        try:
+            yield
+        finally:
+            _table = outer
+
+
+def _run_reps(spec, n, reps, seed, method, config):
+    """The cell's results, one per replication, in order: from the workers
+    of the table under way if this cell is the next one they run, else from
+    workers forked for this cell alone (`_Workers`)."""
+    cell = (spec, n, seed, method, config)
+    if _table is not None and _table.runs_next(cell, reps):
+        return _table.take()
+    with _Workers([cell], reps) as workers:
+        return workers.take()
 
 
 def run_cell(spec: PopulationSpec, n: int, reps: int, seed: int,
@@ -477,26 +568,33 @@ def run_table(config: SimConfig, spec_factory=None, on_cell=None) -> list[SimRow
     """Run the full a x n grid and return rows ordered by (a, n) ascending.
 
     spec_factory maps an a-value to a PopulationSpec; it defaults to the
-    prognostic family and is required for other spec kinds. Per-cell
+    prognostic family and is required for other spec kinds. Every spec,
+    asymptotic bias and cell seed is computed before any replication runs;
+    the workers are then forked once for the whole grid, and run_cell,
+    called once per cell, takes each cell's results from them. Per-cell
     failures are recorded in the row (NaN metrics plus a note) without
     aborting the table. on_cell, when given, receives (row, seconds) after
-    each cell.
+    each cell: the seconds since the previous on_cell call returned, or
+    for the first cell since the workers started forking.
     """
     if spec_factory is None:
         if config.spec_kind != "prognostic":
             raise ValueError(f"spec_kind {config.spec_kind!r} needs a spec_factory")
         spec_factory = population.make_prognostic_spec
-    rows = []
+    grid = []  # (a, asymptotic bias, cell)
     for ai, a in enumerate(sorted(config.a_values)):
         spec = spec_factory(a)
         asymp = _asymptotic_bias_for(config, a, spec)
-        for ni, n in enumerate(sorted(config.n_values)):
-            seed = derive_seed(config.master_seed, ai, ni)
-            started = time.perf_counter()
+        grid += [(a, asymp, (spec, n, derive_seed(config.master_seed, ai, ni),
+                             config.match_method, config.match_config))
+                 for ni, n in enumerate(sorted(config.n_values))]
+    rows = []
+    started = time.perf_counter()
+    with _forked([cell for *_, cell in grid], config.reps):
+        for a, asymp, (spec, n, seed, method, mcfg) in grid:
             try:
-                row = run_cell(spec, n, config.reps, seed,
-                               config.match_method, config.match_config)
-                row = replace(row, a=a, asymp_bias=asymp)
+                row = replace(run_cell(spec, n, config.reps, seed, method, mcfg),
+                              a=a, asymp_bias=asymp)
             except SimulationError as exc:
                 row = SimRow(a=a, n=n, asymp_bias=asymp, emp_bias=math.nan,
                              emp_se=math.nan, reps_done=0, degenerate_count=0,
@@ -504,6 +602,7 @@ def run_table(config: SimConfig, spec_factory=None, on_cell=None) -> list[SimRow
             rows.append(row)
             if on_cell is not None:
                 on_cell(row, time.perf_counter() - started)
+            started = time.perf_counter()
     return rows
 
 
@@ -513,8 +612,11 @@ def compare_methods(spec: PopulationSpec, n: int, reps: int, seed: int,
 
     Runs matching without replacement, with replacement, capacitated, and
     the caliper variant on identical samples (replication seeds are shared
-    across methods).
+    across methods), as the cells of one list on the same workers.
     """
+    n = whole_number(n, "n", 0)
+    reps = whole_number(reps, "reps", 1)
+    seed = whole_number(seed, "seed", 0)
     cfg = config if config is not None else MatchConfig()
     capacity = cfg.capacity if cfg.capacity > 1 else 2
     caliper = cfg.caliper if cfg.caliper is not None else 0.1
@@ -525,10 +627,10 @@ def compare_methods(spec: PopulationSpec, n: int, reps: int, seed: int,
             "capacitated", replace(cfg, capacity=capacity, caliper=None)),
         "caliper": ("exact", replace(cfg, caliper=caliper)),
     }
-    out = {}
-    for name, (method, mcfg) in variants.items():
-        out[name] = run_cell(spec, n, reps, seed, method, mcfg)
-    return out
+    with _forked([(spec, n, seed, method, mcfg) for method, mcfg in variants.values()],
+                 reps):
+        return {name: run_cell(spec, n, reps, seed, method, mcfg)
+                for name, (method, mcfg) in variants.items()}
 
 
 CSV_HEADER = "a,n,asymp_bias,emp_bias,emp_se,reps,degenerate"

@@ -47,6 +47,15 @@ def assert_n80_bug_written(tmp_path, capsys, method):
     assert [c["n"] for c in manifest["cells"]] == [60]
 
 
+def one_control_too_many_at_n80(xs, is_c, starts, rows_used=matching._rows_used):
+    """matching._rows_used, but marking one control too many on rows of 80
+    units."""
+    used = rows_used(xs, is_c, starts)
+    if xs.size == 80 * starts.size:
+        used[np.flatnonzero(is_c & ~used)[:1]] = True
+    return used
+
+
 class TestSimulate:
     def test_small_run_writes_outputs(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -261,16 +270,16 @@ class TestSimulate:
             self, tmp_path, capsys, monkeypatch):
         # the row solver marks one control too many on rows of 80 units:
         # the n=60 cell finishes, the n=80 cell's block hits the bug
-        rows_used = matching._rows_used
-
-        def flipping(xs, is_c, starts):
-            used = rows_used(xs, is_c, starts)
-            if xs.size == 80 * starts.size:
-                used[np.flatnonzero(is_c & ~used)[:1]] = True
-            return used
-
-        monkeypatch.setattr(matching, "_rows_used", flipping)
+        monkeypatch.setattr(matching, "_rows_used", one_control_too_many_at_n80)
         monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        assert_n80_bug_written(tmp_path, capsys, "exact")
+
+    def test_replication_bug_on_forked_workers_writes_finished_cells_and_exits_four(
+            self, tmp_path, capsys, monkeypatch):
+        # the table's two workers run both cells; the n=80 cell's bug comes
+        # through their pipes after the n=60 cell's results
+        monkeypatch.setattr(matching, "_rows_used", one_control_too_many_at_n80)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "2")
         assert_n80_bug_written(tmp_path, capsys, "exact")
 
     def test_per_sample_replication_bug_writes_finished_cells_and_exits_four(

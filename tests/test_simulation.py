@@ -137,6 +137,20 @@ def exit_5_after_the_result():
     os._exit = lambda code, _exit=os._exit: _exit(5)
 
 
+def count_forks(monkeypatch):
+    """Wrap os.fork in a counter that calls the real fork; returns the list
+    of worker pids that the calling process has forked since."""
+    fork, forked = os.fork, []
+
+    def counting_fork():
+        pid = fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
 def assert_no_children():
     """Every worker of the cells run so far has been reaped."""
     with pytest.raises(ChildProcessError):
@@ -642,14 +656,7 @@ class TestForkedWorkers:
         # nothing is pickled on the way to a worker
         base = pop.make_prognostic_spec(0.5)
         spec = replace(base, score_from_uniform=lambda u: base.score_from_uniform(u))
-        fork, forked = os.fork, []
-
-        def counting_fork():
-            pid = fork()
-            forked.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counting_fork)
+        forked = count_forks(monkeypatch)
         monkeypatch.setenv("MATCHBIAS_THREADS", "2")
         row = sim.run_cell(spec, 200, 4, 3)
         assert len(forked) == 2 and all(forked)
@@ -696,6 +703,165 @@ class TestForkedWorkers:
         fresh_python("import matchbias, sys; loaded = sorted(m for m in sys.modules "
                      "if m.split('.')[0] in ('concurrent', 'multiprocessing')); "
                      "assert not loaded, loaded")
+
+
+# two cells, n = 200 then 300, on ranges 0..1 and 2..3 at two workers
+TWO_CELLS = sim.SimConfig(a_values=(0.5,), n_values=(200, 300), reps=4, master_seed=3)
+
+
+def row_bits(rows):
+    return [repr(r) for r in rows]
+
+
+class TestTableWorkers:
+    def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # n = 100 runs in blocks of 40 rows at k = 2, n = 5000 one sample
+        # at a time; 5 reps are ranges of 2 and 3 at two workers, and of
+        # 1, 2 and 2 at three
+        config = sim.SimConfig(a_values=(1 / 3, 0.5), n_values=(5000, 100), reps=5,
+                               master_seed=17, match_method="capacitated",
+                               match_config=MatchConfig(capacity=2, caliper=0.1))
+        rows = {}
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+            rows[threads] = row_bits(sim.run_table(config))
+            assert_no_children()
+        assert rows["2"] == rows["1"] and rows["3"] == rows["1"]
+        assert len(rows["1"]) == 4 and "reps_done=5" in rows["1"][3]
+
+    def test_compare_methods_does_not_depend_on_the_worker_count(self, monkeypatch):
+        spec, out = pop.make_prognostic_spec(1 / 3), {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+            out[threads] = {k: repr(v) for k, v in sim.compare_methods(spec, 300, 6, 21).items()}
+            assert_no_children()
+        assert out["2"] == out["1"]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_a_table_forks_its_workers_once(self, monkeypatch, threads):
+        forked = count_forks(monkeypatch)
+        monkeypatch.setenv("MATCHBIAS_THREADS", str(threads))
+        config = sim.SimConfig(a_values=(0.5, 1.0), n_values=(60, 200, 1000), reps=4,
+                               master_seed=3)
+        assert len(sim.run_table(config)) == 6
+        assert len(forked) == threads and all(forked)
+        assert_no_children()
+        forked.clear()
+        sim.run_cell(pop.make_prognostic_spec(0.5), 200, 4, 3)
+        assert len(forked) == threads
+        assert_no_children()
+        forked.clear()
+        sim.compare_methods(pop.make_prognostic_spec(0.5), 200, 4, 3)
+        assert len(forked) == threads
+        assert_no_children()
+
+    def test_a_failed_cell_keeps_the_table_s_workers(self, monkeypatch):
+        # every replication at a = 0.5 fails, so its cell raises
+        # SimulationError and the a = 1 cell still runs on the same workers
+        nan = replace(pop.make_prognostic_spec(0.5), assign_prob=partial(pop._const, value=math.nan))
+        config = sim.SimConfig(a_values=(0.5, 1.0), n_values=(60,), reps=4, master_seed=3)
+        forked = count_forks(monkeypatch)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "2")
+        failed, done = sim.run_table(
+            config, spec_factory=lambda a: nan if a == 0.5 else pop.make_prognostic_spec(a))
+        assert failed.reps_done == 0 and "assign_prob left [0, 1]" in failed.note
+        assert done.reps_done == 4 and done.note == ""
+        assert len(forked) == 2
+        assert_no_children()
+
+    def test_a_bug_in_a_later_cell_fails_loudly(self, monkeypatch):
+        # one control too many on the n = 300 rows: a bug raised in a worker
+        # after the n = 200 cell has reached on_cell
+        rows_used = matching._rows_used
+
+        def flipping(xs, is_c, starts):
+            used = rows_used(xs, is_c, starts)
+            if xs.size == 300 * starts.size:
+                used[np.flatnonzero(is_c & ~used)[:1]] = True
+            return used
+
+        monkeypatch.setattr(matching, "_rows_used", flipping)
+        forked = count_forks(monkeypatch)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "2")
+        seen = []
+        with pytest.raises(RuntimeError, match="level solver") as exc:
+            sim.run_table(TWO_CELLS, on_cell=lambda row, secs: seen.append(row.n))
+        assert seen == [200] and len(forked) == 2
+        assert_no_children()
+        cell_seed = pop.derive_seed(3, 0, 1)
+        assert "prognostic(a=0.5) at n=300 with rep seed " \
+            f"{pop.derive_seed(cell_seed, 0)} failed" in str(exc.value)
+
+    def test_spec_factory_that_raises_fails_before_any_replication(self, monkeypatch):
+        def factory(a):
+            if a == 1.0:
+                raise ValueError("no spec at a = 1")
+            return pop.make_prognostic_spec(a)
+
+        started = []
+        monkeypatch.setattr(pop, "sample", lambda *args: started.append(args))
+        monkeypatch.setattr(os, "fork", partial(refuse_fork, started))
+        monkeypatch.setenv("MATCHBIAS_THREADS", "2")
+        config = sim.SimConfig(a_values=(0.5, 1.0), n_values=(60,), reps=4, master_seed=3)
+        with pytest.raises(ValueError, match="no spec at a = 1"):
+            sim.run_table(config, spec_factory=factory)
+        assert started == []
+
+    def test_a_cell_run_from_on_cell_gets_workers_of_its_own(self, monkeypatch):
+        # it is not the table's next cell, so it does not take that cell's results
+        spec, inner = pop.make_prognostic_spec(1 / 3), []
+        forked = count_forks(monkeypatch)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "2")
+        rows = sim.run_table(TWO_CELLS, on_cell=lambda row, secs: inner.append(
+            sim.run_cell(spec, 100, 4, 9)))
+        assert len(forked) == 2 + 2 * 2
+        assert_no_children()
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        assert rows == sim.run_table(TWO_CELLS)
+        assert inner == [sim.run_cell(spec, 100, 4, 9)] * 2
+
+    @pytest.mark.parametrize("die, status", [
+        (partial(os._exit, 7), "exit status 7"),
+        (kill_self, f"killed by signal {int(signal.SIGKILL)}"),
+        (exit_5_after_the_result, "exit status 5")],
+        ids=["exit", "signal", "exit-after-result"])
+    def test_worker_that_dies_in_a_later_cell_fails_loudly(self, monkeypatch, die, status):
+        parent = os.getpid()
+        base = pop.make_prognostic_spec(0.5)
+
+        def dying(u):
+            if os.getpid() != parent and u.shape[-1] == 300:
+                die()
+            return base.score_from_uniform(u)
+
+        spec, seen = replace(base, score_from_uniform=dying), []
+        monkeypatch.setenv("MATCHBIAS_THREADS", "2")
+        with pytest.raises(RuntimeError, match="died without a result") as exc:
+            sim.run_table(TWO_CELLS, spec_factory=lambda a: spec,
+                          on_cell=lambda row, secs: seen.append(row.n))
+        assert str(exc.value) == (
+            "worker for replications 0..1 of prognostic(a=0.5) at n=300 with "
+            f"cell seed {pop.derive_seed(3, 0, 1)} died without a result ({status})")
+        assert seen == [200]
+        assert_no_children()
+
+    def test_fork_failure_runs_each_cell_s_range_serially(self, monkeypatch, caplog):
+        # one warning and one fork attempt per worker, not per cell
+        def refuse():
+            raise AssertionError("the initializer ran in the calling process")
+
+        attempts = []
+        monkeypatch.setattr(os, "fork", partial(refuse_fork, attempts))
+        monkeypatch.setattr(sim, "_keep_freed_heap", refuse)
+        monkeypatch.setenv("MATCHBIAS_THREADS", "2")
+        with caplog.at_level(logging.WARNING, logger="matchbias.simulation"):
+            rows = sim.run_table(TWO_CELLS)
+        assert attempts == ["fork", "fork"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "cannot fork a worker (no fork in this test); running replications "
+            f"{lo}..{hi} of each of 2 cells serially" for lo, hi in ((0, 1), (2, 3))]
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        assert rows == sim.run_table(TWO_CELLS)
 
 
 class TestSimConfig:

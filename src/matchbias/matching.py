@@ -497,13 +497,17 @@ def match_rows(scores: np.ndarray, treated: np.ndarray,
 
     Row i of `scores`, an (m, n) float array, holds one sample's finite
     scores and row i of the bool array `treated` flags its treated units;
-    every row must have 0 < N1 <= k * N0. A row whose n scores are
-    distinct is matched exactly as the level solver matches it alone
-    (`_level_used`; `_exact_match` runs the sweep instead below LEVEL_MIN
-    sorted scores, which may break a near-tie in rounding differently):
-    one argsort per row gives its merged order, each control is repeated
-    k times in place, and `_level_unused` solves all such rows in one
-    pass. A row with a tie is left unmatched.
+    a row without 0 < N1 <= k * N0 raises ValueError, naming it. Each
+    row is matched exactly as the level solver matches it alone
+    (`_level_used`), in the order `_exact_match` merges it: one argsort
+    per row sorts it, each control is repeated k times in place, and
+    `_level_unused` solves all the rows in one pass. A row with a tie is
+    re-sorted by `np.lexsort`, controls first on equal scores and then by
+    position, where its per-sample match runs the level solver (N1 +
+    k * N0 >= LEVEL_MIN), and is left unmatched below that, where
+    `_exact_match` runs the sweep, which may choose other controls of
+    equal cost. (The sweep may also break a near-tie of distinct scores
+    in rounding differently.)
 
     Returns (solved, t, c): solved flags the rows matched; t holds the
     flat indices into `scores` of their treated units, in row-major
@@ -512,11 +516,25 @@ def match_rows(scores: np.ndarray, treated: np.ndarray,
     SolverError, naming the row: that is a bug, not a failed match.
     """
     m, n = scores.shape
+    n1 = np.count_nonzero(treated, axis=1)
+    infeasible = (n1 == 0) | (n1 > k * (n - n1))
+    if infeasible.any():
+        i = int(infeasible.argmax())
+        raise ValueError(f"row {i} of match_rows has N1 = {n1[i]} treated units "
+                         f"and k * N0 = {k * (n - n1[i])} control places; every "
+                         "row needs 0 < N1 <= k * N0")
     # the flat index into scores of each sorted score
+    offset = (np.arange(m) * n)[:, None]
     order = scores.argsort(axis=1)
-    order += (np.arange(m) * n)[:, None]
+    order += offset
     ordered = scores.ravel()[order]
     solved = (ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
+    resort = np.flatnonzero(~solved & (n1 + k * (n - n1) >= LEVEL_MIN))
+    if resort.size:
+        # the sorted scores stay as they are; equal ones change places
+        order[resort] = np.lexsort((treated[resort], scores[resort]),
+                                   axis=-1) + offset[resort]
+        solved[resort] = True
     rows = np.flatnonzero(solved)
     t = np.flatnonzero(treated & solved[:, None])
     if not rows.size:
@@ -524,7 +542,7 @@ def match_rows(scores: np.ndarray, treated: np.ndarray,
     src = order[rows].ravel()
     xs = ordered[rows].ravel()
     is_c = ~treated.ravel()[src]
-    n1 = n - np.count_nonzero(is_c.reshape(rows.size, n), axis=1)
+    n1 = n1[rows]
     starts = np.arange(0, src.size, n)
     if k > 1:
         repeats = is_c * (k - 1) + 1

@@ -12,17 +12,18 @@ ones NumPy's SeedSequence gives each seed. The workers are forked once
 per run_table or compare_methods call, or per lone run_cell call, and
 each runs its range of every cell in turn (`_Workers`).
 
-Where a block holds two samples or more, a range runs in blocks, one row
-per replication: each block is sampled, matched and estimated in a fixed
-number of numpy calls (`_block`). A row's sample is the per-sample
-pipeline's (`_replicate`) bit for bit, and it is matched exactly as the
-level solver matches that sample alone, so it takes the per-sample
-pipeline's controls wherever costs are exact (below
-matching.LEVEL_MIN sorted scores that pipeline runs the sweep). The
-per-sample pipeline still runs every replication a block does not finish,
-every one where a block would hold a single sample and matching with
-replacement, and it replays the first replication a block finishes in
-each range, whose sample must come out the same.
+Where a block of BLOCK_SCORES sorted scores holds two samples or more, a
+range runs in blocks, one row per replication: each block is sampled,
+matched and estimated in a fixed number of numpy calls (`_block`). A
+row's sample is the per-sample pipeline's (`_replicate`) bit for bit, and
+it is matched exactly as the level solver matches that sample alone, ties
+included, so it takes the per-sample pipeline's controls wherever costs
+are exact (below matching.LEVEL_MIN sorted scores that pipeline runs the
+sweep, and a block leaves it a row with a tie). The per-sample pipeline
+still runs every replication a block does not finish, every one where a
+block would hold a single sample and matching with replacement, and it
+replays the first replication a block finishes in each range, whose
+sample must come out the same.
 """
 
 from __future__ import annotations
@@ -94,10 +95,12 @@ class SimRow:
 
 
 # A block holds at most this many sorted scores, N1 + k * N0 <= k * n per
-# sample: 81 samples at n = 100, about 0.9 MB of arrays at its peak.
-# Twice as many ran at most 9% faster per sample at n = 100 and 1e3, for
-# twice the peak.
-BLOCK_SCORES = 8192
+# sample: 327 samples at n = 100, 32 at 1e3 and 3 at 1e4. Its arrays peak
+# at about 100 B per sorted score (tracemalloc: 3.3 MB for 327 rows at
+# n = 100, 0.9 MB for 81 rows at 8,192 scores). Against 8,192, a table of
+# three n = 100 cells of 2,000 replications on 2 workers ran 15% more
+# replications per second.
+BLOCK_SCORES = 32768
 
 
 def _rep_task(args):
@@ -111,15 +114,17 @@ def _rep_task(args):
     through NumPy's SeedSequence.
 
     Where a block holds two samples or more, BLOCK_SCORES // (k * n) of
-    them (k = the capacity, 1 but for "capacitated"), the range runs in
-    such blocks, one row per sample, in `_block`, down to a last block of
-    one; each replication a block leaves to it runs through `_replicate`,
-    the per-sample pipeline, alone. Elsewhere, and for "replacement",
-    every replication runs through `_replicate`. So which pipeline a
-    replication takes depends on n, k, the method and its own sample,
-    never on where a range or a block begins, and the results do not
-    depend on the worker count. The first replication in the range that
-    a block finishes is replayed (`_replay`).
+    them (k = the capacity, 1 but for "capacitated"; k * n up to 16,384),
+    the range runs in such blocks, one row per sample, in `_block`, down
+    to a last block of one; each replication a block leaves to it (a tied
+    row below matching.LEVEL_MIN sorted scores among them) runs through
+    `_replicate`, the per-sample pipeline, alone. Elsewhere, and for
+    "replacement", every replication runs through `_replicate`. So which
+    pipeline a replication takes depends on n, k, the method and its own
+    sample, never on where a range or a block begins, and the results do
+    not depend on the worker count. The first replication in the range
+    that a block finishes is replayed (`_replay`), drawn once and finished
+    by the per-sample pipeline.
 
     Only a ValueError from sampling and a MatchingError from the matcher
     other than InfeasibleError, which applies the zero convention, count
@@ -149,11 +154,14 @@ def _rep_task(args):
     return results
 
 
-def _checked(spec, n, rep_seed, method, config):
-    """`_replicate`, with any error it raises re-raised as a RuntimeError
-    that names the replication."""
+def _checked(spec, n, rep_seed, method, config, smp=None):
+    """`_replicate`, or `_finish` of smp where the replication's Sample is
+    given, with any error it raises re-raised as a RuntimeError that names
+    the replication."""
     try:
-        return _replicate(spec, n, rep_seed, method, config)
+        if smp is None:
+            return _replicate(spec, n, rep_seed, method, config)
+        return _finish(spec, smp, method, config)
     except Exception as exc:
         raise RuntimeError(f"replication of {spec.name} at n={n} with rep seed "
                            f"{rep_seed} failed: {exc!r}") from exc
@@ -161,14 +169,15 @@ def _checked(spec, n, rep_seed, method, config):
 
 def _replay(spec, n, rep_seed, rows, i, method, config):
     """Replay the replication at rep_seed, row i of a block that finished
-    it, through `population.sample` and `_replicate`.
+    it, through the per-sample pipeline: `population.sample`, then
+    `_finish` of the Sample it drew.
 
     Raises RuntimeError, naming the spec, n and the rep seed, unless
     `population.sample` draws row i of `rows` bit for bit, which a spec
     whose score_from_uniform, assign_prob, mu0 or mu1 is not elementwise
-    fails, and unless `_replicate` finishes the replication too.
-    `_replicate` reaches `population.sample`, `matching.match_scores` and
-    `estimators.att_*` as module attributes, so a wrapper of those sees
+    fails, and unless `_finish` finishes the replication too. The replay
+    reaches `population.sample`, and `_finish` `matching.match_scores` and
+    `estimators.att_*`, as module attributes, so a wrapper of those sees
     one whole replication per range. Its estimate is not compared with
     the block's: below matching.LEVEL_MIN sorted scores the matcher runs
     the sweep, which may break a near-tie in rounding differently from the
@@ -184,7 +193,7 @@ def _replay(spec, n, rep_seed, rows, i, method, config):
         raise RuntimeError(f"{name}: its block drew another sample than "
                            "population.sample; are the spec's score_from_uniform, "
                            "assign_prob, mu0 and mu1 elementwise?")
-    ok, *_, message = _checked(spec, n, rep_seed, method, config)
+    ok, *_, message = _checked(spec, n, rep_seed, method, config, alone)
     if not ok:
         raise RuntimeError(f"{name}: its block finished it, the per-sample "
                            f"pipeline failed it: {message}")
@@ -203,8 +212,9 @@ def _block(spec, n, seeds, method, config):
     do. A row with no matching (N1 = 0 or N1 > k * N0) takes the zero
     convention. Left to `_replicate`: every row when sampling raised, and
     rows with an assignment probability outside [0, 1], a non-finite
-    score, a tied score or a surplus above the band, so each fails or
-    raises with the message it always has.
+    score or a surplus above the band, so each fails or raises with the
+    message it always has, and rows with a tied score below
+    matching.LEVEL_MIN sorted scores, where `_replicate` runs the sweep.
     """
     try:
         smp = population.sample(spec, n, seeds)
@@ -246,10 +256,16 @@ def _block(spec, n, seeds, method, config):
 
 
 def _replicate(spec, n, rep_seed, method, config):
+    """The per-sample pipeline: `population.sample`, then `_finish`."""
     try:
         smp = population.sample(spec, n, rep_seed)
     except ValueError as exc:
         return False, math.nan, math.nan, False, str(exc)
+    return _finish(spec, smp, method, config)
+
+
+def _finish(spec, smp, method, config):
+    """Match, estimate and score the drawn Sample smp: its result tuple."""
     t_scores, c_scores = smp.treated_scores, smp.control_scores
     try:
         m = matching.match_scores(t_scores, c_scores, method, config)

@@ -684,13 +684,15 @@ class TestLevelSolverAgainstSweep:
 class TestRowBlocks:
     """`match_rows` matches each row of a block as the level solver
     matches the row alone (on these inputs bit for bit, near-grid scores
-    included) and leaves rows with a tie."""
+    included) and leaves rows with a tie below LEVEL_MIN sorted scores."""
 
     @staticmethod
     def assert_rows_as_alone(scores, treated, k):
         m, n = scores.shape
         solved, t, c = mt.match_rows(scores, treated, k)
-        assert solved.tolist() == [np.unique(row).size == n for row in scores]
+        n1 = treated.sum(axis=1)
+        assert solved.tolist() == [np.unique(row).size == n or size >= mt.LEVEL_MIN
+                                   for row, size in zip(scores, n1 + k * (n - n1))]
         assert np.array_equal(t, np.flatnonzero(treated & solved[:, None]))
         mate = dict(zip(t.tolist(), c.tolist()))
         for i in np.flatnonzero(solved):
@@ -741,6 +743,47 @@ class TestRowBlocks:
         solved, t, c = mt.match_rows(scores, treated)
         assert solved.tolist() == [True, False]
         assert t.tolist() == [0, 3] and c.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("k, n", [(1, mt.LEVEL_MIN - 1), (1, mt.LEVEL_MIN),
+                                      (2, mt.LEVEL_MIN * 3 // 5)])
+    def test_tied_rows_from_level_min_on_are_solved(self, k, n):
+        # two or three score values: every row holds ties, within each arm
+        # and across them. N1 + k * N0 is n at k = 1; at k = 2 it runs from
+        # about 740 to 860, across LEVEL_MIN
+        rng = np.random.default_rng(29)
+        treated = rng.random((12, n)) < np.linspace(0.2, 0.45, 12)[:, None]
+        scores = rng.integers(0, np.arange(2, 14) % 2 + 2, (n, 12)).T / 4
+        solved = self.assert_rows_as_alone(scores, treated, k)
+        assert set(solved.tolist()) == ({False, True} if k == 2 else {n >= mt.LEVEL_MIN})
+
+    def test_tied_row_takes_the_per_sample_controls(self):
+        # the re-sorted row's pairs are those `match_scores` gives the
+        # sample alone, where `_exact_match` merges controls first on equal
+        # scores and then by position
+        rng = np.random.default_rng(8)
+        s = rng.integers(0, 3, mt.LEVEL_MIN) / 2
+        w = rng.random(s.size) < 0.4
+        for k, method in ((1, "exact"), (2, "capacitated")):
+            solved, t, c = mt.match_rows(s[None], w[None], k)
+            m = mt.match_scores(s[w], s[~w], method, mt.MatchConfig(capacity=k))
+            assert solved.all() and np.array_equal(t, np.flatnonzero(w))
+            assert np.array_equal(c, np.flatnonzero(~w)[m.pair_arrays()[1]])
+
+    @pytest.mark.parametrize("block", ["80 rows", "T, T, C"])
+    def test_rows_without_a_matching_are_refused(self, block):
+        if block == "80 rows":  # row 37 has N1 = 52 > N0 = 48
+            rng = np.random.default_rng(4)
+            scores = rng.random((80, 100))
+            treated = np.arange(100) < np.where(np.arange(80) == 37, 52, 40)[:, None]
+            row = "row 37 of match_rows has N1 = 52 treated units and k \\* N0 = 48 "
+        else:
+            scores = np.array([[0.1, 0.2, 0.3]])
+            treated = np.array([[True, True, False]])
+            row = "row 0 of match_rows has N1 = 2 treated units and k \\* N0 = 1 "
+        with pytest.raises(ValueError, match=row):
+            mt.match_rows(scores, treated)
+        with pytest.raises(ValueError, match="row 0 of match_rows has N1 = 0 "):
+            mt.match_rows(scores[:1], np.zeros_like(treated[:1]))
 
     def test_broken_solver_names_the_row(self, monkeypatch):
         monkeypatch.setattr(mt, "_rows_used", lambda xs, is_c, starts: is_c.copy())

@@ -396,8 +396,10 @@ BLOCK_METHODS = {
         method, MatchConfig(band=25, capacity=2 if method == "capacitated" else 1,
                             caliper=caliper))
     for method in ("exact", "banded", "capacitated") for caliper in (None, 0.005)}
-# at n = 100 a block holds 81 rows: 170 reps are blocks of 81, 81 and 8 on
-# one worker and of 81 and 4 in each range of two; at n = 60, 136 rows
+# the tests that run these pin BLOCK_SCORES = 8192, so that a range holds
+# several blocks: at n = 100 a block holds 81 rows, and 170 reps are blocks
+# of 81, 81 and 8 on one worker and of 81 and 4 in each range of two; at
+# n = 60, 136 rows
 BLOCK_REPS = {2: 40, 10: 40, 60: 150, 100: 170, 1000: 20}
 
 
@@ -416,6 +418,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("method", BLOCK_METHODS)
     @pytest.mark.parametrize("spec", BLOCK_SPECS)
     def test_blocks_equal_the_per_sample_pipeline(self, monkeypatch, spec, method):
+        monkeypatch.setattr(sim, "BLOCK_SCORES", 8192)
         spec, (method, config) = BLOCK_SPECS[spec], BLOCK_METHODS[method]
         for n, reps in BLOCK_REPS.items():
             want = bits(per_sample(spec, n, reps, 5, method, config))
@@ -456,10 +459,10 @@ class TestRowBlocks:
                             MatchConfig(capacity=sim.BLOCK_SCORES)).reps_done == 3
         assert sim.run_cell(spec, 100, 3, 3, "replacement").reps_done == 3
 
-    def test_ranges_of_any_length_run_in_blocks(self, monkeypatch):
-        # at n = 100 every replication goes through a block, the last of
-        # a range and a range of one included; a categorical block, all of
-        # whose rows hold a tie, leaves each of them to `_replicate`
+    @staticmethod
+    def block_sizes(monkeypatch):
+        """The list to which each `_block` call from now on appends its
+        number of rows."""
         block, sizes = sim._block, []
 
         def counted(spec, n, seeds, *args):
@@ -467,6 +470,14 @@ class TestRowBlocks:
             return block(spec, n, seeds, *args)
 
         monkeypatch.setattr(sim, "_block", counted)
+        return sizes
+
+    def test_ranges_of_any_length_run_in_blocks(self, monkeypatch):
+        # at n = 100 every replication goes through a block, the last of
+        # a range and a range of one included; a categorical block, all of
+        # whose rows hold a tie, leaves each of them to `_replicate`
+        monkeypatch.setattr(sim, "BLOCK_SCORES", 8192)
+        sizes = self.block_sizes(monkeypatch)
         config = MatchConfig()
         for start, stop in ((0, 163), (7, 8)):
             sim._rep_task((BLOCK_SPECS["prognostic_1"], 100, 5, start, stop, "exact", config))
@@ -476,6 +487,59 @@ class TestRowBlocks:
         assert sim._rep_task((spec, 100, 5, 0, 170, "exact", config)) == \
             per_sample(spec, 100, 170, 5, "exact", config)
         assert sizes == [81, 81, 8]
+
+    def test_blocks_hold_32768_sorted_scores(self, monkeypatch):
+        sizes = self.block_sizes(monkeypatch)
+        spec, config = BLOCK_SPECS["prognostic_0.333"], MatchConfig(capacity=2)
+        for n, stop, method in ((100, 700, "exact"), (1000, 40, "exact"),
+                                (1000, 20, "capacitated"), (10_000, 4, "exact"),
+                                (10_000, 1, "capacitated")):
+            sim._rep_task((spec, n, 5, 0, stop, method, config))
+        assert sizes == [327, 327, 46, 32, 8, 16, 4, 3, 1]
+
+    @pytest.mark.parametrize("method", ["exact", "capacitated", "exact_caliper"])
+    @pytest.mark.parametrize("spec", ["prognostic", "prognostic_no_noise", "categorical",
+                                      "categorical_noise"])
+    def test_the_block_size_changes_speed_not_results(self, monkeypatch, spec, method):
+        # at 8,192 sorted scores the cells at n = 5e3 and 12e3 run one
+        # sample at a time, and a categorical row at n = 1e3 (every one
+        # holds a tie) goes to `_replicate`; at 32,768 blocks finish them
+        spec = {"prognostic": BLOCK_SPECS["prognostic_0.333"],
+                "prognostic_no_noise": replace(BLOCK_SPECS["prognostic_0.333"],
+                                               noise_sd0=None, noise_sd1=None),
+                "categorical": BLOCK_SPECS["categorical"],
+                "categorical_noise": BLOCK_SPECS["categorical_noise"]}[spec]
+        method, config = BLOCK_METHODS[method]
+        for n, reps in ((100, 400), (1000, 40), (5000, 8), (12_000, 5)):
+            for threads in ("1", "2"):
+                monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+                got = {}
+                for size in (8192, 32768):
+                    monkeypatch.setattr(sim, "BLOCK_SCORES", size)
+                    got[size] = bits(sim._run_reps(spec, n, reps, 5, method, config))
+                assert got[8192] == got[32768], (n, threads)
+                assert all(r[0] for r in got[8192])
+
+    def test_tied_rows_go_to_replicate_only_below_level_min(self, monkeypatch):
+        # every categorical row holds a tie: at n = 1e3 its block finishes
+        # it, and the per-sample pipeline runs only the range's replay; at
+        # n = 100 every row goes to `_replicate`
+        calls = []
+
+        def counted(name, run):
+            def run_counted(*args):
+                calls.append(name)
+                return run(*args)
+            return run_counted
+
+        for name in ("_replicate", "_finish"):
+            monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
+        spec, config = BLOCK_SPECS["categorical_noise"], MatchConfig()
+        for n, stop in ((1000, 40), (100, 40)):
+            calls.clear()
+            results = sim._rep_task((spec, n, 5, 0, stop, "exact", config))
+            assert all(r[0] for r in results)
+            assert calls == (["_finish"] if n == 1000 else ["_replicate", "_finish"] * stop)
 
     def test_the_sweep_breaks_a_near_tie_otherwise_than_the_level_solver(self):
         # 100 distinct scores from the grid 0, 0.01, ..., 1.99, drawn on
@@ -558,6 +622,7 @@ class TestRowBlocks:
                    pop._triangular_quantile(u) - pop._triangular_quantile(u).mean() + 1}
         spec = replace(pop.make_prognostic_spec(0.5), name="centred", **{field: centred[field]})
         monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+        monkeypatch.setattr(sim, "BLOCK_SCORES", 8192)
         with pytest.raises(RuntimeError, match="elementwise") as exc:
             sim.run_cell(spec, 100, 170, 3)
         assert_no_children()

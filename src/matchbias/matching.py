@@ -6,15 +6,13 @@ pre-sorting). Matching without replacement minimizes the total within-pair
 absolute score difference. Because some optimal matching on the line is
 order-preserving, the optimum is found by sorting both sequences and
 choosing which controls stay unused, instead of a general assignment
-solver. Two exact solvers make that choice, for matching without
-replacement and capacity-k matching alike: a sweep with a Python loop,
-O(N) after the sort, below LEVEL_MIN sorted scores, and a level-by-level
-numpy solver, O(N log N) with no Python loop over scores, from there on.
-They take the same controls wherever costs are exact; nothing here
+solver. One exact solver makes that choice at every size, for matching
+without replacement and capacity-k matching alike: a level-by-level numpy
+solver, O(N log N) with no Python loop over scores. Nothing here
 approximates the optimum. `match_rows` matches many samples at once, one
-per row of a block, in one pass of the level solver and a fixed number of
-numpy calls whatever the number of rows, each exactly as the level solver
-matches it alone.
+per row of a block, in one pass of that solver and a fixed number of numpy
+calls whatever the number of rows, each exactly as `_exact_match` matches
+it alone, ties included.
 
 Every matcher decides for itself whether a matching exists and raises
 InfeasibleError when none does; callers need not know which methods reuse
@@ -174,115 +172,6 @@ def _require_feasible(n1: int, n0: int, k: int | None) -> None:
             f"k = {k} (k * N0 = {k * n0})")
 
 
-def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
-    """Controls used by a min-cost matching of every sorted treated unit.
-
-    Successive shortest paths on the line, run as one sorted sweep (the
-    "mice and holes" exchange argument): scores are visited in order,
-    controls before treated on equal scores, and two stacks hold the
-    cheapest moves so far. Each move is anchored at one control, the one
-    whose used flag it changes, and the stacks hold only these anchors;
-    `val[a]` is the value of the one move anchored at control a.
-
-    - `hole`: a treated unit at x can take a control for x + value. A free
-      control at y offers -y; a control vacated by a steal offers the
-      cost of sending the stolen treated unit back to it.
-    - `mouse`: a control at y can take over a matched treated unit for
-      y + value, moving it off its anchor; taken only when that is < 0.
-    - `waiting` counts treated units that found `hole` empty. The next
-      controls go to them, which stands in for an infinite cost without
-      absorbing any score into it.
-
-    One slot per control is enough because a control sits on at most one
-    stack at a time, and at most once. It goes onto `hole` when the sweep
-    first sees it free, moves to `mouse` when a pop matches it (its slot
-    becomes the mouse value -2x - val[a]) and back to `hole` when a steal
-    at y frees it (the slot becomes the hole value -2y - val[a]). A
-    control that fills a waiting unit or steals goes onto neither stack
-    and stays used. So `hole` holds exactly the controls seen so far that
-    are free, and the loop writes no flags: at the end the used controls
-    are those the sweep has reached, minus those left on `hole`. A slot
-    starts at -y, the control's hole value when free, and changes only
-    while its control is on a stack, so the control at y the sweep is
-    about to reach still holds -y, and the steal test reads it there.
-
-    Each push is no larger than the top it covers, so the top of either
-    stack is a cheapest move and a pop takes it in O(1). On the line an
-    optimal matching can be taken non-crossing, and in the sweep this
-    makes both queues last-in-first-out by value:
-
-    - A free control's hole -y lies below every earlier hole: earlier free
-      controls lie at or below y, and a steal at y' <= y leaves a hole
-      above -y'.
-    - A steal at y takes over the unit matched at x through hole v, whose
-      mouse value is m = -2x - v, and leaves the hole -2y - m =
-      v - 2(y - x). That lies below v and below every steal hole pushed
-      since then, each left at a score no higher by a mouse no larger
-      than m. No free control lies between x and y: with m on the mouse
-      stack it would have stolen first.
-    - A matched unit's reach x + cost(x) never falls from one matched unit
-      to the next, and minus that reach is its mouse value.
-
-    So every pop is a minimum-value move and successive shortest paths
-    stay optimal whichever of several equal moves is taken; floating-point
-    rounding can at most pop a move one ulp dearer than the minimum. On
-    distinct scores the used flags are those of two plain heaps, as the
-    tests check. On tied scores a stack takes the most recent of equally
-    cheap moves where a heap takes the smallest anchor, which can select
-    a different optimal set of controls at the same cost.
-
-    The controls between two treated scores are handled in slices: the
-    first go to `waiting`, the next steal while `y + mouse top < 0` (a
-    steal only raises the mouse top and y only grows, so the first control
-    that does not steal ends the steals), and the rest are pushed onto the
-    hole stack with one extend. Besides the search for each treated
-    unit's place among the controls, O(N) time for N = N0 + N1, and O(N)
-    memory.
-
-    Requires len(t_sorted) <= len(c_sorted), so that `waiting` ends at
-    zero. Returns a bool array, one flag per sorted control; exactly
-    len(t_sorted) are set.
-    """
-    n0 = c_sorted.size
-    val = (-c_sorted).tolist()
-    hole: list[int] = []
-    mouse: list[int] = []
-    waiting = 0
-    # controls at or below each treated score come before it
-    ends = c_sorted.searchsorted(t_sorted, side="right").tolist()
-    j = 0
-    for x, end in zip(t_sorted.tolist(), ends):
-        if j < end:
-            if waiting:
-                w = min(waiting, end - j)
-                waiting -= w
-                j += w
-            while j < end and mouse and val[mouse[-1]] < val[j]:
-                a = mouse.pop()
-                val[a] = 2.0 * val[j] - val[a]
-                hole.append(a)
-                j += 1
-            hole += range(j, end)
-            j = end
-        if hole:
-            a = hole.pop()
-            val[a] = -2.0 * x - val[a]
-            mouse.append(a)
-        else:
-            waiting += 1
-    # past the last treated unit only waiting units and steals can use a
-    # control, and once neither applies no later (larger) control can; a
-    # steal still frees its anchor onto `hole`, but no pop reads its value
-    j += waiting
-    while j < n0 and mouse and val[mouse[-1]] < val[j]:
-        hole.append(mouse.pop())
-        j += 1
-    used = np.zeros(n0, dtype=bool)
-    used[:j] = True
-    used[hole] = False
-    return used
-
-
 def _by_level(lev: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lev[p], p) as int32, sorted by level and then by position."""
     key = lev[p].astype(np.int64)
@@ -422,13 +311,12 @@ _ONE_ROW = np.zeros(1, dtype=np.intp)
 
 
 def _level_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
-    """The used flags of `_sweep_used`, found by `_level_unused`.
+    """Controls used by a min-cost matching of every sorted treated unit,
+    found by `_level_unused`; the exact solver at every size.
 
-    On integer-valued scores, ties included, the flags equal the sweep's.
-    Where rounding enters, both take an optimal set of controls but may
-    break a near-tie differently, as the sweep and two heaps may.
-    Requires len(t_sorted) <= len(c_sorted). Returns a bool array, one
-    flag per sorted control; exactly len(t_sorted) are set.
+    The two sides are merged by one stable argsort, controls first on
+    equal scores. Requires len(t_sorted) <= len(c_sorted). Returns a bool
+    array, one flag per sorted control; exactly len(t_sorted) are set.
     """
     n0 = c_sorted.size
     used = np.ones(n0, dtype=bool)
@@ -445,35 +333,21 @@ def _level_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
     return used
 
 
-# Below this many sorted scores, N0 * k + N1, the sweep's Python loop
-# costs less than the level solver's fixed numpy calls (CHANGES.md has the
-# crossover table).
-LEVEL_MIN = 800
-
-
-def _used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
-    """Used flags from `_sweep_used` on small inputs, `_level_used` on large."""
-    if t_sorted.size + c_sorted.size < LEVEL_MIN:
-        return _sweep_used(t_sorted, c_sorted)
-    return _level_used(t_sorted, c_sorted)
-
-
 def _exact_match(t: np.ndarray, c: np.ndarray, method: str,
                  k: int = 1) -> Matching:
     """Min-cost matching of validated scores, k treated per control.
 
     Every control is repeated k times on the sorted side, so k = 1 is
-    matching without replacement. `_used` picks the used (repeated)
-    controls, by the sweep below LEVEL_MIN sorted scores and by the level
-    solver from there on; they are paired in stable sorted order with
-    the stable-sorted treated units.
+    matching without replacement. `_level_used` picks the used (repeated)
+    controls, which are paired in stable sorted order with the
+    stable-sorted treated units.
     """
     _require_feasible(t.size, c.size, k)
     t_order, t_sorted = _argsort_ties_stable(t)
     c_order, c_sorted = _argsort_ties_stable(c)
     if k > 1:
         c_sorted = np.repeat(c_sorted, k)
-    used = _used(t_sorted, c_sorted).nonzero()[0]
+    used = _level_used(t_sorted, c_sorted).nonzero()[0]
     c_pos = c_order[used // k]
     cost = float(np.abs(t_sorted - c_sorted[used]).sum())
     cp = np.empty(t.size, dtype=np.intp)
@@ -492,28 +366,23 @@ def _rows_used(xs: np.ndarray, is_c: np.ndarray,
 
 
 def match_rows(scores: np.ndarray, treated: np.ndarray,
-               k: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Min-cost matchings, k treated per control, of many samples at once.
 
     Row i of `scores`, an (m, n) float array, holds one sample's finite
     scores and row i of the bool array `treated` flags its treated units;
     a row without 0 < N1 <= k * N0 raises ValueError, naming it. Each
-    row is matched exactly as the level solver matches it alone
-    (`_level_used`), in the order `_exact_match` merges it: one argsort
-    per row sorts it, each control is repeated k times in place, and
-    `_level_unused` solves all the rows in one pass. A row with a tie is
-    re-sorted by `np.lexsort`, controls first on equal scores and then by
-    position, where its per-sample match runs the level solver (N1 +
-    k * N0 >= LEVEL_MIN), and is left unmatched below that, where
-    `_exact_match` runs the sweep, which may choose other controls of
-    equal cost. (The sweep may also break a near-tie of distinct scores
-    in rounding differently.)
+    row is matched exactly as `_exact_match` matches it alone, ties
+    included, in the order `_exact_match` merges it: one argsort per row
+    sorts it, a row with a tie is re-sorted by `np.lexsort`, controls
+    first on equal scores and then by position, each control is repeated
+    k times in place, and `_level_unused` solves all the rows in one pass.
 
-    Returns (solved, t, c): solved flags the rows matched; t holds the
-    flat indices into `scores` of their treated units, in row-major
-    order, and c the index of the control each is matched with. A row on
-    which the solver does not use exactly N1 controls raises
-    SolverError, naming the row: that is a bug, not a failed match.
+    Returns (t, c): t holds the flat indices into `scores` of the treated
+    units, in row-major order, and c the index of the control each is
+    matched with. A row on which the solver does not use exactly N1
+    controls raises SolverError, naming the row: that is a bug, not a
+    failed match.
     """
     m, n = scores.shape
     n1 = np.count_nonzero(treated, axis=1)
@@ -523,26 +392,21 @@ def match_rows(scores: np.ndarray, treated: np.ndarray,
         raise ValueError(f"row {i} of match_rows has N1 = {n1[i]} treated units "
                          f"and k * N0 = {k * (n - n1[i])} control places; every "
                          "row needs 0 < N1 <= k * N0")
+    t = np.flatnonzero(treated)
+    if not m:
+        return t, t
     # the flat index into scores of each sorted score
     offset = (np.arange(m) * n)[:, None]
     order = scores.argsort(axis=1)
     order += offset
     ordered = scores.ravel()[order]
-    solved = (ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
-    resort = np.flatnonzero(~solved & (n1 + k * (n - n1) >= LEVEL_MIN))
-    if resort.size:
+    tied = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if tied.size:
         # the sorted scores stay as they are; equal ones change places
-        order[resort] = np.lexsort((treated[resort], scores[resort]),
-                                   axis=-1) + offset[resort]
-        solved[resort] = True
-    rows = np.flatnonzero(solved)
-    t = np.flatnonzero(treated & solved[:, None])
-    if not rows.size:
-        return solved, t, t
-    src = order[rows].ravel()
-    xs = ordered[rows].ravel()
+        order[tied] = np.lexsort((treated[tied], scores[tied]), axis=-1) + offset[tied]
+    src = order.ravel()
+    xs = ordered.ravel()
     is_c = ~treated.ravel()[src]
-    n1 = n1[rows]
     starts = np.arange(0, src.size, n)
     if k > 1:
         repeats = is_c * (k - 1) + 1
@@ -553,13 +417,13 @@ def match_rows(scores: np.ndarray, treated: np.ndarray,
     broken = (flags != n1) | np.logical_or.reduceat(used & ~is_c, starts)
     if broken.any():
         i = int(broken.argmax())
-        raise SolverError(int(rows[i]), f"the level solver marked {flags[i]} units "
-                                        f"used, not the N1 = {n1[i]} controls a matching uses")
+        raise SolverError(i, f"the level solver marked {flags[i]} units "
+                             f"used, not the N1 = {n1[i]} controls a matching uses")
     mate = np.empty(m * n, dtype=np.intp)
     # the i-th used control takes the i-th treated unit; compress, not a
     # boolean index, which is three times slower here
     mate[src.compress(~is_c)] = src.compress(used)
-    return solved, t, mate[t]
+    return t, mate[t]
 
 
 def _argsort_ties_stable(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -634,10 +498,9 @@ def match_capacitated(treated_scores, control_scores, k: int) -> Matching:
     """Min-cost matching where each control absorbs at most k treated units.
 
     Solved by replicating every control k times and running the exact
-    solver of `match_optimal_exact` on the expanded side, N0 * k + N1
-    sorted scores choosing between the sweep and the level solver. k = 1
-    recovers matching without replacement; k >= N1 attains the
-    with-replacement cost.
+    solver of `match_optimal_exact` on the expanded side of N0 * k + N1
+    sorted scores. k = 1 recovers matching without replacement; k >= N1
+    attains the with-replacement cost.
     """
     k = whole_number(k, "k", 1)
     t = _as_scores(treated_scores, "treated")

@@ -16,14 +16,14 @@ Where a block of BLOCK_SCORES sorted scores holds two samples or more, a
 range runs in blocks, one row per replication: each block is sampled,
 matched and estimated in a fixed number of numpy calls (`_block`). A
 row's sample is the per-sample pipeline's (`_replicate`) bit for bit, and
-it is matched exactly as the level solver matches that sample alone, ties
-included, so it takes the per-sample pipeline's controls wherever costs
-are exact (below matching.LEVEL_MIN sorted scores that pipeline runs the
-sweep, and a block leaves it a row with a tie). The per-sample pipeline
-still runs every replication a block does not finish, every one where a
-block would hold a single sample and matching with replacement, and it
-replays the first replication a block finishes in each range, whose
-sample must come out the same.
+it is matched exactly as the per-sample pipeline matches that sample
+alone, ties included, so its result is that pipeline's bit for bit. The
+per-sample pipeline still runs every replication a block cannot finish
+(sampling raised, an assignment probability outside [0, 1], a non-finite
+score or a band refusal), every one where a block would hold a single
+sample and matching with replacement, and it replays the first
+replication a block finishes in each range, whose whole result must come
+out the same.
 """
 
 from __future__ import annotations
@@ -116,15 +116,15 @@ def _rep_task(args):
     Where a block holds two samples or more, BLOCK_SCORES // (k * n) of
     them (k = the capacity, 1 but for "capacitated"; k * n up to 16,384),
     the range runs in such blocks, one row per sample, in `_block`, down
-    to a last block of one; each replication a block leaves to it (a tied
-    row below matching.LEVEL_MIN sorted scores among them) runs through
-    `_replicate`, the per-sample pipeline, alone. Elsewhere, and for
-    "replacement", every replication runs through `_replicate`. So which
-    pipeline a replication takes depends on n, k, the method and its own
-    sample, never on where a range or a block begins, and the results do
-    not depend on the worker count. The first replication in the range
-    that a block finishes is replayed (`_replay`), drawn once and finished
-    by the per-sample pipeline.
+    to a last block of one; each replication a block leaves to it runs
+    through `_replicate`, the per-sample pipeline, alone. Elsewhere, and
+    for "replacement", every replication runs through `_replicate`. Both
+    pipelines give a replication the same result, bit for bit, and which
+    one runs depends on n, k, the method and its own sample, never on
+    where a range or a block begins, so the results do not depend on the
+    worker count. The first replication in the range that a block
+    finishes is replayed (`_replay`): drawn once and finished by the
+    per-sample pipeline, its result must equal the block's.
 
     Only a ValueError from sampling and a MatchingError from the matcher
     other than InfeasibleError, which applies the zero convention, count
@@ -149,7 +149,7 @@ def _rep_task(args):
             # one the block matched, if there is one, so that the replay
             # runs the whole pipeline
             i = next((i for i in done if not block[i][3]), done[0])
-            _replay(spec, n, seeds[i], rows, i, method, config)
+            _replay(spec, n, seeds[i], rows, i, block[i], method, config)
             replayed = True
     return results
 
@@ -167,21 +167,25 @@ def _checked(spec, n, rep_seed, method, config, smp=None):
                            f"{rep_seed} failed: {exc!r}") from exc
 
 
-def _replay(spec, n, rep_seed, rows, i, method, config):
+def _bits(result):
+    """A result tuple with every float as its 8 bytes, so that NaN equals
+    NaN and -0.0 differs from 0.0."""
+    return tuple(np.float64(x).tobytes() if isinstance(x, float) else x for x in result)
+
+
+def _replay(spec, n, rep_seed, rows, i, result, method, config):
     """Replay the replication at rep_seed, row i of a block that finished
-    it, through the per-sample pipeline: `population.sample`, then
-    `_finish` of the Sample it drew.
+    it with `result`, through the per-sample pipeline: `population.sample`,
+    then `_finish` of the Sample it drew.
 
     Raises RuntimeError, naming the spec, n and the rep seed, unless
     `population.sample` draws row i of `rows` bit for bit, which a spec
     whose score_from_uniform, assign_prob, mu0 or mu1 is not elementwise
-    fails, and unless `_finish` finishes the replication too. The replay
-    reaches `population.sample`, and `_finish` `matching.match_scores` and
-    `estimators.att_*`, as module attributes, so a wrapper of those sees
-    one whole replication per range. Its estimate is not compared with
-    the block's: below matching.LEVEL_MIN sorted scores the matcher runs
-    the sweep, which may break a near-tie in rounding differently from the
-    block's level solver.
+    fails, and unless `_finish` returns `result` bit for bit, floats
+    compared by their bytes; that error names both result tuples. The
+    replay reaches `population.sample`, and `_finish` `matching.match_scores`
+    and `estimators.att_*`, as module attributes, so a wrapper of those
+    sees one whole replication per range.
     """
     name = f"replication of {spec.name} at n={n} with rep seed {rep_seed}"
     try:
@@ -193,10 +197,10 @@ def _replay(spec, n, rep_seed, rows, i, method, config):
         raise RuntimeError(f"{name}: its block drew another sample than "
                            "population.sample; are the spec's score_from_uniform, "
                            "assign_prob, mu0 and mu1 elementwise?")
-    ok, *_, message = _checked(spec, n, rep_seed, method, config, alone)
-    if not ok:
-        raise RuntimeError(f"{name}: its block finished it, the per-sample "
-                           f"pipeline failed it: {message}")
+    replayed = _checked(spec, n, rep_seed, method, config, alone)
+    if _bits(replayed) != _bits(result):
+        raise RuntimeError(f"{name}: its block gave {result}, the per-sample "
+                           f"pipeline {replayed}")
 
 
 def _block(spec, n, seeds, method, config):
@@ -210,11 +214,10 @@ def _block(spec, n, seeds, method, config):
     the block, and `estimators.segment_means` takes each row's mean pair
     difference in treated-position order, as att_matching and att_caliper
     do. A row with no matching (N1 = 0 or N1 > k * N0) takes the zero
-    convention. Left to `_replicate`: every row when sampling raised, and
-    rows with an assignment probability outside [0, 1], a non-finite
-    score or a surplus above the band, so each fails or raises with the
-    message it always has, and rows with a tied score below
-    matching.LEVEL_MIN sorted scores, where `_replicate` runs the sweep.
+    convention. Left to `_replicate`, so that each fails or raises with
+    the message it always has: every row when sampling raised, and rows
+    with an assignment probability outside [0, 1], a non-finite score or
+    a surplus above the band.
     """
     try:
         smp = population.sample(spec, n, seeds)
@@ -228,11 +231,10 @@ def _block(spec, n, seeds, method, config):
         finish &= (n1 == 0) | (n0 - n1 <= config.band)
     rows = np.flatnonzero(finish & (n1 > 0) & (n1 <= k * n0))
     try:
-        solved, t, c = matching.match_rows(smp.s[rows], smp.w[rows] == 1, k)
+        t, c = matching.match_rows(smp.s[rows], smp.w[rows] == 1, k)
     except matching.SolverError as exc:
         raise RuntimeError(f"replication of {spec.name} at n={n} with rep seed "
                            f"{seeds[rows[exc.row]]} failed: {exc}") from exc
-    finish[rows[~solved]] = False
     y = smp.y[rows].ravel()
     diff = y[t] - y[c]
     pair_row = t // n

@@ -155,6 +155,118 @@ def _two_heap_sweep_used(t_sorted: np.ndarray,
     return used
 
 
+def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
+    """Controls used by a min-cost matching of every sorted treated unit.
+
+    An oracle for `mt._level_used`, which takes the same controls wherever
+    costs are exact.
+
+    Successive shortest paths on the line, run as one sorted sweep (the
+    "mice and holes" exchange argument): scores are visited in order,
+    controls before treated on equal scores, and two stacks hold the
+    cheapest moves so far. Each move is anchored at one control, the one
+    whose used flag it changes, and the stacks hold only these anchors;
+    `val[a]` is the value of the one move anchored at control a.
+
+    - `hole`: a treated unit at x can take a control for x + value. A free
+      control at y offers -y; a control vacated by a steal offers the
+      cost of sending the stolen treated unit back to it.
+    - `mouse`: a control at y can take over a matched treated unit for
+      y + value, moving it off its anchor; taken only when that is < 0.
+    - `waiting` counts treated units that found `hole` empty. The next
+      controls go to them, which stands in for an infinite cost without
+      absorbing any score into it.
+
+    One slot per control is enough because a control sits on at most one
+    stack at a time, and at most once. It goes onto `hole` when the sweep
+    first sees it free, moves to `mouse` when a pop matches it (its slot
+    becomes the mouse value -2x - val[a]) and back to `hole` when a steal
+    at y frees it (the slot becomes the hole value -2y - val[a]). A
+    control that fills a waiting unit or steals goes onto neither stack
+    and stays used. So `hole` holds exactly the controls seen so far that
+    are free, and the loop writes no flags: at the end the used controls
+    are those the sweep has reached, minus those left on `hole`. A slot
+    starts at -y, the control's hole value when free, and changes only
+    while its control is on a stack, so the control at y the sweep is
+    about to reach still holds -y, and the steal test reads it there.
+
+    Each push is no larger than the top it covers, so the top of either
+    stack is a cheapest move and a pop takes it in O(1). On the line an
+    optimal matching can be taken non-crossing, and in the sweep this
+    makes both queues last-in-first-out by value:
+
+    - A free control's hole -y lies below every earlier hole: earlier free
+      controls lie at or below y, and a steal at y' <= y leaves a hole
+      above -y'.
+    - A steal at y takes over the unit matched at x through hole v, whose
+      mouse value is m = -2x - v, and leaves the hole -2y - m =
+      v - 2(y - x). That lies below v and below every steal hole pushed
+      since then, each left at a score no higher by a mouse no larger
+      than m. No free control lies between x and y: with m on the mouse
+      stack it would have stolen first.
+    - A matched unit's reach x + cost(x) never falls from one matched unit
+      to the next, and minus that reach is its mouse value.
+
+    So every pop is a minimum-value move and successive shortest paths
+    stay optimal whichever of several equal moves is taken; floating-point
+    rounding can at most pop a move one ulp dearer than the minimum. On
+    distinct scores the used flags are those of two plain heaps, as the
+    tests check. On tied scores a stack takes the most recent of equally
+    cheap moves where a heap takes the smallest anchor, which can select
+    a different optimal set of controls at the same cost.
+
+    The controls between two treated scores are handled in slices: the
+    first go to `waiting`, the next steal while `y + mouse top < 0` (a
+    steal only raises the mouse top and y only grows, so the first control
+    that does not steal ends the steals), and the rest are pushed onto the
+    hole stack with one extend. Besides the search for each treated
+    unit's place among the controls, O(N) time for N = N0 + N1, and O(N)
+    memory.
+
+    Requires len(t_sorted) <= len(c_sorted), so that `waiting` ends at
+    zero. Returns a bool array, one flag per sorted control; exactly
+    len(t_sorted) are set.
+    """
+    n0 = c_sorted.size
+    val = (-c_sorted).tolist()
+    hole: list[int] = []
+    mouse: list[int] = []
+    waiting = 0
+    # controls at or below each treated score come before it
+    ends = c_sorted.searchsorted(t_sorted, side="right").tolist()
+    j = 0
+    for x, end in zip(t_sorted.tolist(), ends):
+        if j < end:
+            if waiting:
+                w = min(waiting, end - j)
+                waiting -= w
+                j += w
+            while j < end and mouse and val[mouse[-1]] < val[j]:
+                a = mouse.pop()
+                val[a] = 2.0 * val[j] - val[a]
+                hole.append(a)
+                j += 1
+            hole += range(j, end)
+            j = end
+        if hole:
+            a = hole.pop()
+            val[a] = -2.0 * x - val[a]
+            mouse.append(a)
+        else:
+            waiting += 1
+    # past the last treated unit only waiting units and steals can use a
+    # control, and once neither applies no later (larger) control can; a
+    # steal still frees its anchor onto `hole`, but no pop reads its value
+    j += waiting
+    while j < n0 and mouse and val[mouse[-1]] < val[j]:
+        hole.append(mouse.pop())
+        j += 1
+    used = np.zeros(n0, dtype=bool)
+    used[:j] = True
+    used[hole] = False
+    return used
+
+
 @st.composite
 def tied_instances(draw):
     """(t, c, k) on the quarter grid, so duplicate scores are common."""
@@ -275,7 +387,8 @@ class TestBanded:
 
 
 class TestSweepAgainstWindowedDP:
-    """The exact matchers run the sweep; the windowed DP is their oracle."""
+    """The exact matchers run the level solver; the windowed DP is their
+    oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(tied_instances())
@@ -348,16 +461,17 @@ class TestSweepAgainstWindowedDP:
             assert m.total_cost == pytest.approx(dp_cost, rel=1e-12)
 
     def test_tie_rule(self):
-        # At its exact window the DP reaches the sweep's cost, and on distinct
-        # scores the same pairs, but on tied scores the two can pick different
-        # optimal sets of controls. The DP puts each pair on the smallest
-        # admissible control position. The sweep's queues are stacks: among
-        # equally cheap holes a treated unit takes the last pushed, on the
-        # largest sorted control position, and a later control takes over
+        # At its exact window the DP reaches the matcher's cost, and on
+        # distinct scores the same pairs, but on tied scores the two can pick
+        # different optimal sets of controls. The DP puts each pair on the
+        # smallest admissible control position. The matcher takes the
+        # controls of the stack sweep `_sweep_used`, whose queues are stacks:
+        # among equally cheap holes a treated unit takes the last pushed, on
+        # the largest sorted control position, and a later control takes over
         # the most recently matched unit. Here the first 0.75 takes the 0.0
         # at position 2, the second the 0.0 at position 0, and the 1.0 takes
         # over from the second, freeing position 0. Both cost 1.0: the DP
-        # pairs {0: 0, 1: 1}, the sweep {0: 2, 1: 1}.
+        # pairs {0: 0, 1: 1}, the matcher {0: 2, 1: 1}.
         t, c = [0.75, 0.75], [0.0, 1.0, 0.0]
         m = mt.match_optimal_exact(t, c)
         assert m.pairs == {0: 2, 1: 1}
@@ -385,28 +499,19 @@ def used_cost(t_sorted, c_sorted, used):
 
 
 class TestSweepAgainstTwoHeaps:
-    """Both solvers find the optimum that two plain heaps find.
+    """The level solver finds the optimum that two plain heaps find.
 
-    Every solver call a matcher makes, by the stack sweep below
-    `mt.LEVEL_MIN` sorted scores and by the level solver from there on, is
-    checked against `_two_heap_sweep_used`. When no score value repeats
-    across the two sorted sides, the used flags are equal. Otherwise the
-    solver may take a different one of several equally cheap moves:
-    exactly N1 flags are set and the cost is the oracle's.
+    Every solver call a matcher makes, at any size, is checked against
+    `_two_heap_sweep_used`. When no score value repeats across the two
+    sorted sides, the used flags are equal. Otherwise the solver may take
+    a different one of several equally cheap moves: exactly N1 flags are
+    set and the cost is the oracle's.
     """
 
     @pytest.fixture(autouse=True)
     def checked_sweep(self, monkeypatch):
-        solve = mt._used
+        solve = mt._level_used
         self.calls = 0
-        self.paths = set()  # the solvers that ran
-
-        for name in ("_sweep_used", "_level_used"):
-            def counted(t_sorted, c_sorted, name=name,
-                        solver=getattr(mt, name)):
-                self.paths.add(name)
-                return solver(t_sorted, c_sorted)
-            monkeypatch.setattr(mt, name, counted)
 
         def checked(t_sorted, c_sorted):
             used = solve(t_sorted, c_sorted)
@@ -424,7 +529,7 @@ class TestSweepAgainstTwoHeaps:
             self.calls += 1
             return used
 
-        monkeypatch.setattr(mt, "_used", checked)
+        monkeypatch.setattr(mt, "_level_used", checked)
 
     def test_seeded_continuous(self):
         rng = np.random.default_rng(31)
@@ -432,7 +537,6 @@ class TestSweepAgainstTwoHeaps:
             t, c = random_instance(rng, max_n1=30, max_n0=40)
             mt.match_capacitated(t, c, int(rng.integers(1, 4)))
         assert self.calls == 300
-        assert self.paths == {"_sweep_used"}
 
     def test_quarter_grid_ties(self):
         rng = np.random.default_rng(32)
@@ -454,13 +558,12 @@ class TestSweepAgainstTwoHeaps:
                                 20_000, 5)
         mt.match_optimal_exact(smp.treated_scores, smp.control_scores)
         assert self.calls == 1
-        assert self.paths == {"_level_used"}
 
     def test_both_paths(self):
-        # continuous and tied instances on either side of the cutover, at
-        # k = 1 and k = 2, the categorical ones with heavy ties
+        # continuous and tied instances on either side of 800 sorted
+        # scores, at k = 1 and k = 2, the categorical ones with heavy ties
         rng = np.random.default_rng(33)
-        for n0 in (mt.LEVEL_MIN // 4, mt.LEVEL_MIN, 3 * mt.LEVEL_MIN):
+        for n0 in (200, 800, 2400):
             for k in (1, 2):
                 t, c = rng.random(n0 // 2), rng.random(n0)
                 mt.match_capacitated(t, c, k)
@@ -471,7 +574,6 @@ class TestSweepAgainstTwoHeaps:
             population.make_categorical_spec(0.1, 0.75, 0.3), 5000, 18)
         mt.match_optimal_exact(smp.treated_scores, smp.control_scores)
         assert self.calls == 13
-        assert self.paths == {"_sweep_used", "_level_used"}
 
     def test_overflow_heaps(self):
         # Tied inputs where a queue holds equally cheap moves, so the stack
@@ -536,8 +638,9 @@ class TestSweepTieChoices:
     The cost does not fix that choice, but the estimate does depend on it:
     the outcomes of the controls taken enter a categorical cell's ATT. So
     the choice, by original control position, is pinned here. Each quarter-
-    grid instance is one where the stack sweep and two plain heaps take
-    different controls; digits are scores in quarters.
+    grid instance is one where the stack sweep `_sweep_used` and two plain
+    heaps take different controls; the matcher takes the stack sweep's.
+    Digits are scores in quarters.
     """
 
     @pytest.mark.parametrize("k, t, c, expect", QUARTER_GRID_TIES)
@@ -569,7 +672,7 @@ class TestSweepBranches:
                              ids=SWEEP_BRANCH_IDS)
     def test_used_flags(self, t, c, expect):
         t, c = np.asarray(t), np.asarray(c)
-        used = mt._sweep_used(t, c)
+        used = _sweep_used(t, c)
         assert used.dtype == bool
         assert np.count_nonzero(used) == t.size
         assert used.tolist() == [bool(f) for f in expect]
@@ -584,7 +687,7 @@ def sorted_sides(t, c, k=1):
 
 
 class TestLevelSolverAgainstSweep:
-    """The level solver takes the controls the sweep takes.
+    """The level solver takes the controls the sweep `_sweep_used` takes.
 
     On integer-valued scores, which add up without rounding, and on
     sampled scores the used flags are identical, ties included. On a grid
@@ -595,7 +698,7 @@ class TestLevelSolverAgainstSweep:
     def assert_same(self, t_sorted, c_sorted):
         used = mt._level_used(t_sorted, c_sorted)
         assert used.dtype == bool and used.shape == c_sorted.shape
-        assert np.array_equal(used, mt._sweep_used(t_sorted, c_sorted))
+        assert np.array_equal(used, _sweep_used(t_sorted, c_sorted))
 
     def test_integer_ties(self):
         rng = np.random.default_rng(51)
@@ -607,12 +710,10 @@ class TestLevelSolverAgainstSweep:
             self.assert_same(*sorted_sides(t, c, k))
 
     @pytest.mark.parametrize("k, t, c, expect", QUARTER_GRID_TIES)
-    def test_quarter_grid_ties(self, monkeypatch, k, t, c, expect):
+    def test_quarter_grid_ties(self, k, t, c, expect):
         t = np.array([int(d) for d in t]) / 4
         c = np.array([int(d) for d in c]) / 4
         self.assert_same(*sorted_sides(t, c, k))
-        # the whole matcher on the level path pins the same choices
-        monkeypatch.setattr(mt, "LEVEL_MIN", 0)
         assert control_counts(mt.match_capacitated(t, c, k), c.size) == expect
 
     @pytest.mark.parametrize("t, c, expect", SWEEP_BRANCHES,
@@ -645,8 +746,8 @@ class TestLevelSolverAgainstSweep:
     ], ids=["prognostic_third", "prognostic_one", "uniform", "categorical",
             "categorical_even"])
     def test_sampled_specs(self, spec):
-        # both sides of the cutover, and the benchmark's size
-        for n, seeds in ((mt.LEVEL_MIN // 2, 5), (2000, 5), (100_000, 1)):
+        # a table's sizes and the benchmark's
+        for n, seeds in ((400, 5), (2000, 5), (100_000, 1)):
             for seed in range(seeds):
                 smp = population.sample(spec, n, seed)
                 if smp.n1 <= smp.n0:
@@ -664,7 +765,7 @@ class TestLevelSolverAgainstSweep:
             used = mt._level_used(t, c)
             assert np.count_nonzero(used) == t.size
             assert used_cost(t, c, used) == pytest.approx(
-                used_cost(t, c, mt._sweep_used(t, c)), abs=1e-12)
+                used_cost(t, c, _sweep_used(t, c)), abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_empty_surplus(self, k):
@@ -683,19 +784,16 @@ class TestLevelSolverAgainstSweep:
 
 class TestRowBlocks:
     """`match_rows` matches each row of a block as the level solver
-    matches the row alone (on these inputs bit for bit, near-grid scores
-    included) and leaves rows with a tie below LEVEL_MIN sorted scores."""
+    matches the row alone, ties included (on these inputs bit for bit,
+    near-grid scores included)."""
 
     @staticmethod
     def assert_rows_as_alone(scores, treated, k):
         m, n = scores.shape
-        solved, t, c = mt.match_rows(scores, treated, k)
-        n1 = treated.sum(axis=1)
-        assert solved.tolist() == [np.unique(row).size == n or size >= mt.LEVEL_MIN
-                                   for row, size in zip(scores, n1 + k * (n - n1))]
-        assert np.array_equal(t, np.flatnonzero(treated & solved[:, None]))
+        t, c = mt.match_rows(scores, treated, k)
+        assert np.array_equal(t, np.flatnonzero(treated))
         mate = dict(zip(t.tolist(), c.tolist()))
-        for i in np.flatnonzero(solved):
+        for i in range(m):
             tp, cp = np.flatnonzero(treated[i]), np.flatnonzero(~treated[i])
             t_order, t_sorted = mt._argsort_ties_stable(scores[i][tp])
             c_order, c_sorted = mt._argsort_ties_stable(scores[i][cp])
@@ -703,7 +801,6 @@ class TestRowBlocks:
             want = np.empty(tp.size, dtype=np.intp)
             want[t_order] = cp[c_order[used // k]]
             assert [mate[i * n + j] - i * n for j in tp] == want.tolist(), f"row {i}"
-        return solved
 
     def test_rows_solved_together_as_alone(self):
         rng = np.random.default_rng(61)
@@ -735,39 +832,33 @@ class TestRowBlocks:
         wide = rng.random((len(n1), n)) * 1e9
         grid = 1e6 + np.array([rng.permutation(3 * n)[:n] for _ in n1]) * 2.0 ** -33
         scores = np.where(np.arange(len(n1))[:, None] % 2 == 1, wide, grid)
-        assert self.assert_rows_as_alone(scores, treated, k).all()
+        self.assert_rows_as_alone(scores, treated, k)
 
-    def test_ties_are_left(self):
-        scores = np.array([[0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.2, 0.4]])
-        treated = np.array([[True, False, False, True], [True, False, False, True]])
-        solved, t, c = mt.match_rows(scores, treated)
-        assert solved.tolist() == [True, False]
-        assert t.tolist() == [0, 3] and c.tolist() == [1, 2]
-
-    @pytest.mark.parametrize("k, n", [(1, mt.LEVEL_MIN - 1), (1, mt.LEVEL_MIN),
-                                      (2, mt.LEVEL_MIN * 3 // 5)])
-    def test_tied_rows_from_level_min_on_are_solved(self, k, n):
+    @pytest.mark.parametrize("k, n", [(1, 799), (1, 800), (2, 480)])
+    def test_tied_rows_are_solved(self, k, n):
         # two or three score values: every row holds ties, within each arm
         # and across them. N1 + k * N0 is n at k = 1; at k = 2 it runs from
-        # about 740 to 860, across LEVEL_MIN
+        # about 740 to 860
         rng = np.random.default_rng(29)
         treated = rng.random((12, n)) < np.linspace(0.2, 0.45, 12)[:, None]
         scores = rng.integers(0, np.arange(2, 14) % 2 + 2, (n, 12)).T / 4
-        solved = self.assert_rows_as_alone(scores, treated, k)
-        assert set(solved.tolist()) == ({False, True} if k == 2 else {n >= mt.LEVEL_MIN})
+        self.assert_rows_as_alone(scores, treated, k)
 
-    def test_tied_row_takes_the_per_sample_controls(self):
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [3, 10, 100, 799, 800])
+    def test_tied_row_takes_the_per_sample_controls(self, n, k):
         # the re-sorted row's pairs are those `match_scores` gives the
         # sample alone, where `_exact_match` merges controls first on equal
         # scores and then by position
         rng = np.random.default_rng(8)
-        s = rng.integers(0, 3, mt.LEVEL_MIN) / 2
-        w = rng.random(s.size) < 0.4
-        for k, method in ((1, "exact"), (2, "capacitated")):
-            solved, t, c = mt.match_rows(s[None], w[None], k)
-            m = mt.match_scores(s[w], s[~w], method, mt.MatchConfig(capacity=k))
-            assert solved.all() and np.array_equal(t, np.flatnonzero(w))
-            assert np.array_equal(c, np.flatnonzero(~w)[m.pair_arrays()[1]])
+        s = rng.integers(0, 3, n) / 2
+        s[-1] = s[0]  # a tie at every size
+        w = rng.permutation(n) < max(1, 2 * n // 5)
+        t, c = mt.match_rows(s[None], w[None], k)
+        method = "exact" if k == 1 else "capacitated"
+        m = mt.match_scores(s[w], s[~w], method, mt.MatchConfig(capacity=k))
+        assert np.array_equal(t, np.flatnonzero(w))
+        assert np.array_equal(c, np.flatnonzero(~w)[m.pair_arrays()[1]])
 
     @pytest.mark.parametrize("block", ["80 rows", "T, T, C"])
     def test_rows_without_a_matching_are_refused(self, block):

@@ -475,7 +475,8 @@ class TestRowBlocks:
     def test_ranges_of_any_length_run_in_blocks(self, monkeypatch):
         # at n = 100 every replication goes through a block, the last of
         # a range and a range of one included; a categorical block, all of
-        # whose rows hold a tie, leaves each of them to `_replicate`
+        # whose rows hold a tie, finishes them too and leaves none of them
+        # to `_replicate`
         monkeypatch.setattr(sim, "BLOCK_SCORES", 8192)
         sizes = self.block_sizes(monkeypatch)
         config = MatchConfig()
@@ -484,8 +485,9 @@ class TestRowBlocks:
         assert sizes == [81, 81, 1, 1]
         sizes.clear()
         spec = BLOCK_SPECS["categorical"]
-        assert sim._rep_task((spec, 100, 5, 0, 170, "exact", config)) == \
-            per_sample(spec, 100, 170, 5, "exact", config)
+        want = per_sample(spec, 100, 170, 5, "exact", config)
+        monkeypatch.setattr(sim, "_replicate", None)
+        assert sim._rep_task((spec, 100, 5, 0, 170, "exact", config)) == want
         assert sizes == [81, 81, 8]
 
     def test_blocks_hold_32768_sorted_scores(self, monkeypatch):
@@ -520,10 +522,10 @@ class TestRowBlocks:
                 assert got[8192] == got[32768], (n, threads)
                 assert all(r[0] for r in got[8192])
 
-    def test_tied_rows_go_to_replicate_only_below_level_min(self, monkeypatch):
-        # every categorical row holds a tie: at n = 1e3 its block finishes
-        # it, and the per-sample pipeline runs only the range's replay; at
-        # n = 100 every row goes to `_replicate`
+    @pytest.mark.parametrize("spec", ["categorical", "categorical_noise"])
+    def test_tied_rows_are_finished_in_their_block(self, monkeypatch, spec):
+        # every categorical row holds a tie; its block finishes it at every
+        # size, and the per-sample pipeline runs only the range's replay
         calls = []
 
         def counted(name, run):
@@ -534,38 +536,21 @@ class TestRowBlocks:
 
         for name in ("_replicate", "_finish"):
             monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
-        spec, config = BLOCK_SPECS["categorical_noise"], MatchConfig()
+        spec, config = BLOCK_SPECS[spec], MatchConfig()
         for n, stop in ((1000, 40), (100, 40)):
             calls.clear()
             results = sim._rep_task((spec, n, 5, 0, stop, "exact", config))
             assert all(r[0] for r in results)
-            assert calls == (["_finish"] if n == 1000 else ["_replicate", "_finish"] * stop)
-
-    def test_the_sweep_breaks_a_near_tie_otherwise_than_the_level_solver(self):
-        # 100 distinct scores from the grid 0, 0.01, ..., 1.99, drawn on
-        # the stream of rep 0 of cell seed 573: below matching.LEVEL_MIN
-        # sorted scores `_replicate` runs the sweep, which picks other
-        # controls than a block's level solver, so a replay compares the
-        # samples and not the estimates
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-            pop.derive_seed(573, 0))))
-        s = rng.choice(200, 100, replace=False) / 100
-        w = rng.random(100) < pop.make_prognostic_spec(1 / 3).assign_prob(s)
-        solved, _, c = matching.match_rows(s[None], w[None])
-        assert solved.all()
-        m = matching.match_scores(s[w], s[~w], "exact", MatchConfig())
-        assert np.flatnonzero(~w)[np.sort(m.pair_arrays()[1])].tolist() != sorted(c.tolist())
+            assert calls == ["_finish"]
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_near_grid_scores_do_not_depend_on_the_worker_count(self, monkeypatch, threads):
         # each replication's result is the one it gets alone, in a block
-        # of one or, for a sample with a tie, through `_replicate`
+        # of one, which finishes every sample, those with a tie included
         spec, config = NEAR_GRID, MatchConfig()
         seeds = [pop.derive_seed(573, r) for r in range(200)]
-        block = [sim._block(spec, 100, [s], "exact", config)[1][0] for s in seeds]
-        assert any(block) and not all(block)
-        alone = [r or sim._replicate(spec, 100, s, "exact", config)
-                 for r, s in zip(block, seeds)]
+        alone = [sim._block(spec, 100, [s], "exact", config)[1][0] for s in seeds]
+        assert all(alone)
         monkeypatch.setenv("MATCHBIAS_THREADS", threads)
         assert bits(sim._run_reps(spec, 100, 200, 573, "exact", config)) == bits(alone)
 
@@ -611,6 +596,36 @@ class TestRowBlocks:
                    if pop.sample(spec, 100, pop.derive_seed(3, r)).n1 % 2 == 0]
         assert f"prognostic(a=0.5) at n=100 with rep seed {pop.derive_seed(3, failing[0])} " \
             "failed" in str(exc.value)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_replay_catches_a_changed_estimate(self, monkeypatch, threads):
+        # a row solver that swaps each row's first used control for its
+        # first unused one still uses N1 controls, so no SolverError stops
+        # it, and every sample is drawn as before: only the estimates move,
+        # and the replay of each range's first matched replication sees it
+        rows_used = matching._rows_used
+
+        def swapping(xs, is_c, starts):
+            used = rows_used(xs, is_c, starts)
+            for lo, hi in zip(starts, np.append(starts[1:], xs.size)):
+                free = np.flatnonzero(is_c[lo:hi] & ~used[lo:hi])
+                if free.size:
+                    used[lo + np.flatnonzero(used[lo:hi])[0]] = False
+                    used[lo + free[0]] = True
+            return used
+
+        monkeypatch.setattr(matching, "_rows_used", swapping)
+        monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+        spec = pop.make_prognostic_spec(0.5)
+        with pytest.raises(RuntimeError, match="the per-sample pipeline") as exc:
+            sim.run_cell(spec, 100, 170, 3)
+        assert_no_children()
+        seeds = [pop.derive_seed(3, r) for r in range(170)]
+        _, block = sim._block(spec, 100, seeds, "exact", MatchConfig())
+        first = next(i for i, res in enumerate(block) if res and not res[3])
+        assert str(exc.value).startswith(
+            f"replication of prognostic(a=0.5) at n=100 with rep seed {seeds[first]}: "
+            "its block gave ")
 
     @pytest.mark.parametrize("threads, field", [
         pytest.param(threads, field, id=threads if field == "mu0" else f"{field}-{threads}")

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 from . import __version__, estimators, matching, population, simulation, theory
-from .matching import InfeasibleError, MatchConfig, MatchingError
+from .matching import InfeasibleError, MatchConfig, MatchingError, SolverError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -218,6 +218,9 @@ def cmd_match(args) -> int:
     except MatchingError as exc:
         print(f"matching refused: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except SolverError as exc:
+        print(f"matching error: {exc}", file=sys.stderr)
+        return EXIT_BUG
 
     dropped: set[int] = set()
     if cfg.caliper is not None:

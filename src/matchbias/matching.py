@@ -4,15 +4,16 @@ All matchers take a sequence of treated scores and a sequence of control
 scores and return pairs keyed by *position* in those sequences (0-based,
 pre-sorting). Matching without replacement minimizes the total within-pair
 absolute score difference. Because some optimal matching on the line is
-order-preserving, the optimum is found by sorting both sequences and
-choosing which controls stay unused, instead of a general assignment
-solver. One exact solver makes that choice at every size, for matching
-without replacement and capacity-k matching alike: a level-by-level numpy
-solver, O(N log N) with no Python loop over scores. Nothing here
-approximates the optimum. `match_rows` matches many samples at once, one
-per row of a block, in one pass of that solver and a fixed number of numpy
-calls whatever the number of rows, each exactly as `_exact_match` matches
-it alone, ties included.
+order-preserving, the optimum is found by sorting the sample once,
+controls first on equal scores, and choosing which controls stay unused,
+instead of a general assignment solver. One exact solver makes that
+choice at every size, for matching without replacement and capacity-k
+matching alike: a level-by-level numpy solver, O(N log N) with no Python
+loop over scores. Nothing here approximates the optimum. One step,
+`_pair_rows`, solves and pairs a sample's sorted row for `_exact_match`
+and a block of such rows for `match_rows`, in a fixed number of numpy
+calls whatever the number of rows; a block's row is matched exactly as
+it is alone, ties included.
 
 Every matcher decides for itself whether a matching exists and raises
 InfeasibleError when none does; callers need not know which methods reuse
@@ -53,7 +54,7 @@ class BandError(MatchingError):
 
 class SolverError(RuntimeError):
     """The level solver did not use exactly N1 controls on row `row` of
-    `match_rows`. A bug, never a failed match."""
+    the rows `_pair_rows` solves. A bug, never a failed match."""
 
     def __init__(self, row: int, message: str):
         super().__init__(message)
@@ -307,55 +308,6 @@ def _level_unused(xs: np.ndarray, is_c: np.ndarray,
     return lu[at_min], pu[at_min]
 
 
-_ONE_ROW = np.zeros(1, dtype=np.intp)
-
-
-def _level_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
-    """Controls used by a min-cost matching of every sorted treated unit,
-    found by `_level_unused`; the exact solver at every size.
-
-    The two sides are merged by one stable argsort, controls first on
-    equal scores. Requires len(t_sorted) <= len(c_sorted). Returns a bool
-    array, one flag per sorted control; exactly len(t_sorted) are set.
-    """
-    n0 = c_sorted.size
-    used = np.ones(n0, dtype=bool)
-    if n0 == t_sorted.size:
-        return used
-    x = np.concatenate((c_sorted, t_sorted))
-    order = x.argsort(kind="stable")  # merges the two runs, controls first
-    is_c = order < n0
-    xs = x[order]
-    del x, order
-    level, pos = _level_unused(xs, is_c, _ONE_ROW)
-    # D after control j at position p is 2j + 1 - p, one above its level
-    used[np.add(level, pos, dtype=np.intp) >> 1] = False
-    return used
-
-
-def _exact_match(t: np.ndarray, c: np.ndarray, method: str,
-                 k: int = 1) -> Matching:
-    """Min-cost matching of validated scores, k treated per control.
-
-    Every control is repeated k times on the sorted side, so k = 1 is
-    matching without replacement. `_level_used` picks the used (repeated)
-    controls, which are paired in stable sorted order with the
-    stable-sorted treated units.
-    """
-    _require_feasible(t.size, c.size, k)
-    t_order, t_sorted = _argsort_ties_stable(t)
-    c_order, c_sorted = _argsort_ties_stable(c)
-    if k > 1:
-        c_sorted = np.repeat(c_sorted, k)
-    used = _level_used(t_sorted, c_sorted).nonzero()[0]
-    c_pos = c_order[used // k]
-    cost = float(np.abs(t_sorted - c_sorted[used]).sum())
-    cp = np.empty(t.size, dtype=np.intp)
-    cp[t_order] = c_pos
-    return Matching(pairs=Pairs(np.arange(t.size), cp), total_cost=cost,
-                    method=method)
-
-
 def _rows_used(xs: np.ndarray, is_c: np.ndarray,
                starts: np.ndarray) -> np.ndarray:
     """One flag per event of the merged rows of `_level_unused`: set on
@@ -365,18 +317,75 @@ def _rows_used(xs: np.ndarray, is_c: np.ndarray,
     return used
 
 
+def _pair_rows(xs: np.ndarray, is_c: np.ndarray, n1: np.ndarray,
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solve merged rows and pair each treated unit with a used control.
+
+    xs and is_c hold rows of equal length back to back, one sample per
+    entry of n1, its number of treated units: xs the row's sorted scores,
+    controls first on equal scores and each arm in position order, is_c
+    flagging the controls. Every control is repeated k times in place,
+    `_rows_used` solves all the rows in one pass, and in each row the
+    i-th used control takes the i-th treated unit. Returns (treated,
+    control), indices into xs: each treated unit, row by row in sorted
+    order, and the control it takes. A row on which the solver does not
+    use exactly N1 controls raises SolverError, naming the row.
+    """
+    n = xs.size // n1.size
+    starts = np.arange(0, xs.size, n)
+    if k > 1:
+        # the index in xs of each copy: a control's k copies, a treated
+        # unit's one; two gathers through it beat two np.repeat calls
+        keep = np.ones((xs.size, k), dtype=bool)
+        keep[:, 1:] = is_c[:, None]
+        event = keep.ravel().nonzero()[0]
+        event //= k
+        xs, is_c = xs[event], is_c[event]
+        starts = event.searchsorted(starts)
+    used = _rows_used(xs, is_c, starts)
+    flags = np.add.reduceat(used, starts, dtype=np.intp)
+    stray = used > is_c  # a treated unit flagged used
+    if (flags != n1).any() or stray.any():
+        i = int(((flags != n1) | np.logical_or.reduceat(stray, starts)).argmax())
+        raise SolverError(i, f"the level solver marked {flags[i]} units "
+                             f"used, not the N1 = {n1[i]} controls a matching uses")
+    if k == 1:
+        return (~is_c).nonzero()[0], used.nonzero()[0]
+    return event.compress(~is_c), event.compress(used)
+
+
+def _exact_match(t: np.ndarray, c: np.ndarray, method: str,
+                 k: int = 1) -> Matching:
+    """Min-cost matching of validated scores, k treated per control.
+
+    One sort of the sample, controls first on equal scores and each arm
+    in position order, makes the one row that `_pair_rows` solves with
+    every control repeated k times, so k = 1 is matching without
+    replacement. The cost is summed over the sorted treated scores less
+    the scores of the controls they take.
+    """
+    _require_feasible(t.size, c.size, k)
+    order, xs = _argsort_ties_stable(np.concatenate((c, t)))
+    tp, cp = _pair_rows(xs, order < c.size, np.array([t.size]), k)
+    cost = float(np.abs(xs[tp] - xs[cp]).sum())
+    mate = np.empty(t.size, dtype=np.intp)
+    mate[order[tp] - c.size] = order[cp]
+    return Matching(pairs=Pairs(np.arange(t.size), mate), total_cost=cost,
+                    method=method)
+
+
 def match_rows(scores: np.ndarray, treated: np.ndarray,
                k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Min-cost matchings, k treated per control, of many samples at once.
 
     Row i of `scores`, an (m, n) float array, holds one sample's finite
     scores and row i of the bool array `treated` flags its treated units;
-    a row without 0 < N1 <= k * N0 raises ValueError, naming it. Each
-    row is matched exactly as `_exact_match` matches it alone, ties
-    included, in the order `_exact_match` merges it: one argsort per row
-    sorts it, a row with a tie is re-sorted by `np.lexsort`, controls
-    first on equal scores and then by position, each control is repeated
-    k times in place, and `_level_unused` solves all the rows in one pass.
+    a row without 0 < N1 <= k * N0 raises ValueError, naming it. One
+    argsort per row sorts it, and a row with a tie is re-sorted by
+    `np.lexsort`, controls first on equal scores and then by position:
+    the order `_exact_match` sorts a sample alone in. `_pair_rows` then
+    solves and pairs all the rows at once, so each row is matched exactly
+    as `_exact_match` matches it, ties included.
 
     Returns (t, c): t holds the flat indices into `scores` of the treated
     units, in row-major order, and c the index of the control each is
@@ -405,24 +414,9 @@ def match_rows(scores: np.ndarray, treated: np.ndarray,
         # the sorted scores stay as they are; equal ones change places
         order[tied] = np.lexsort((treated[tied], scores[tied]), axis=-1) + offset[tied]
     src = order.ravel()
-    xs = ordered.ravel()
-    is_c = ~treated.ravel()[src]
-    starts = np.arange(0, src.size, n)
-    if k > 1:
-        repeats = is_c * (k - 1) + 1
-        src, xs, is_c = (np.repeat(a, repeats) for a in (src, xs, is_c))
-        starts = np.concatenate(([0], np.cumsum(n + (k - 1) * (n - n1))[:-1]))
-    used = _rows_used(xs, is_c, starts)
-    flags = np.add.reduceat(used, starts, dtype=np.intp)
-    broken = (flags != n1) | np.logical_or.reduceat(used & ~is_c, starts)
-    if broken.any():
-        i = int(broken.argmax())
-        raise SolverError(i, f"the level solver marked {flags[i]} units "
-                             f"used, not the N1 = {n1[i]} controls a matching uses")
+    tp, cp = _pair_rows(ordered.ravel(), ~treated.ravel()[src], n1, k)
     mate = np.empty(m * n, dtype=np.intp)
-    # the i-th used control takes the i-th treated unit; compress, not a
-    # boolean index, which is three times slower here
-    mate[src.compress(~is_c)] = src.compress(used)
+    mate[src[tp]] = src[cp]
     return t, mate[t]
 
 

@@ -402,6 +402,26 @@ class TestMatch:
                      "--capacity", "1"]) == 3
         assert "zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["exact", "capacitated"])
+    def test_solver_bug_exits_four(self, tmp_path, capsys, monkeypatch, method):
+        # the solver drops its first used flag: one control short of N1
+        rows_used = matching._rows_used
+
+        def dropping(xs, is_c, starts):
+            used = rows_used(xs, is_c, starts)
+            used[used.argmax()] = False
+            return used
+
+        monkeypatch.setattr(matching, "_rows_used", dropping)
+        data = tmp_path / "units.csv"
+        toy_units_csv(data, [(1, 0.5), (0, 0.4), (0, 0.7), (1, 0.3), (0, 0.25)])
+        assert main(["match", str(data), "--method", method,
+                     "--out-dir", str(tmp_path / "m")]) == 4
+        assert capsys.readouterr().err == (
+            "matching error: the level solver marked 1 units used, not the "
+            "N1 = 2 controls a matching uses\n")
+        assert not (tmp_path / "m").exists()
+
     def test_more_treated_than_controls_with_replacement_ok(self, tmp_path):
         data = tmp_path / "units.csv"
         toy_units_csv(data, [(1, 0.5), (1, 0.4), (0, 0.45)])

@@ -158,8 +158,8 @@ def _two_heap_sweep_used(t_sorted: np.ndarray,
 def _sweep_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
     """Controls used by a min-cost matching of every sorted treated unit.
 
-    An oracle for `mt._level_used`, which takes the same controls wherever
-    costs are exact.
+    An oracle for the level solver (`level_used`), which takes the same
+    controls wherever costs are exact.
 
     Successive shortest paths on the line, run as one sorted sweep (the
     "mice and holes" exchange argument): scores are visited in order,
@@ -498,38 +498,67 @@ def used_cost(t_sorted, c_sorted, used):
     return float(np.abs(t_sorted - c_sorted[used]).sum())
 
 
+def level_used(t_sorted: np.ndarray, c_sorted: np.ndarray) -> np.ndarray:
+    """Controls the level solver uses in a min-cost matching of every
+    sorted treated unit, one flag per sorted control.
+
+    The sorted sides are merged by one stable argsort of their
+    concatenation, controls first on equal scores, and `mt._rows_used`
+    solves the merged row. The matchers sort a sample once instead; this
+    is the independent reference for what they and `match_rows` take.
+    Requires len(t_sorted) <= len(c_sorted).
+    """
+    x = np.concatenate((c_sorted, t_sorted))
+    order = x.argsort(kind="stable")
+    is_c = order < c_sorted.size
+    used = mt._rows_used(x[order], is_c, np.zeros(1, dtype=np.intp))
+    return used.compress(is_c)
+
+
 class TestSweepAgainstTwoHeaps:
     """The level solver finds the optimum that two plain heaps find.
 
-    Every solver call a matcher makes, at any size, is checked against
-    `_two_heap_sweep_used`. When no score value repeats across the two
-    sorted sides, the used flags are equal. Otherwise the solver may take
-    a different one of several equally cheap moves: exactly N1 flags are
-    set and the cost is the oracle's.
+    Every call a matcher or `match_rows` makes to the solve-and-pair step
+    `_pair_rows`, at any size, is checked row by row against
+    `_two_heap_sweep_used`. Each row's treated units take used controls
+    in sorted order, no control more than k times. When no score value
+    repeats across the two sorted sides, the used controls are the
+    oracle's. Otherwise the solver may take a different one of several
+    equally cheap moves: N1 controls are used and the cost is the
+    oracle's.
     """
 
     @pytest.fixture(autouse=True)
     def checked_sweep(self, monkeypatch):
-        solve = mt._level_used
-        self.calls = 0
+        pair_rows = mt._pair_rows
+        self.calls = self.rows = 0
 
-        def checked(t_sorted, c_sorted):
-            used = solve(t_sorted, c_sorted)
-            oracle = np.frombuffer(_two_heap_sweep_used(t_sorted, c_sorted),
-                                   dtype=np.uint8) == 1
-            assert used.dtype == bool and used.shape == c_sorted.shape
-            scores = np.concatenate([t_sorted, c_sorted])
-            if np.unique(scores).size == scores.size:
-                assert np.array_equal(used, oracle)
-            else:
-                assert np.count_nonzero(used) == t_sorted.size
-                assert used_cost(t_sorted, c_sorted, used) == pytest.approx(
-                    used_cost(t_sorted, c_sorted, oracle), rel=1e-12,
-                    abs=1e-12)
+        def checked(xs, is_c, n1, k):
+            tp, cp = pair_rows(xs, is_c, n1, k)
+            n = xs.size // n1.size
+            assert np.array_equal(tp, np.flatnonzero(~is_c))
+            assert cp.size == tp.size and np.array_equal(cp // n, tp // n)
+            for r in range(n1.size):
+                x, row_c = xs[r * n:(r + 1) * n], is_c[r * n:(r + 1) * n]
+                t_sorted, c_sorted = x[~row_c], np.repeat(x[row_c], k)
+                used = cp[tp // n == r] - r * n
+                assert used.size == n1[r] == t_sorted.size
+                assert np.all(np.diff(used) >= 0) and np.bincount(used).max() <= k
+                oracle = np.frombuffer(_two_heap_sweep_used(t_sorted, c_sorted),
+                                       dtype=np.uint8) == 1
+                theirs = np.flatnonzero(row_c)[np.flatnonzero(oracle) // k]
+                scores = np.concatenate([t_sorted, c_sorted])
+                if np.unique(scores).size == scores.size:
+                    assert np.array_equal(used, theirs)
+                else:
+                    assert float(np.abs(t_sorted - x[used]).sum()) == pytest.approx(
+                        float(np.abs(t_sorted - x[theirs]).sum()), rel=1e-12,
+                        abs=1e-12)
+                self.rows += 1
             self.calls += 1
-            return used
+            return tp, cp
 
-        monkeypatch.setattr(mt, "_level_used", checked)
+        monkeypatch.setattr(mt, "_pair_rows", checked)
 
     def test_seeded_continuous(self):
         rng = np.random.default_rng(31)
@@ -585,6 +614,18 @@ class TestSweepAgainstTwoHeaps:
         mt.match_optimal_exact([0.5, 0.5, 0.75], [0.0, 0.0, 0.75, 0.75])
         mt.match_capacitated([0.5, 0.5, 0.75], [0.0, 0.75], 2)
         assert self.calls == 4
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_block_rows(self, k):
+        # one block of 40 rows, continuous and quarter-grid scores in
+        # turn, N1 from 1 to the most that k * N0 takes
+        rng = np.random.default_rng(34 + k)
+        scores = rng.random((40, 30))
+        scores[::2] = rng.integers(0, 5, (20, 30)) / 4
+        n1 = rng.integers(1, 30 * k // (k + 1) + 1, 40)
+        treated = rng.random((40, 30)).argsort(axis=1) < n1[:, None]
+        mt.match_rows(scores, treated, k)
+        assert (self.calls, self.rows) == (1, 40)
 
 
 # quarter-grid instances where the stack sweep and two plain heaps take
@@ -659,6 +700,39 @@ class TestSweepTieChoices:
             "26055063a9fc8e33e3157433b0fce2ee33b1f52a3f6559e8549e59cb7fea5114")
 
 
+class TestPerSampleBitPins:
+    """The per-sample matchers' pairs and costs, bit for bit.
+
+    One SHA-256 per sample over `exact`, `banded` and `capacitated` at
+    k = 2 and 3: the control position of each treated unit, as 8 little-
+    endian bytes, and `total_cost.hex()`. A moved pair or a cost that
+    differs in its last bit changes the digest.
+    """
+
+    @pytest.mark.parametrize("spec, n, digest", [
+        pytest.param(spec, n, digest, id=f"{name}-{n}")
+        for name, spec, digests in [
+            ("prognostic_third", population.make_prognostic_spec(1 / 3), [
+                "fceec4f4a3a695fc957deee4360559f22e91e82d17c61da4879a291d26b5c2d1",
+                "178b7a45cf76b85756022e657de4413aaf0eb840d57d7367c3c61a43d0355cc2",
+                "c267c79769f666fb0c045d50e66b8e267dabc0e5fd5d73c3384b8e3103b70d7f"]),
+            ("categorical", population.make_categorical_spec(0.1, 0.75, 0.3), [
+                "74d123f8e01659d9fb956268ecf50a58f59291b11e534e35a954496eac815e4b",
+                "129c27f41e9a7c74cfa8227b45025870b46e2dbc393cb488522e477b57107c59",
+                "ba1f3a45fa71895b4b66f1aafed2364e1bfc9d211f679763baf37586f8977949"]),
+        ] for n, digest in zip((100, 2000, 20_000), digests)])
+    def test_digest(self, spec, n, digest):
+        smp = population.sample(spec, n, 7)
+        h = hashlib.sha256()
+        for method, k in (("exact", 1), ("banded", 1), ("capacitated", 2),
+                          ("capacitated", 3)):
+            m = mt.match_scores(smp.treated_scores, smp.control_scores, method,
+                                mt.MatchConfig(band=n, capacity=k))
+            h.update(m.pairs.control.astype("<i8").tobytes())
+            h.update(m.total_cost.hex().encode())
+        assert h.hexdigest() == digest
+
+
 class TestSweepBranches:
     """Hand-checked used flags for each path through `_sweep_used`.
 
@@ -696,7 +770,7 @@ class TestLevelSolverAgainstSweep:
     """
 
     def assert_same(self, t_sorted, c_sorted):
-        used = mt._level_used(t_sorted, c_sorted)
+        used = level_used(t_sorted, c_sorted)
         assert used.dtype == bool and used.shape == c_sorted.shape
         assert np.array_equal(used, _sweep_used(t_sorted, c_sorted))
 
@@ -721,7 +795,7 @@ class TestLevelSolverAgainstSweep:
     def test_sweep_branches(self, t, c, expect):
         t, c = np.asarray(t), np.asarray(c)
         self.assert_same(t, c)
-        assert mt._level_used(t, c).tolist() == [bool(f) for f in expect]
+        assert level_used(t, c).tolist() == [bool(f) for f in expect]
 
     @pytest.mark.parametrize("t, c, den, unused", [
         ([0, 1, 1, 1, 2, 2], [0, 0, 0, 0, 2, 2, 2, 2, 2], 3, [4, 5, 6]),
@@ -735,7 +809,7 @@ class TestLevelSolverAgainstSweep:
     def test_rounding_stays_in_its_level(self, t, c, den, unused):
         t, c = np.array(t) / den, np.array(c) / den
         self.assert_same(t, c)
-        assert np.flatnonzero(~mt._level_used(t, c)).tolist() == unused
+        assert np.flatnonzero(~level_used(t, c)).tolist() == unused
 
     @pytest.mark.parametrize("spec", [
         population.make_prognostic_spec(1 / 3),
@@ -762,7 +836,7 @@ class TestLevelSolverAgainstSweep:
             c = rng.integers(0, top + 1, int(rng.integers(1, 12))) / 10
             t = rng.integers(0, top + 1, int(rng.integers(1, k * c.size + 1))) / 10
             t, c = sorted_sides(t, c, k)
-            used = mt._level_used(t, c)
+            used = level_used(t, c)
             assert np.count_nonzero(used) == t.size
             assert used_cost(t, c, used) == pytest.approx(
                 used_cost(t, c, _sweep_used(t, c)), abs=1e-12)
@@ -771,14 +845,14 @@ class TestLevelSolverAgainstSweep:
     def test_empty_surplus(self, k):
         rng = np.random.default_rng(k)
         t, c = sorted_sides(rng.random(4 * k), rng.random(4), k)
-        assert mt._level_used(t, c).all()
+        assert level_used(t, c).all()
         self.assert_same(t, c)
 
     def test_no_down_crossing(self):
         # every control lies below every treated unit, so each level is
         # crossed once, upward, and the lowest controls stay unused
         t, c = np.array([5.0, 6.0]), np.arange(4.0)
-        assert mt._level_used(t, c).tolist() == [False, False, True, True]
+        assert level_used(t, c).tolist() == [False, False, True, True]
         self.assert_same(t, c)
 
 
@@ -797,7 +871,7 @@ class TestRowBlocks:
             tp, cp = np.flatnonzero(treated[i]), np.flatnonzero(~treated[i])
             t_order, t_sorted = mt._argsort_ties_stable(scores[i][tp])
             c_order, c_sorted = mt._argsort_ties_stable(scores[i][cp])
-            used = mt._level_used(t_sorted, np.repeat(c_sorted, k)).nonzero()[0]
+            used = level_used(t_sorted, np.repeat(c_sorted, k)).nonzero()[0]
             want = np.empty(tp.size, dtype=np.intp)
             want[t_order] = cp[c_order[used // k]]
             assert [mate[i * n + j] - i * n for j in tp] == want.tolist(), f"row {i}"
@@ -848,7 +922,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("n", [3, 10, 100, 799, 800])
     def test_tied_row_takes_the_per_sample_controls(self, n, k):
         # the re-sorted row's pairs are those `match_scores` gives the
-        # sample alone, where `_exact_match` merges controls first on equal
+        # sample alone, where `_exact_match` sorts controls first on equal
         # scores and then by position
         rng = np.random.default_rng(8)
         s = rng.integers(0, 3, n) / 2
@@ -876,12 +950,32 @@ class TestRowBlocks:
         with pytest.raises(ValueError, match="row 0 of match_rows has N1 = 0 "):
             mt.match_rows(scores[:1], np.zeros_like(treated[:1]))
 
-    def test_broken_solver_names_the_row(self, monkeypatch):
-        monkeypatch.setattr(mt, "_rows_used", lambda xs, is_c, starts: is_c.copy())
+    @staticmethod
+    def every_control_used(xs, is_c, starts):
+        return is_c.copy()
+
+    @staticmethod
+    def last_row_flags_its_treated_unit(xs, is_c, starts, rows_used=mt._rows_used):
+        """The solver's flags, but the last row's first used control
+        handing its flag to the row's first treated unit."""
+        used = rows_used(xs, is_c, starts)
+        last = starts[-1]
+        used[last + used[last:].argmax()] = False
+        used[last + is_c[last:].argmin()] = True
+        return used
+
+    @pytest.mark.parametrize("rows_used, marked", [
+        # right on row 0, whose surplus is 0, not on row 1
+        ("every_control_used", 3),
+        # N1 flags on row 1, one of them on a treated unit
+        ("last_row_flags_its_treated_unit", 1),
+    ])
+    def test_broken_solver_names_the_row(self, monkeypatch, rows_used, marked):
+        monkeypatch.setattr(mt, "_rows_used", getattr(self, rows_used))
         scores = np.array([[0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4]])
         treated = np.array([[True, False, True, False], [True, False, False, False]])
-        # every control used: right on row 0, whose surplus is 0, not on row 1
-        with pytest.raises(mt.SolverError, match="marked 3 units used, not the N1 = 1 ") as exc:
+        with pytest.raises(mt.SolverError,
+                           match=f"marked {marked} units used, not the N1 = 1 ") as exc:
             mt.match_rows(scores, treated)
         assert exc.value.row == 1
 

@@ -599,14 +599,18 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_replay_catches_a_changed_estimate(self, monkeypatch, threads):
-        # a row solver that swaps each row's first used control for its
-        # first unused one still uses N1 controls, so no SolverError stops
-        # it, and every sample is drawn as before: only the estimates move,
-        # and the replay of each range's first matched replication sees it
+        # a row solver that, in a block of two rows or more, swaps each
+        # row's first used control for its first unused one still uses N1
+        # controls, so no SolverError stops it, and every sample is drawn
+        # as before: only the block's estimates move. The per-sample
+        # pipeline solves one row at a time, so the replay of each range's
+        # first matched replication sees the change
         rows_used = matching._rows_used
 
         def swapping(xs, is_c, starts):
             used = rows_used(xs, is_c, starts)
+            if starts.size < 2:
+                return used
             for lo, hi in zip(starts, np.append(starts[1:], xs.size)):
                 free = np.flatnonzero(is_c[lo:hi] & ~used[lo:hi])
                 if free.size:

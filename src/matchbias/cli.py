@@ -10,6 +10,11 @@ import sys
 import time
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from . import __version__, estimators, matching, population, simulation, theory
 from .matching import InfeasibleError, MatchConfig, MatchingError, SolverError
 
@@ -119,6 +124,21 @@ _OVERRIDES = {"n": ("simulation", "n_values"), "reps": ("simulation", "reps"),
               **{key: ("matching", key) for key in _MATCHER_KEYS}}
 
 
+def _peak_rss_mb(forked: bool) -> dict:
+    """High-water marks of resident memory, in MB: of this process, and of
+    the largest child it has reaped, None when the run forked no worker.
+    Both are None where the resource module is missing."""
+    if resource is None:
+        return {"process": None, "workers": None}
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes there, KiB on Linux
+
+    def mb(who):
+        return resource.getrusage(who).ru_maxrss * unit / 1e6
+    children = mb(resource.RUSAGE_CHILDREN) if forked else 0.0
+    return {"process": mb(resource.RUSAGE_SELF),
+            "workers": children or None}  # 0 where every fork failed
+
+
 def cmd_simulate(args) -> int:
     try:
         cfg = _load_config(args.config)
@@ -163,6 +183,8 @@ def cmd_simulate(args) -> int:
         "files": [csv_path.name, md_path.name],
         "wall_clock_s": round(wall, 3),
         "workers": workers,
+        "peak_rss_mb": _peak_rss_mb(forked=workers > 1),
+        "environment": simulation.host_environment(),
         "cells": cells,
     }
     if bug is not None:

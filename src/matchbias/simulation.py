@@ -35,6 +35,7 @@ import math
 import os
 import pickle
 import signal
+import sys
 import time
 from dataclasses import dataclass, replace
 
@@ -300,6 +301,19 @@ def _worker_count(reps: int) -> int:
     else:
         cap = os.cpu_count() or 1
     return min(cap, reps) if hasattr(os, "fork") else 1
+
+
+def host_environment() -> dict:
+    """What a run's manifest records of where it ran: the CPUs this process
+    may run on (its affinity, else the CPU count), the Python and numpy
+    versions, and MATCHBIAS_THREADS as set (None when unset)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "nproc": len(affinity(0)) if affinity is not None else os.cpu_count(),
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "MATCHBIAS_THREADS": os.environ.get("MATCHBIAS_THREADS"),
+    }
 
 
 _M_TRIM_THRESHOLD = -1  # mallopt parameters, from glibc's malloc.h

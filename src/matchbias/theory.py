@@ -12,19 +12,21 @@ order-one transport distance that drives the bias.
 Every integral over an upper region {S >= cut} goes through one routine:
 adaptive Gauss–Legendre quadrature in numpy for populations with a score
 density, a mean over fixed-seed draws for populations without one, so
-results stay deterministic either way.
+results stay deterministic either way. The quadrature rule is built on the
+first quadrature, not at import: building it imports numpy.polynomial and
+runs a LAPACK eigen-solve, which no simulation needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .population import PopulationSpec, real_number, whole_number
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _MAX_PANELS = 200  # per _quad call; past it the current estimate is kept
 _MC_DRAWS = 1 << 18
 _MC_SEED = 202_006_11
@@ -69,15 +71,25 @@ def _has_density(spec: PopulationSpec) -> bool:
     return spec.score_pdf is not None and spec.score_support is not None
 
 
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 20-node Gauss–Legendre rule on [-1, 1], read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _quad(fn, lo: float, hi: float, breakpoints=()) -> float:
     """Integral of the vectorized fn over [lo, hi] by adaptive 20-node Gauss–Legendre.
 
     Each gap between breakpoints starts as one panel, halved until the rule on
     its halves agrees with the rule on it to 1e-12 relative plus 1e-15 absolute.
     """
+    nodes, weights = _gauss_legendre()
+
     def rule(a, b):
-        x = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
-        return 0.5 * (b - a) * float(_GL_WEIGHTS @ np.broadcast_to(fn(x), x.shape))
+        x = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+        return 0.5 * (b - a) * float(weights @ np.broadcast_to(fn(x), x.shape))
     edges = [lo, *sorted(x for x in breakpoints if lo < x < hi), hi]
     todo = [(a, b, rule(a, b)) for a, b in zip(edges, edges[1:]) if a < b]
     total, panels = 0.0, len(todo)

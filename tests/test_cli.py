@@ -1,12 +1,13 @@
 import csv
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from matchbias import matching, simulation
+from matchbias import cli, matching, simulation
 from matchbias.cli import main
 
 
@@ -239,6 +240,32 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path)]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["workers"] == int(threads)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_manifest_records_peak_rss_and_environment(self, tmp_path, monkeypatch,
+                                                       threads):
+        monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, simulation={"n_values": [100], "reps": 40})
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        # high-water marks in MB; the workers' only when a worker was forked
+        rss = manifest["peak_rss_mb"]
+        assert set(rss) == {"process", "workers"}
+        assert rss["process"] > 1.0
+        if threads == "1":
+            assert rss["workers"] is None
+        else:
+            assert rss["workers"] > 1.0
+        env = manifest["environment"]
+        assert set(env) == {"nproc", "python", "numpy", "MATCHBIAS_THREADS"}
+        assert env["nproc"] >= 1 and env["MATCHBIAS_THREADS"] == threads
+        assert env["numpy"] == np.__version__
+        assert env["python"].startswith("{}.{}.".format(*sys.version_info[:2]))
+
+    def test_peak_rss_is_null_without_resource(self, monkeypatch):
+        monkeypatch.setattr(cli, "resource", None)
+        assert cli._peak_rss_mb(forked=True) == {"process": None, "workers": None}
 
     def test_band_below_surplus_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MATCHBIAS_THREADS", "1")

@@ -294,6 +294,32 @@ class TestQuadrature:
         code = "import matchbias, sys; assert 'scipy' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
+    def test_simulate_builds_no_rule(self, tmp_path):
+        # a table of closed-form cells never integrates, so the rule (and
+        # with it numpy.polynomial, which numpy 1.x imports itself) is
+        # built by the first quadrature, and only once
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        argv = ["simulate", "--config", os.path.join(root, "configs", "table_s1_desk.json"),
+                "--n", "100", "--reps", "4", "--out-dir", str(tmp_path)]
+        code = f"""
+import sys
+import numpy as np
+from matchbias import cli, population, theory
+assert cli.main({argv!r}) == 0
+assert theory._gauss_legendre.cache_info().currsize == 0
+if int(np.__version__.split(".")[0]) >= 2:
+    assert "numpy.polynomial" not in sys.modules
+spec = population.make_prognostic_spec(0.5)
+biases = [theory.asymptotic_bias_score(spec).bias.hex() for _ in range(2)]
+assert biases == ["0x1.be66666666673p-5"] * 2, biases
+assert theory._gauss_legendre.cache_info().misses == 1
+"""
+        src = os.path.dirname(os.path.dirname(theory.__file__))
+        env = dict(os.environ, MATCHBIAS_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+
 
 class TestBiasPropensity:
     def test_uniform_example_hand_computed(self):

@@ -41,9 +41,10 @@ class PopulationSpec:
     over numpy arrays and must be elementwise: the value at a uniform or a
     score may not depend on the other values in the array, nor on its
     shape, because a simulation applies them to a block of many samples at
-    once (`sample` given a list of seeds). When the score distribution has
-    a density, score_pdf/score_support enable quadrature in the theory
-    routines; otherwise they fall back to fixed-seed Monte Carlo.
+    once (`sample` given a list of seeds). The theory routines integrate
+    the score density score_pdf over score_support and refuse a spec
+    without both; a score with atoms, as in make_categorical_spec, has no
+    density, and its exact theory is not written yet.
     """
 
     score_from_uniform: ScoreFunc

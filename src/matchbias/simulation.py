@@ -576,7 +576,8 @@ def run_cell(spec: PopulationSpec, n: int, reps: int, seed: int,
         raise SimulationError(f"all {reps} replications failed: {results[0][4]}")
     taus = np.asarray([r[1] for r in oks])
     errs = np.asarray([r[2] for r in oks])
-    emp_bias = float(np.nanmean(errs))
+    # every error is NaN without tau_att_true when no replication drew a treated unit
+    emp_bias = float(np.nanmean(errs)) if not np.isnan(errs).all() else math.nan
     emp_se = float(np.std(taus, ddof=1)) if taus.size > 1 else 0.0
     note = "" if len(oks) == reps else \
         f"{reps - len(oks)} replications failed: {next(r[4] for r in results if not r[0])}"
@@ -586,14 +587,17 @@ def run_cell(spec: PopulationSpec, n: int, reps: int, seed: int,
 
 
 def _asymptotic_bias_for(config: SimConfig, a: float, spec) -> float:
+    """The closed form for the prognostic family on [1/3, 1], quadrature over
+    the score density where the spec has one, else NaN: the theory refuses a
+    score with atoms, such as a categorical one, until it has an exact route."""
     if config.spec_kind == "prognostic":
         try:
             return theory.prognostic_bias_closed_form(a)
         except ValueError:
-            return theory.asymptotic_bias_score(spec).bias
-    if config.spec_kind == "custom":
+            pass
+    if spec.score_pdf is not None and spec.score_support is not None:
         return theory.asymptotic_bias_score(spec).bias
-    return math.nan  # categorical scores have atoms; no continuous-score limit
+    return math.nan
 
 
 def run_table(config: SimConfig, spec_factory=None, on_cell=None) -> list[SimRow]:

@@ -10,11 +10,13 @@ in closed form for the prognostic-score example, and provides the
 order-one transport distance that drives the bias.
 
 Every integral over an upper region {S >= cut} goes through one routine:
-adaptive Gauss–Legendre quadrature in numpy for populations with a score
-density, a mean over fixed-seed draws for populations without one, so
-results stay deterministic either way. The quadrature rule is built on the
-first quadrature, not at import: building it imports numpy.polynomial and
-runs a LAPACK eigen-solve, which no simulation needs.
+adaptive Gauss–Legendre quadrature in numpy over the population's score
+density. Every public routine refuses, with a ValueError, a population
+without a density (score_pdf and score_support), such as a categorical one
+whose scores are atoms: the exact route for atoms is not written yet. The
+quadrature rule is built on the first quadrature, not at import: building
+it imports numpy.polynomial and runs a LAPACK eigen-solve, which no
+simulation needs.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ import numpy as np
 from .population import PopulationSpec, real_number, whole_number
 
 _MAX_PANELS = 200  # per _quad call; past it the current estimate is kept
-_MC_DRAWS = 1 << 18
-_MC_SEED = 202_006_11
 
 
 class SStarNotFoundError(ValueError):
@@ -61,14 +61,14 @@ class BiasReport:
 
 
 def _support(spec: PopulationSpec) -> tuple[float, float]:
+    """The score support of a spec with a density; ValueError without one."""
+    if spec.score_pdf is None or spec.score_support is None:
+        raise ValueError(f"spec {spec.name!r} has no score density: the theory "
+                         "integrates one, so give the spec score_pdf and score_support")
     lo, hi = spec.score_support
     if not hi > lo:
         raise ValueError("degenerate score support")
     return float(lo), float(hi)
-
-
-def _has_density(spec: PopulationSpec) -> bool:
-    return spec.score_pdf is not None and spec.score_support is not None
 
 
 @cache
@@ -106,34 +106,13 @@ def _quad(fn, lo: float, hi: float, breakpoints=()) -> float:
     return total
 
 
-def _mc_scores(spec: PopulationSpec) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_MC_SEED)))
-    return np.asarray(spec.score_from_uniform(rng.random(_MC_DRAWS)), dtype=float)
-
-
-def _score_grid(spec: PopulationSpec) -> np.ndarray:
-    """4097 evenly spaced support points with a density, sorted fixed-seed draws without."""
-    if _has_density(spec):
-        lo, hi = _support(spec)
-        return np.linspace(lo, hi, 4097)
-    return np.sort(_mc_scores(spec))
-
-
 def _upper_integrals(spec: PopulationSpec, cut: float, *weights) -> list[float]:
-    """E[weight(S); S >= cut] for each vectorized weight.
-
-    With a density, quadrature of weight(s) * pdf(s) over [max(cut, lo), hi];
-    without one, the mean over the fixed-seed draws, those below cut
-    counting as zero.
-    """
-    if _has_density(spec):
-        lo, hi = _support(spec)
-        pdf, bp = spec.score_pdf, spec.score_breakpoints
-        return [_quad(lambda s, w=w: w(s) * pdf(s), max(cut, lo), hi, bp)
-                for w in weights]
-    s = _mc_scores(spec)
-    upper = s >= cut
-    return [float(np.mean(np.where(upper, w(s), 0.0))) for w in weights]
+    """E[weight(S); S >= cut] for each vectorized weight: quadrature of
+    weight(s) * pdf(s) over [max(cut, lo), hi]."""
+    lo, hi = _support(spec)
+    pdf, bp = spec.score_pdf, spec.score_breakpoints
+    return [_quad(lambda s, w=w: w(s) * pdf(s), max(cut, lo), hi, bp)
+            for w in weights]
 
 
 def pi_bar(spec: PopulationSpec) -> float:
@@ -165,17 +144,6 @@ def _half_treated(spec: PopulationSpec, lo: float, hi: float, tol: float) -> flo
     return above
 
 
-def _mc_half_treated(keys: np.ndarray, p: np.ndarray) -> float | None:
-    """First key whose upper tail of draws is at least half treated.
-
-    keys are the draws sorted ascending and p their assignment
-    probabilities in the same order; None when no upper tail reaches one half.
-    """
-    tail = np.cumsum(p[::-1])[::-1] / np.arange(p.size, 0, -1)
-    reached = tail >= 0.5
-    return float(keys[int(np.argmax(reached))]) if reached.any() else None
-
-
 def pstar(spec: PopulationSpec, tol: float = 1e-8) -> PStarResult:
     """Partition point of the matching problem.
 
@@ -184,7 +152,8 @@ def pstar(spec: PopulationSpec, tol: float = 1e-8) -> PStarResult:
     at least p* are those with score at least b, and they are exactly half
     treated. Defaults to 1/2 when no threshold exists or [b, s_max] has
     zero mass, that is when no mass has probability 1/2 or above. Raises
-    sstar_threshold's ValueError for a bad tol or a decreasing assign_prob.
+    sstar_threshold's ValueError for a bad tol, a decreasing assign_prob or
+    a spec without a score density, rather than default.
     """
     default = PStarResult(pstar=0.5, tail_treated_prob=math.nan,
                           defaulted=True, left_closed=True)
@@ -208,20 +177,14 @@ def sstar_threshold(spec: PopulationSpec, tol: float = 1e-9) -> float:
     half-treated region is the single interval [b, s_max], so the search
     reduces to this one root. Raises SStarNotFoundError when even the top
     of the support stays below half treated (the upper set then has zero
-    mass and the limit bias is zero), and ValueError unless 0 < tol < inf.
+    mass and the limit bias is zero), and ValueError for a tol outside
+    (0, inf), a decreasing assign_prob or a spec without a score density.
     """
     tol = real_number(tol, "tol", "> 0 and finite", lambda v: 0.0 < v < math.inf)
-    s = _score_grid(spec)
-    p = np.asarray(spec.assign_prob(s), dtype=float)
+    lo, hi = _support(spec)
+    p = np.asarray(spec.assign_prob(np.linspace(lo, hi, 4097)), dtype=float)
     if np.any(np.diff(p) < -1e-9):
         raise ValueError("assign_prob must be monotone nondecreasing in the score")
-    if not _has_density(spec):
-        b = _mc_half_treated(s, p)
-        if b is None:
-            raise SStarNotFoundError("empirical treated fraction stays below 1/2 "
-                                     "on every upper tail")
-        return b
-    lo, hi = _support(spec)
     p_end = float(spec.assign_prob(np.asarray([hi]))[0])
     if p_end < 0.5 - max(tol, 1e-12):
         raise SStarNotFoundError(
@@ -273,7 +236,7 @@ def asymptotic_bias_score(spec: PopulationSpec, tol: float = 1e-9) -> BiasReport
 
 
 def _check_identity_score(spec: PopulationSpec) -> None:
-    s = _score_grid(spec)
+    s = np.linspace(*_support(spec), 4097)
     gap = np.max(np.abs(np.asarray(spec.assign_prob(s), dtype=float) - s))
     if gap > 1e-9:
         raise ValueError("spec must use the treatment probability itself as "
@@ -361,30 +324,13 @@ def weighted_wasserstein_objective(spec: PopulationSpec, b: float) -> float:
     treated_mass = _upper_integrals(spec, b, ap)[0]
     if treated_mass <= 0.0 or pb <= 0.0:
         return 0.0
-    if _has_density(spec):
-        lo, hi = _support(spec)
-        b = max(b, lo)
-        q1 = _conditional_quantile_from_density(spec, b, hi, ap)
-        q0 = _conditional_quantile_from_density(spec, b, hi, lambda s: 1.0 - ap(s))
-    else:
-        s = _mc_scores(spec)
-        p = np.asarray(ap(s), dtype=float)
-        upper = s >= b
-        q1 = _weighted_quantile_fn(s[upper], p[upper])
-        q0 = _weighted_quantile_fn(s[upper], 1.0 - p[upper])
+    lo, hi = _support(spec)
+    b = max(b, lo)
+    q1 = _conditional_quantile_from_density(spec, b, hi, ap)
+    q0 = _conditional_quantile_from_density(spec, b, hi, lambda s: 1.0 - ap(s))
     if q1 is None or q0 is None:
         return 0.0
     return (treated_mass / pb) * wasserstein_1d(q1, q0)
-
-
-def _weighted_quantile_fn(values: np.ndarray, weights: np.ndarray):
-    total = weights.sum()
-    if total <= 0.0:
-        return None
-    order = np.argsort(values)
-    v, w = values[order], weights[order]
-    cum = (np.cumsum(w) - 0.5 * w) / total
-    return lambda u: np.interp(u, cum, v)
 
 
 def format_bias_report(report: BiasReport) -> str:

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
@@ -176,6 +177,17 @@ class TestRunCell:
         assert row.emp_se == 0.0
         assert row.reps_done == 20
         assert row.degenerate_count == 0
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_all_errors_nan_gives_nan_bias_without_warning(self, monkeypatch, threads):
+        # no tau_att_true and no replication draws a treated unit, so every
+        # error (against the sample ATT) is NaN
+        monkeypatch.setenv("MATCHBIAS_THREADS", threads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = sim.run_cell(pop.make_uniform_propensity_spec(0.05), 1, 2, 0, "exact")
+        assert math.isnan(row.emp_bias)
+        assert (row.emp_se, row.reps_done, row.degenerate_count, row.note) == (0.0, 2, 2, "")
 
     def test_deterministic(self):
         spec = pop.make_prognostic_spec(1 / 3)

@@ -70,7 +70,7 @@ def make_prognostic_propensity_spec(a):
 
 
 def _without_density(spec):
-    """spec with no density or support, so the theory routines use fixed-seed draws."""
+    """spec with no density or support, which the theory routines refuse."""
     return pop.PopulationSpec(
         score_from_uniform=spec.score_from_uniform, assign_prob=spec.assign_prob,
         mu0=spec.mu0, mu1=spec.mu1, noise_sd0=spec.noise_sd0, noise_sd1=spec.noise_sd1)
@@ -146,11 +146,6 @@ class TestPStar:
         assert res.pstar == pytest.approx((3 * a + 1) / (4 * a + 4), abs=1e-6)
         assert not res.defaulted and res.left_closed
 
-    def test_mc_fallback(self):
-        stripped = _without_density(pop.make_uniform_propensity_spec(0.8))
-        res = theory.pstar(stripped, 1e-8)
-        assert res.pstar == pytest.approx(0.2, abs=0.005)
-
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             theory.pstar(pop.make_uniform_propensity_spec(0.8), 0.0)
@@ -167,11 +162,6 @@ class TestSStarThreshold:
         spec = pop.make_prognostic_spec(2.0)
         with pytest.raises(theory.SStarNotFoundError):
             theory.sstar_threshold(spec)
-
-    def test_no_root_without_density(self):
-        stripped = _without_density(pop.make_uniform_propensity_spec(0.4))
-        with pytest.raises(theory.SStarNotFoundError):
-            theory.sstar_threshold(stripped)
 
     def test_half_treated_support_gives_its_lower_end(self):
         treated = pop.PopulationSpec(
@@ -249,11 +239,6 @@ class TestBiasScore:
                   for a in A_GRID]
         assert all(biases[i + 1] <= biases[i] + 1e-9
                    for i in range(len(biases) - 1))
-
-    def test_mc_fallback_close(self):
-        stripped = _without_density(pop.make_prognostic_spec(1 / 3))
-        rep = theory.asymptotic_bias_score(stripped)
-        assert rep.bias == pytest.approx(7 / 45, abs=0.01)
 
     def test_kink_without_breakpoint(self):
         # the triangular density's kink at s = 1 is left for the halving to find
@@ -451,6 +436,50 @@ class TestReportRendering:
         assert "asymptotic bias" in text and "pi_bar" in text
 
 
+DENSITY_FREE = {
+    "categorical": lambda: pop.make_categorical_spec(0.1, 0.75, 0.3, mu0_in=1.0),
+    "stripped-uniform-0.8": lambda: _without_density(pop.make_uniform_propensity_spec(0.8)),
+}
+
+
+class TestDensityRefusal:
+    # the theory integrates a score density; a spec without one (a score with
+    # atoms, or a density left out) is refused by name, not approximated
+
+    ENTRY_POINTS = {
+        "pi_bar": theory.pi_bar,
+        "pstar": theory.pstar,
+        "sstar_threshold": theory.sstar_threshold,
+        "asymptotic_bias_score": theory.asymptotic_bias_score,
+        "asymptotic_bias_propensity": theory.asymptotic_bias_propensity,
+        "weighted_wasserstein_objective":
+            lambda spec: theory.weighted_wasserstein_objective(spec, 0.5),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("key", list(DENSITY_FREE))
+    def test_refused_with_a_plain_value_error(self, key, entry):
+        spec = DENSITY_FREE[key]()
+        with pytest.raises(ValueError) as info:
+            self.ENTRY_POINTS[entry](spec)
+        # not SStarNotFoundError, which pstar and the bias report turn into
+        # their defaults: pstar raises rather than report p* = 1/2
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            f"spec {spec.name!r} has no score density: the theory integrates "
+            "one, so give the spec score_pdf and score_support")
+
+    def test_custom_table_reports_nan(self):
+        from matchbias import simulation as sim
+        config = sim.SimConfig(a_values=(0.5,), n_values=(40,), reps=3,
+                               master_seed=4, match_method="exact", spec_kind="custom")
+        rows = sim.run_table(config, spec_factory=lambda a: DENSITY_FREE[
+            "stripped-uniform-0.8"]())
+        assert len(rows) == 1 and rows[0].reps_done == 3 and rows[0].note == ""
+        assert math.isnan(rows[0].asymp_bias)
+        assert math.isfinite(rows[0].emp_bias)
+
+
 def _theory_outputs(spec):
     """pi_bar, the threshold, the pstar and bias-report fields and the objective.
 
@@ -508,24 +537,6 @@ PINNED = {
         "0x1.cccccccccccbep-4", "0x1.8000000000000p-1",
         "0x1.999999999999cp-2", "0x1.1eb851eb851ebp-1", "0x1.c28f5c28f5c2bp-2",
         "0x1.cccccdc060ca3p-4"),
-    "draws-uniform-0.8": (
-        "0x1.9903306b6e724p-2", "0x1.9c1fae869407ap-3",
-        "0x1.9c1fae869407ap-3", "0x1.00002597889b6p-1", False, True,
-        "0x1.ca83b37affa4ep-4", "0x1.7f0e800000000p-1",
-        "0x1.9903306b6e724p-2", "0x1.1e99763299dd8p-1", "0x1.c2cd97ffd66abp-2",
-        "0x1.ca841f8696a7ep-4"),
-    "draws-prognostic-1/3": (
-        "0x1.7f9997fe7ec4ap-2", "0x1.003cfa189b7d9p+0",
-        "0x1.805b7724e93c6p-2", "0x1.00000d4026fb7p-1", False, True,
-        "0x1.3be661bb63e74p-3", "0x1.fdea000000000p-2",
-        "0x1.7f9997fe7ec4ap-2", "0x1.f2f6392feac1fp+0", "0x1.b78cdbbc9d3c5p+0",
-        "0x1.c33ddc2c3a951p-5"),
-    "categorical": (
-        "0x1.615d199999998p-2", "0x1.3333333333333p-2",
-        "0x1.3333333333333p-2", "0x1.615d199999998p-2", False, False,
-        "0x1.0a506b770945ap-2", "0x1.0000000000000p+0",
-        "0x1.615d199999998p-2", "0x1.bdeb925e79246p-3", "0x1.3947515a9b11cp-5",
-        "0x1.4ac0000000002p-4"),
 }
 
 
@@ -536,22 +547,15 @@ PINNED_SPECS = {
     "prognostic-2": lambda: pop.make_prognostic_spec(2.0),
     "uniform-0.4": lambda: pop.make_uniform_propensity_spec(0.4),
     "uniform-0.8": lambda: pop.make_uniform_propensity_spec(0.8),
-    "draws-uniform-0.8": lambda: _without_density(pop.make_uniform_propensity_spec(0.8)),
-    "draws-prognostic-1/3": lambda: _without_density(pop.make_prognostic_spec(1 / 3)),
-    "categorical": lambda: pop.make_categorical_spec(0.1, 0.75, 0.3, mu0_in=1.0),
 }
 
 
 class TestPinnedNumbers:
     @pytest.mark.parametrize("key", list(PINNED))
     def test_outputs_unchanged(self, key):
-        spec = PINNED_SPECS[key]()
-        # the same bits with a density; draws may move in their last bits
-        rel = 0.0 if spec.score_pdf is not None else 1e-12
-        for got, want in zip(_theory_outputs(spec), PINNED[key], strict=True):
+        for got, want in zip(_theory_outputs(PINNED_SPECS[key]()), PINNED[key],
+                             strict=True):
             if not isinstance(want, str):  # a bool, or None for no threshold
                 assert got == want
-            elif rel == 0.0:
-                assert got.hex() == want
             else:
-                assert got == pytest.approx(float.fromhex(want), rel=rel, nan_ok=True)
+                assert got.hex() == want

@@ -466,23 +466,48 @@ def match_with_replacement(treated_scores, control_scores) -> Matching:
     """Match every treated unit to its nearest control; controls may repeat.
 
     Ties go to the lower control score, then to the lower position.
+
+    The sorted control scores are searched for each sorted treated score.
+    Only where two controls share a score are they reduced to one entry
+    per distinct score, the lowest position of its run, so the control
+    sort need not be stable. Treated units with equal scores take the same
+    control, so the treated sort need not be stable either: their order
+    cannot move a pair. Past the two sorts, the clipped indices, both gaps
+    and the choice are computed in place, so few arrays are held at once.
     """
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
     _require_feasible(t.size, c.size, None)
-    c_order, cs = _argsort_ties_stable(c)
-    # one entry per distinct control score, its lowest position first
-    starts = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
-    u = cs[starts]
-    lowest = c_order[starts]
-    t_order, ts = _argsort_ties_stable(t)
-    pos = np.searchsorted(u, ts, side="left")
-    left = np.maximum(pos - 1, 0)
-    right = np.minimum(pos, u.size - 1)
-    use_left = (pos > 0) & ((pos == u.size)
-                            | (np.abs(ts - u[left]) <= np.abs(ts - u[right])))
+    # lowest: the position of each sorted control score, the lowest of equal ones
+    lowest = c.argsort()
+    cs = c[lowest]
+    step = cs[1:] != cs[:-1]
+    if not step.all():
+        starts = np.flatnonzero(np.concatenate(([True], step)))
+        cs = cs[starts]
+        lowest = np.minimum.reduceat(lowest, starts)
+    del step
+    t_order = t.argsort()
+    ts = t[t_order]
+    # pos: the first distinct control score at or above each treated
+    # score, clipped to the top one. Where a score lies on both sides,
+    # step down to the one below unless the one above is strictly nearer.
+    pos = cs.searchsorted(ts)
+    inner = (pos > 0) & (pos < cs.size)
+    np.minimum(pos, cs.size - 1, out=pos)
+    gap_right = cs[pos]
+    np.subtract(ts, gap_right, out=gap_right)
+    np.abs(gap_right, out=gap_right)
+    pos -= inner
+    gap_left = cs[pos]
+    np.subtract(ts, gap_left, out=gap_left)
+    np.abs(gap_left, out=gap_left)
+    del cs, ts
+    inner &= gap_left > gap_right
+    del gap_left, gap_right
+    pos += inner
     c_pos = np.empty(t.size, dtype=np.intp)
-    c_pos[t_order] = lowest[np.where(use_left, left, right)]
+    c_pos[t_order] = lowest[pos]
     cost = float(np.sum(np.abs(t - c[c_pos])))
     return Matching(pairs=Pairs(np.arange(t.size), c_pos), total_cost=cost,
                     method="with_replacement")

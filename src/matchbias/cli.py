@@ -70,8 +70,8 @@ def _match_config(section: dict) -> tuple[str, MatchConfig]:
 
 
 def _build_sim_config(cfg: dict) -> tuple[simulation.SimConfig, object, Path, str]:
-    """The run's SimConfig, spec factory, output directory and format, read
-    from the config dict alone."""
+    """The run's SimConfig, spec factory (None: the prognostic family), output
+    directory and format, read from the config dict alone."""
     pop = cfg["population"]
     simc = cfg["simulation"]
     out = cfg["output"]
@@ -93,7 +93,9 @@ def _build_sim_config(cfg: dict) -> tuple[simulation.SimConfig, object, Path, st
         # every spec is built now, so bad parameters are refused before any cell
         if kind == "prognostic":
             raw_a = _need(pop, "population", "a_values")
-            spec_factory = {a: population.make_prognostic_spec(a) for a in raw_a}.__getitem__
+            for a in raw_a:
+                population.make_prognostic_spec(a)
+            spec_factory = None
             a_values = tuple(float(a) for a in raw_a)
         else:
             a_values = (math.nan,)
@@ -110,7 +112,6 @@ def _build_sim_config(cfg: dict) -> tuple[simulation.SimConfig, object, Path, st
             master_seed=simc.get("master_seed", 0),
             match_method=method,
             match_config=mcfg,
-            spec_kind=kind,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
@@ -283,6 +284,10 @@ def cmd_match(args) -> int:
 
 
 def cmd_bias(args) -> int:
+    if (args.a is None) == (args.uniform_propensity is None):
+        print("bias: give exactly one of --a A and --uniform-propensity HI",
+              file=sys.stderr)
+        return EXIT_CONFIG
     if args.uniform_propensity is not None:
         try:
             spec = population.make_uniform_propensity_spec(args.uniform_propensity)
@@ -296,10 +301,6 @@ def cmd_bias(args) -> int:
               f"left_closed={ps.left_closed})")
         print(theory.format_bias_report(report))
         return EXIT_OK
-    if not args.prognostic or args.a is None:
-        print("bias: give either --prognostic --a A or --uniform-propensity HI",
-              file=sys.stderr)
-        return EXIT_CONFIG
     a = args.a
     closed = None
     try:
@@ -383,9 +384,8 @@ def _parser() -> argparse.ArgumentParser:
     mat.set_defaults(func=cmd_match)
 
     bias = sub.add_parser("bias", help="theoretical bias reports")
-    bias.add_argument("--prognostic", action="store_true",
-                      help="prognostic-score example population")
-    bias.add_argument("--a", type=float, help="prognostic parameter")
+    bias.add_argument("--a", type=float,
+                      help="prognostic-score example population with parameter A")
     bias.add_argument("--closed-form", action="store_true",
                       help="closed form only (requires 1/3 <= a <= 1)")
     bias.add_argument("--uniform-propensity", type=float, metavar="HI",

@@ -57,6 +57,7 @@ class SimConfig:
     """One simulation campaign: a grid of populations and sample sizes.
 
     n_values, reps and master_seed are ints; see population.whole_number.
+    run_table's spec_factory maps each a-value to its population.
     """
 
     a_values: tuple[float, ...]
@@ -65,7 +66,6 @@ class SimConfig:
     master_seed: int
     match_method: str = "exact"
     match_config: MatchConfig = MatchConfig()
-    spec_kind: str = "prognostic"
 
     def __post_init__(self):
         if not self.a_values:
@@ -76,8 +76,6 @@ class SimConfig:
             whole_number(n, "n_values", 0) for n in self.n_values))
         for key, least in (("reps", 1), ("master_seed", 0)):
             object.__setattr__(self, key, whole_number(getattr(self, key), key, least))
-        if self.spec_kind not in ("prognostic", "categorical", "custom"):
-            raise ValueError(f"unknown spec_kind: {self.spec_kind!r}")
         check_method(self.match_method)
 
 
@@ -104,6 +102,14 @@ class SimRow:
 BLOCK_SCORES = 32768
 
 
+def _capacity(method, config):
+    """How many treated units one control may take: any number (None) with
+    replacement, config.capacity for "capacitated", else 1."""
+    if method == "replacement":
+        return None
+    return config.capacity if method == "capacitated" else 1
+
+
 def _rep_task(args):
     """Replications start <= r < stop of a cell; returns one (ok, tau_hat,
     err, degenerate, message) per replication, in order.
@@ -115,7 +121,7 @@ def _rep_task(args):
     through NumPy's SeedSequence.
 
     Where a block holds two samples or more, BLOCK_SCORES // (k * n) of
-    them (k = the capacity, 1 but for "capacitated"; k * n up to 16,384),
+    them (k = `_capacity`; k * n up to 16,384),
     the range runs in such blocks, one row per sample, in `_block`, down
     to a last block of one; each replication a block leaves to it runs
     through `_replicate`, the per-sample pipeline, alone. Elsewhere, and
@@ -134,8 +140,8 @@ def _rep_task(args):
     """
     spec, n, seed, start, stop, method, config = args
     rep_seeds = population.prepare_streams(seed, start, stop)
-    k = config.capacity if method == "capacitated" else 1
-    size = 1 if method == "replacement" else BLOCK_SCORES // max(k * n, 1)
+    k = _capacity(method, config)
+    size = 1 if k is None else BLOCK_SCORES // max(k * n, 1)
     if size < 2:
         return [_checked(spec, n, rep_seed, method, config) for rep_seed in rep_seeds]
     results = []
@@ -224,7 +230,7 @@ def _block(spec, n, seeds, method, config):
         smp = population.sample(spec, n, seeds)
     except Exception:  # `_replicate` samples each seed alone and reports it
         return None, [None] * len(seeds)
-    k = config.capacity if method == "capacitated" else 1
+    k = _capacity(method, config)
     n1 = np.count_nonzero(smp.w, axis=1)
     n0 = n - n1
     finish = smp.valid & np.isfinite(smp.s).all(axis=1)
@@ -586,11 +592,20 @@ def run_cell(spec: PopulationSpec, n: int, reps: int, seed: int,
                   degenerate_count=sum(1 for r in oks if r[3]), note=note)
 
 
-def _asymptotic_bias_for(config: SimConfig, a: float, spec) -> float:
-    """The closed form for the prognostic family on [1/3, 1], quadrature over
-    the score density where the spec has one, else NaN: the theory refuses a
-    score with atoms, such as a categorical one, until it has an exact route."""
-    if config.spec_kind == "prognostic":
+def _asymptotic_bias_for(config: SimConfig, a: float, spec, prognostic: bool) -> float:
+    """A cell's limit bias, by its method: 0.0 with replacement (Abadie and
+    Imbens, 2006); NaN with a finite caliper, whose estimand is the kept
+    treated units' ATT, and at capacity k >= 2, which the theory lacks yet.
+    Else the without-replacement limit: the closed form for the prognostic
+    family (`prognostic`) on [1/3, 1], quadrature over the score density
+    where the spec has one, else NaN: the theory refuses a score with
+    atoms, such as a categorical one, until it has an exact route."""
+    k = _capacity(config.match_method, config.match_config)
+    if config.match_config.caliper not in (None, math.inf) or k not in (None, 1):
+        return math.nan
+    if k is None:
+        return 0.0
+    if prognostic:
         try:
             return theory.prognostic_bias_closed_form(a)
         except ValueError:
@@ -603,8 +618,9 @@ def _asymptotic_bias_for(config: SimConfig, a: float, spec) -> float:
 def run_table(config: SimConfig, spec_factory=None, on_cell=None) -> list[SimRow]:
     """Run the full a x n grid and return rows ordered by (a, n) ascending.
 
-    spec_factory maps an a-value to a PopulationSpec; it defaults to the
-    prognostic family and is required for other spec kinds. Every spec,
+    spec_factory maps an a-value to a PopulationSpec; without one the grid
+    is the prognostic family, the only one whose limit takes the closed
+    form (`_asymptotic_bias_for` gives each method's limit). Every spec,
     asymptotic bias and cell seed is computed before any replication runs;
     the workers are then forked once for the whole grid, and run_cell,
     called once per cell, takes each cell's results from them. Per-cell
@@ -613,14 +629,13 @@ def run_table(config: SimConfig, spec_factory=None, on_cell=None) -> list[SimRow
     each cell: the seconds since the previous on_cell call returned, or
     for the first cell since the workers started forking.
     """
-    if spec_factory is None:
-        if config.spec_kind != "prognostic":
-            raise ValueError(f"spec_kind {config.spec_kind!r} needs a spec_factory")
+    prognostic = spec_factory is None
+    if prognostic:
         spec_factory = population.make_prognostic_spec
     grid = []  # (a, asymptotic bias, cell)
     for ai, a in enumerate(sorted(config.a_values)):
         spec = spec_factory(a)
-        asymp = _asymptotic_bias_for(config, a, spec)
+        asymp = _asymptotic_bias_for(config, a, spec, prognostic)
         grid += [(a, asymp, (spec, n, derive_seed(config.master_seed, ai, ni),
                              config.match_method, config.match_config))
                  for ni, n in enumerate(sorted(config.n_values))]

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from matchbias import estimators, matching, population
+from matchbias import cli, estimators, matching, population, simulation, theory
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -72,3 +72,50 @@ def test_gate_passes_src_replications_and_trips_on_a_lost_pair(
         tampered = dict(cap, caliper=(caliper, _without_first_pair(retained),
                                       dropped))
     assert gate.recheck_rep(tampered, without_replacement) != []
+
+
+# the calls the benchmark's table_n100 workload traces, by what it counts
+TABLE_CALLS = ((simulation, "run_cell"), (population, "sample"),
+               (matching, "match_scores"), (estimators, "att_matching"),
+               (theory, "prognostic_bias_closed_form"),
+               (theory, "asymptotic_bias_score"),
+               (theory, "asymptotic_bias_propensity"))
+
+
+def test_simulate_desk_calls_what_the_table_trace_counts(monkeypatch, tmp_path,
+                                                         capsys):
+    # bench/tests asserts 3 cells and theory.bias_calls == 3 on this run,
+    # and the tracer captures one sample -> match -> estimate per cell
+    events = []
+
+    def wrap(name, fn):
+        def traced(*args, **kwargs):
+            events.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                if name == "run_cell":
+                    events.append("/run_cell")
+        return traced
+
+    for module, attr in TABLE_CALLS:
+        monkeypatch.setattr(module, attr, wrap(attr, getattr(module, attr)))
+    monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+    desk = BENCH.parent / "configs" / "table_s1_desk.json"
+    assert cli.main(["simulate", "--config", str(desk), "--n", "100", "--reps", "20",
+                     "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    cells, outside, inside = [], [], None
+    for name in events:
+        if name == "run_cell":
+            inside = []
+        elif name == "/run_cell":
+            cells.append(inside)
+            inside = None
+        else:
+            (outside if inside is None else inside).append(name)
+    assert outside == ["prognostic_bias_closed_form"] * 3
+    assert len(cells) == 3
+    for calls in cells:
+        assert any(calls[i:i + 3] == ["sample", "match_scores", "att_matching"]
+                   for i in range(len(calls))), calls

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matchbias import cli, matching, simulation
+from matchbias import cli, matching, simulation, theory
 from matchbias.cli import main
 
 
@@ -231,6 +231,32 @@ class TestSimulate:
                 [{k: v for k, v in c.items() if k != "seconds"} for c in cells])
         assert outputs["1"] == outputs["2"]
         assert len(outputs["1"][1]) == 3
+
+    @pytest.mark.parametrize("config", sorted(
+        (Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
+        ids=lambda path: path.stem)
+    def test_shipped_config_runs_with_the_closed_form(self, tmp_path, monkeypatch,
+                                                      config):
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        assert main(["simulate", "--config", str(config), "--n", "100",
+                     "--reps", "2", "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "table.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["reps"] == "2" for r in rows)
+        for r in rows:
+            closed = theory.prognostic_bias_closed_form(float(r["a"]))
+            assert float(r["asymp_bias"]).hex() == closed.hex()
+
+    @pytest.mark.parametrize("flags, limit", [
+        (["--method", "replacement"], "0.0"), (["--caliper", "0.001"], "nan"),
+        (["--method", "capacitated", "--capacity", "2"], "nan")],
+        ids=["replacement", "caliper", "capacitated-k2"])
+    def test_limit_follows_the_method(self, tmp_path, capsys, flags, limit):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, simulation={"n_values": [60], "reps": 2})
+        assert main(["simulate", "--config", str(cfg_path), *flags]) == 0
+        with open(tmp_path / "out" / "table.csv", newline="") as fh:
+            assert [r["asymp_bias"] for r in csv.DictReader(fh)] == [limit]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_manifest_records_workers(self, tmp_path, monkeypatch, threads):
@@ -519,27 +545,44 @@ class TestMatch:
 
 class TestBias:
     def test_prognostic_closed_and_numeric(self, capsys):
-        rc = main(["bias", "--prognostic", "--a", "0.4444444444444444"])
+        rc = main(["bias", "--a", "0.4444444444444444"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "0.0803" in out  # 0.080376 printed at 6 decimals, Table value 0.0804
         assert "closed-form" in out and "numeric" in out
 
     def test_prognostic_a_one_zero_bias(self, capsys):
-        assert main(["bias", "--prognostic", "--a", "1"]) == 0
+        assert main(["bias", "--a", "1"]) == 0
         assert "0.000000" in capsys.readouterr().out
 
     def test_closed_form_only(self, capsys):
-        assert main(["bias", "--prognostic", "--a", "0.5", "--closed-form"]) == 0
+        assert main(["bias", "--a", "0.5", "--closed-form"]) == 0
         assert capsys.readouterr().out == "closed-form bias(a=0.5) = 0.054492\n"
 
     def test_closed_form_domain_error(self, capsys):
-        rc = main(["bias", "--prognostic", "--a", "0.2", "--closed-form"])
+        rc = main(["bias", "--a", "0.2", "--closed-form"])
         assert rc == 1
 
     def test_numeric_domain_error(self, capsys):
-        assert main(["bias", "--prognostic", "--a", "0.2"]) == 1
+        assert main(["bias", "--a", "0.2"]) == 1
         assert "invalid population" in capsys.readouterr().err
+
+    def test_a_alone_selects_the_prognostic_family(self, capsys):
+        assert main(["bias", "--a", "0.5"]) == 0
+        assert capsys.readouterr().out == (
+            "a = 0.5   upper-region threshold b = 1.250000\n"
+            "bias: closed-form = 0.054492   numeric = 0.054492\n"
+            "asymptotic bias             0.054492\n"
+            "upper-region mass           0.281250\n"
+            "treated fraction (pi_bar)   0.333333\n"
+            "E[Y(0) | treated, upper]    2.345833\n"
+            "E[Y(0) | control, upper]    2.216667\n")
+
+    def test_a_and_uniform_propensity_together_are_refused(self, capsys):
+        assert main(["bias", "--a", "0.5", "--uniform-propensity", "0.8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--a" in captured.err and "--uniform-propensity" in captured.err
 
     def test_uniform_propensity_reports_pstar(self, capsys):
         rc = main(["bias", "--uniform-propensity", "0.8"])
@@ -548,22 +591,23 @@ class TestBias:
 
     def test_missing_selector(self, capsys):
         assert main(["bias"]) == 1
+        assert "--a" in capsys.readouterr().err
 
     def test_uniform_propensity_out_of_range(self, capsys):
         assert main(["bias", "--uniform-propensity", "1.5"]) == 1
         assert "upper must be in (0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, field", [
-        (["--prognostic", "--a", "0.5", "--tol", "nan"], "tol"),
+        (["--a", "0.5", "--tol", "nan"], "tol"),
         (["--uniform-propensity", "0.8", "--tol", "inf"], "tol"),
-        (["--prognostic", "--a", "nan"], "a")])
+        (["--a", "nan"], "a")])
     def test_bad_value_names_its_field(self, capsys, argv, field):
         assert main(["bias", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and f" {field} must be " in captured.err
 
     def test_non_positive_tol(self, capsys):
-        for route in (["--uniform-propensity", "0.8"], ["--prognostic", "--a", "0.5"]):
+        for route in (["--uniform-propensity", "0.8"], ["--a", "0.5"]):
             assert main(["bias", *route, "--tol", "0"]) == 1
             assert "tol must be > 0" in capsys.readouterr().err
 

@@ -18,6 +18,7 @@ from matchbias import estimators as est
 from matchbias import matching
 from matchbias import population as pop
 from matchbias import simulation as sim
+from matchbias import theory
 from matchbias.matching import MatchConfig
 
 # numpy's switches for MADV_HUGEPAGE advice on arrays of 4 MiB or more
@@ -968,9 +969,6 @@ class TestSimConfig:
             sim.SimConfig(a_values=(), n_values=(10,), reps=1, master_seed=0)
         with pytest.raises(ValueError):
             sim.SimConfig(a_values=(1.0,), n_values=(10,), reps=0, master_seed=0)
-        with pytest.raises(ValueError):
-            sim.SimConfig(a_values=(1.0,), n_values=(10,), reps=1,
-                          master_seed=0, spec_kind="nope")
         with pytest.raises(ValueError, match="unknown matching method"):
             sim.SimConfig(a_values=(1.0,), n_values=(10,), reps=1,
                           master_seed=0, match_method="hungarian")
@@ -999,9 +997,7 @@ class TestRunTable:
         keys = [(r.a, r.n) for r in rows]
         assert keys == sorted(keys)
         for r in rows:
-            assert r.asymp_bias == pytest.approx(
-                __import__("matchbias.theory", fromlist=["x"])
-                .prognostic_bias_closed_form(r.a))
+            assert r.asymp_bias == theory.prognostic_bias_closed_form(r.a)
 
     def test_a_above_one_takes_the_numeric_zero_bias(self):
         # the closed form holds only on [1/3, 1]; at a = 2 no region is half treated
@@ -1020,17 +1016,19 @@ class TestRunTable:
         rows = sim.run_table(config)
         assert len(rows) == 1 and rows[0].reps_done == 2
 
-    def test_custom_kind_needs_factory(self):
-        config = sim.SimConfig(a_values=(0.5,), n_values=(50,), reps=1,
-                               master_seed=0, spec_kind="custom")
-        with pytest.raises(ValueError, match="spec_factory"):
-            sim.run_table(config)
+    def test_a_given_factory_takes_its_spec_s_limit(self):
+        # not the prognostic closed form at a = 0.5 (0.0545): the factory's
+        # population has its own limit, 0.1125
+        spec = pop.make_uniform_propensity_spec(0.8)
+        config = sim.SimConfig(a_values=(0.5,), n_values=(40,), reps=2,
+                               master_seed=4)
+        row, = sim.run_table(config, spec_factory=lambda a: spec)
+        assert row.asymp_bias == theory.asymptotic_bias_score(spec).bias
 
     def test_cell_failure_recorded_not_fatal(self):
         config = sim.SimConfig(a_values=(0.5,), n_values=(40,), reps=3,
                                master_seed=0, match_method="banded",
-                               match_config=MatchConfig(band=0),
-                               spec_kind="custom")
+                               match_config=MatchConfig(band=0))
         rows = sim.run_table(
             config, spec_factory=lambda a: pop.make_prognostic_spec(1.0))
         assert len(rows) == 1
@@ -1045,6 +1043,46 @@ class TestRunTable:
         sim.run_table(config, on_cell=lambda row, secs: seen.append((row.n, secs)))
         assert [n for n, _ in seen] == [30, 40]
         assert all(secs >= 0 for _, secs in seen)
+
+
+class TestLimitByMethod:
+    """run_table's asymp_bias is the limit of the cell's own method."""
+
+    @staticmethod
+    def row(method, mcfg, spec_factory=None):
+        config = sim.SimConfig(a_values=(1 / 3,), n_values=(40,), reps=2,
+                               master_seed=5, match_method=method, match_config=mcfg)
+        row, = sim.run_table(config, spec_factory)
+        return row
+
+    @pytest.mark.parametrize("method, mcfg", [
+        ("exact", MatchConfig()), ("banded", MatchConfig(band=50)),
+        ("capacitated", MatchConfig(capacity=1)),
+        ("exact", MatchConfig(caliper=math.inf))],
+        ids=["exact", "banded", "capacitated-k1", "exact-caliper-inf"])
+    def test_without_replacement_keeps_the_closed_form(self, method, mcfg):
+        assert self.row(method, mcfg).asymp_bias.hex() == \
+            theory.prognostic_bias_closed_form(1 / 3).hex()
+
+    @pytest.mark.parametrize("method, mcfg, limit", [
+        ("replacement", MatchConfig(), 0.0),
+        ("replacement", MatchConfig(caliper=math.inf), 0.0),
+        ("exact", MatchConfig(caliper=0.001), math.nan),
+        ("replacement", MatchConfig(caliper=0.001), math.nan),
+        ("capacitated", MatchConfig(capacity=2), math.nan),
+        ("capacitated", MatchConfig(capacity=3, caliper=0.1), math.nan)],
+        ids=["replacement", "replacement-caliper-inf", "exact-caliper",
+             "replacement-caliper", "capacitated-k2", "capacitated-k3-caliper"])
+    @pytest.mark.parametrize("uniform", [False, True], ids=["prognostic", "factory"])
+    def test_other_methods_integrate_nothing(self, monkeypatch, method, mcfg,
+                                             limit, uniform):
+        def refuse(*args):
+            raise AssertionError("a limit the method does not have was computed")
+
+        monkeypatch.setattr(theory, "prognostic_bias_closed_form", refuse)
+        monkeypatch.setattr(theory, "asymptotic_bias_score", refuse)
+        factory = (lambda a: pop.make_uniform_propensity_spec(0.8)) if uniform else None
+        assert repr(self.row(method, mcfg, factory).asymp_bias) == repr(limit)
 
 
 class TestCompareMethods:

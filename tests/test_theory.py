@@ -472,7 +472,7 @@ class TestDensityRefusal:
     def test_custom_table_reports_nan(self):
         from matchbias import simulation as sim
         config = sim.SimConfig(a_values=(0.5,), n_values=(40,), reps=3,
-                               master_seed=4, match_method="exact", spec_kind="custom")
+                               master_seed=4, match_method="exact")
         rows = sim.run_table(config, spec_factory=lambda a: DENSITY_FREE[
             "stripped-uniform-0.8"]())
         assert len(rows) == 1 and rows[0].reps_done == 3 and rows[0].note == ""

@@ -103,6 +103,9 @@ def _build_sim_config(cfg: dict) -> tuple[simulation.SimConfig, object, Path, st
                 k: pop[k] for k in ("mass_a", "p_in_a", "p_out", "mu0_in",
                                     "mu0_out", "mu1_in", "mu1_out",
                                     "noise_sd") if k in pop})
+            if "a_values" in pop:  # from the file or --a
+                raise ConfigError("[population] a_values applies only to kind "
+                                  "'prognostic', not 'categorical'")
             spec_factory = lambda a: spec
         method, mcfg = _match_config(cfg["matching"])
         sim_config = simulation.SimConfig(
@@ -224,9 +227,6 @@ def cmd_match(args) -> int:
     section = {key: getattr(args, key) for key in _MATCHER_KEYS
                if getattr(args, key) is not None}
     try:
-        if (args.with_replacement
-                and section.setdefault("method", "replacement") != "replacement"):
-            raise ValueError(f"--with-replacement contradicts --method {section['method']}")
         method, cfg = _match_config(section)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -264,9 +264,11 @@ def cmd_match(args) -> int:
             for i, j in zip(tp.tolist(), cp.tolist()):
                 writer.writerow([treated_ids[i], control_ids[j],
                                  repr(abs(ts[i] - cs[j]))])
+        band = cfg.band if method == "banded" else ""  # empty where not applied
+        k = matching.capacity(method, cfg)
         with open(out_dir / "summary.csv", "w", newline="") as fh:
             fh.write("method,band,capacity,total_cost\r\n")
-            fh.write(f"{m.method},{cfg.band},{cfg.capacity},{m.total_cost!r}\r\n")
+            fh.write(f"{m.method},{band},{'' if k is None else k},{m.total_cost!r}\r\n")
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -284,9 +286,10 @@ def cmd_match(args) -> int:
 
 
 def cmd_bias(args) -> int:
-    if (args.a is None) == (args.uniform_propensity is None):
-        print("bias: give exactly one of --a A and --uniform-propensity HI",
-              file=sys.stderr)
+    if (args.a is None) == (args.uniform_propensity is None) or (
+            args.closed_form and args.a is None):
+        print("bias: give exactly one of --a A and --uniform-propensity HI; "
+              "--closed-form needs --a", file=sys.stderr)
         return EXIT_CONFIG
     if args.uniform_propensity is not None:
         try:
@@ -378,8 +381,6 @@ def _parser() -> argparse.ArgumentParser:
     mat = sub.add_parser("match", parents=[matcher],
                          help="match a CSV of units (id,w,s[,y])")
     mat.add_argument("input", help="input CSV")
-    mat.add_argument("--with-replacement", action="store_true",
-                     help="shorthand for --method replacement")
     mat.add_argument("--out-dir")
     mat.set_defaults(func=cmd_match)
 
@@ -387,7 +388,7 @@ def _parser() -> argparse.ArgumentParser:
     bias.add_argument("--a", type=float,
                       help="prognostic-score example population with parameter A")
     bias.add_argument("--closed-form", action="store_true",
-                      help="closed form only (requires 1/3 <= a <= 1)")
+                      help="closed form only, with --a (requires 1/3 <= a <= 1)")
     bias.add_argument("--uniform-propensity", type=float, metavar="HI",
                       help="population with propensity Uniform[0, HI]")
     bias.add_argument("--tol", type=float, default=1e-8)

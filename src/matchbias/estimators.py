@@ -4,8 +4,8 @@ Matcher pairs are positions into the treated/control score sequences; the
 helpers here translate them through a Sample's treated/control index sets.
 The matching estimator follows the convention of being exactly zero when
 no matching exists, which the matcher alone decides by raising
-InfeasibleError (no treated units, more treated than control places, or
-no controls to reuse); `degenerate` records that the convention fired.
+InfeasibleError (where `matching.feasible` is false); `degenerate`
+records that the convention fired.
 The caliper estimator averages over the matching that `apply_caliper`
 retained.
 """

@@ -9,15 +9,16 @@ controls first on equal scores, and choosing which controls stay unused,
 instead of a general assignment solver. One exact solver makes that
 choice at every size, for matching without replacement and capacity-k
 matching alike: a level-by-level numpy solver, O(N log N) with no Python
-loop over scores. Nothing here approximates the optimum. One step,
-`_pair_rows`, solves and pairs a sample's sorted row for `_exact_match`
-and a block of such rows for `match_rows`, in a fixed number of numpy
-calls whatever the number of rows; a block's row is matched exactly as
-it is alone, ties included.
+loop over scores. Nothing here approximates the optimum. One sort,
+`_sort_rows`, and one step, `_pair_rows`, order, solve and pair a
+sample's row for `_exact_match` and a block of such rows for
+`match_rows`, in a fixed number of numpy calls whatever the number of
+rows; a block's row is matched exactly as it is alone, ties included.
 
 Every matcher decides for itself whether a matching exists and raises
 InfeasibleError when none does; callers need not know which methods reuse
-controls.
+controls. `capacity`, `feasible` and `band_refuses` state the rules that
+the matchers and every caller share.
 """
 
 from __future__ import annotations
@@ -41,15 +42,11 @@ class MatchingError(ValueError):
 
 
 class InfeasibleError(MatchingError):
-    """Raised when no matching of the requested kind exists.
-
-    That is when there is no treated unit, more treated units than control
-    places (N1 > k * N0), or, with replacement, no control at all.
-    """
+    """Raised where no matching of the requested kind exists (`feasible`)."""
 
 
 class BandError(MatchingError):
-    """Raised when a band is below the control surplus N0 - N1."""
+    """Raised where `band_refuses`: the band is below the control surplus."""
 
 
 class SolverError(RuntimeError):
@@ -133,10 +130,10 @@ def _caliper(value) -> float:  # +inf keeps every pair
 class MatchConfig:
     """Knobs for the matcher family.
 
-    band is the control surplus N0 - N1 the banded matcher accepts; a
-    larger surplus is refused with MatchingError. capacity is the maximum
-    number of treated units a control may absorb; caliper, when set, is
-    the maximum tolerated within-pair score gap.
+    band is the largest control surplus N0 - N1 the banded matcher
+    accepts (`band_refuses`). capacity is the maximum number of treated
+    units a control may absorb under "capacitated" (`capacity`); caliper,
+    when set, is the maximum tolerated within-pair score gap.
     """
 
     band: int = DEFAULT_BAND
@@ -159,16 +156,32 @@ def _as_scores(x, side: str) -> np.ndarray:
     return arr
 
 
+def capacity(method: str, config: MatchConfig) -> int | None:
+    """How many treated units one control may take under `method`: None
+    (any number) with replacement, config.capacity if capacitated, else 1."""
+    if method == "replacement":
+        return None
+    return config.capacity if method == "capacitated" else 1
+
+
+def feasible(n1, n0, k: int | None):
+    """Whether a matching exists, elementwise: 0 < N1 <= k * N0, and with
+    k None (any number of treated units per control) N1 > 0 and N0 > 0."""
+    return (n1 > 0) & (n0 > 0 if k is None else n1 <= k * n0)
+
+
+def band_refuses(n1, n0, band: int):
+    """Whether the banded matcher refuses a sample, elementwise: one with a
+    treated unit and a control surplus N0 - N1 above the band."""
+    return (n1 > 0) & (n0 - n1 > band)
+
+
 def _require_feasible(n1: int, n0: int, k: int | None) -> None:
-    """Raise InfeasibleError unless n1 treated units fit into n0 controls
-    that take at most k treated units each (k None: any number)."""
-    if n1 == 0:
-        raise InfeasibleError("no treated units to match")
-    if k is None:
-        if n0 == 0:
-            raise InfeasibleError("no controls to match against")
-    elif n1 > k * n0:
+    """Raise InfeasibleError, naming the reason, unless `feasible`."""
+    if not feasible(n1, n0, k):
         raise InfeasibleError(
+            "no treated units to match" if n1 == 0 else
+            "no controls to match against" if k is None else
             f"more treated (N1 = {n1}) than control places at capacity "
             f"k = {k} (k * N0 = {k * n0})")
 
@@ -354,18 +367,20 @@ def _pair_rows(xs: np.ndarray, is_c: np.ndarray, n1: np.ndarray,
     return event.compress(~is_c), event.compress(used)
 
 
-def _exact_match(t: np.ndarray, c: np.ndarray, method: str,
+def _exact_match(treated_scores, control_scores, method: str,
                  k: int = 1) -> Matching:
-    """Min-cost matching of validated scores, k treated per control.
+    """Min-cost matching, k treated per control.
 
-    One sort of the sample, controls first on equal scores and each arm
-    in position order, makes the one row that `_pair_rows` solves with
-    every control repeated k times, so k = 1 is matching without
-    replacement. The cost is summed over the sorted treated scores less
-    the scores of the controls they take.
+    `_sort_rows` sorts the sample, controls then treated units, as one
+    row, which `_pair_rows` solves with every control repeated k times,
+    so k = 1 is matching without replacement. The cost is summed over the
+    sorted treated scores less the scores of the controls they take.
     """
+    t = _as_scores(treated_scores, "treated")
+    c = _as_scores(control_scores, "control")
     _require_feasible(t.size, c.size, k)
-    order, xs = _argsort_ties_stable(np.concatenate((c, t)))
+    treated = np.repeat([False, True], [c.size, t.size])
+    (order,), (xs,) = _sort_rows(np.concatenate((c, t))[None], treated[None])
     tp, cp = _pair_rows(xs, order < c.size, np.array([t.size]), k)
     cost = float(np.abs(xs[tp] - xs[cp]).sum())
     mate = np.empty(t.size, dtype=np.intp)
@@ -380,12 +395,10 @@ def match_rows(scores: np.ndarray, treated: np.ndarray,
 
     Row i of `scores`, an (m, n) float array, holds one sample's finite
     scores and row i of the bool array `treated` flags its treated units;
-    a row without 0 < N1 <= k * N0 raises ValueError, naming it. One
-    argsort per row sorts it, and a row with a tie is re-sorted by
-    `np.lexsort`, controls first on equal scores and then by position:
-    the order `_exact_match` sorts a sample alone in. `_pair_rows` then
-    solves and pairs all the rows at once, so each row is matched exactly
-    as `_exact_match` matches it, ties included.
+    a row that is not `feasible` raises ValueError, naming it.
+    `_sort_rows` sorts the rows as `_exact_match` sorts a sample alone, and
+    `_pair_rows` then solves and pairs all the rows at once, so each row is
+    matched exactly as `_exact_match` matches it, ties included.
 
     Returns (t, c): t holds the flat indices into `scores` of the treated
     units, in row-major order, and c the index of the control each is
@@ -395,7 +408,7 @@ def match_rows(scores: np.ndarray, treated: np.ndarray,
     """
     m, n = scores.shape
     n1 = np.count_nonzero(treated, axis=1)
-    infeasible = (n1 == 0) | (n1 > k * (n - n1))
+    infeasible = ~feasible(n1, n - n1, k)
     if infeasible.any():
         i = int(infeasible.argmax())
         raise ValueError(f"row {i} of match_rows has N1 = {n1[i]} treated units "
@@ -404,7 +417,25 @@ def match_rows(scores: np.ndarray, treated: np.ndarray,
     t = np.flatnonzero(treated)
     if not m:
         return t, t
-    # the flat index into scores of each sorted score
+    order, ordered = _sort_rows(scores, treated)
+    src = order.ravel()
+    tp, cp = _pair_rows(ordered.ravel(), ~treated.ravel()[src], n1, k)
+    mate = np.empty(m * n, dtype=np.intp)
+    mate[src[tp]] = src[cp]
+    return t, mate[t]
+
+
+def _sort_rows(scores: np.ndarray,
+               treated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, ordered) of (m, n) scores: the flat index into `scores` of
+    each sorted score, and the sorted scores, row by row.
+
+    A row is sorted by score, controls (False in `treated`) first on equal
+    scores, then by position. The default argsort is several times faster
+    than a stable one and gives that order where no two scores are equal,
+    so only a row with a tie is sorted again, by `np.lexsort`.
+    """
+    m, n = scores.shape
     offset = (np.arange(m) * n)[:, None]
     order = scores.argsort(axis=1)
     order += offset
@@ -413,49 +444,26 @@ def match_rows(scores: np.ndarray, treated: np.ndarray,
     if tied.size:
         # the sorted scores stay as they are; equal ones change places
         order[tied] = np.lexsort((treated[tied], scores[tied]), axis=-1) + offset[tied]
-    src = order.ravel()
-    tp, cp = _pair_rows(ordered.ravel(), ~treated.ravel()[src], n1, k)
-    mate = np.empty(m * n, dtype=np.intp)
-    mate[src[tp]] = src[cp]
-    return t, mate[t]
-
-
-def _argsort_ties_stable(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, x[order]), equal values of x keeping their positions' order.
-
-    The default sort is several times faster than a stable one on floats,
-    and gives the same order when no two values are equal, so the stable
-    sort runs only when the sorted values contain a tie.
-    """
-    order = x.argsort()
-    xs = x[order]
-    if (xs[1:] == xs[:-1]).any():
-        order = x.argsort(kind="stable")
-        xs = x[order]
-    return order, xs
+    return order, ordered
 
 
 def match_optimal_exact(treated_scores, control_scores) -> Matching:
     """Optimal matching without replacement, minimizing the summed score gaps."""
-    t = _as_scores(treated_scores, "treated")
-    c = _as_scores(control_scores, "control")
-    return _exact_match(t, c, "exact")
+    return _exact_match(treated_scores, control_scores, "exact")
 
 
 def match_banded(treated_scores, control_scores, band: int) -> Matching:
-    """Optimal matching without replacement, refused when band < N0 - N1.
+    """Optimal matching without replacement, refused where `band_refuses`.
 
     The band bounds the control surplus N0 - N1, the number of controls
-    left unmatched. When it covers the surplus the same exact solver runs
-    and the result is that of `match_optimal_exact`; below it no
-    approximation runs and the match raises BandError, a MatchingError
-    that is not an InfeasibleError.
+    left unmatched. Where it covers the surplus the result is that of
+    `match_optimal_exact`; elsewhere no approximation runs and the match
+    raises BandError, a MatchingError that is not an InfeasibleError.
     """
     band = whole_number(band, "band", 0)
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
-    # an empty treated side is left to _exact_match's InfeasibleError
-    if t.size and band < c.size - t.size:
+    if band_refuses(t.size, c.size, band):
         raise BandError(
             f"band {band} is below the control surplus N0 - N1 = "
             f"{c.size - t.size}; raise the band or use method 'exact'")
@@ -522,9 +530,7 @@ def match_capacitated(treated_scores, control_scores, k: int) -> Matching:
     attains the with-replacement cost.
     """
     k = whole_number(k, "k", 1)
-    t = _as_scores(treated_scores, "treated")
-    c = _as_scores(control_scores, "control")
-    return _exact_match(t, c, "capacitated", k)
+    return _exact_match(treated_scores, control_scores, "capacitated", k)
 
 
 BRUTE_FORCE_LIMIT = 10
@@ -567,8 +573,8 @@ def has_crossing(matching: Matching, treated_scores, control_scores) -> bool:
     t = _as_scores(treated_scores, "treated")
     c = _as_scores(control_scores, "control")
     tp, cp = matching.pair_arrays()
-    order, a = _argsort_ties_stable(t[tp])
-    b = c[cp[order]]
+    order = t[tp].argsort()  # the order of equal treated scores cannot matter
+    a, b = t[tp[order]], c[cp[order]]
     up = np.where(b > a, b, -np.inf)  # control scores of upward pairs
     best_up = np.concatenate([[-np.inf], np.maximum.accumulate(up)])
     # max control score over upward pairs whose treated score lies strictly below
@@ -605,11 +611,9 @@ def match_scores(treated_scores, control_scores, method: str = "exact",
     """Dispatch to a matcher by name, one of METHODS."""
     check_method(method)
     cfg = config if config is not None else MatchConfig()
-    if method == "exact":
-        return match_optimal_exact(treated_scores, control_scores)
+    k = capacity(method, cfg)
+    if k is None:
+        return match_with_replacement(treated_scores, control_scores)
     if method == "banded":
         return match_banded(treated_scores, control_scores, cfg.band)
-    if method == "replacement":
-        return match_with_replacement(treated_scores, control_scores)
-    return match_capacitated(treated_scores, control_scores, cfg.capacity)
-
+    return _exact_match(treated_scores, control_scores, method, k)  # exact, capacitated

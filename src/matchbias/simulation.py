@@ -23,7 +23,8 @@ per-sample pipeline still runs every replication a block cannot finish
 score or a band refusal), every one where a block would hold a single
 sample and matching with replacement, and it replays the first
 replication a block finishes in each range, whose whole result must come
-out the same.
+out the same. The matcher's rules are `matching.capacity`, `.feasible`
+and `.band_refuses`; this module states none of them.
 """
 
 from __future__ import annotations
@@ -102,14 +103,6 @@ class SimRow:
 BLOCK_SCORES = 32768
 
 
-def _capacity(method, config):
-    """How many treated units one control may take: any number (None) with
-    replacement, config.capacity for "capacitated", else 1."""
-    if method == "replacement":
-        return None
-    return config.capacity if method == "capacitated" else 1
-
-
 def _rep_task(args):
     """Replications start <= r < stop of a cell; returns one (ok, tau_hat,
     err, degenerate, message) per replication, in order.
@@ -121,8 +114,8 @@ def _rep_task(args):
     through NumPy's SeedSequence.
 
     Where a block holds two samples or more, BLOCK_SCORES // (k * n) of
-    them (k = `_capacity`; k * n up to 16,384),
-    the range runs in such blocks, one row per sample, in `_block`, down
+    them (k = `matching.capacity`; k * n up to 16,384), the range runs
+    in such blocks, one row per sample, in `_block`, down
     to a last block of one; each replication a block leaves to it runs
     through `_replicate`, the per-sample pipeline, alone. Elsewhere, and
     for "replacement", every replication runs through `_replicate`. Both
@@ -140,7 +133,7 @@ def _rep_task(args):
     """
     spec, n, seed, start, stop, method, config = args
     rep_seeds = population.prepare_streams(seed, start, stop)
-    k = _capacity(method, config)
+    k = matching.capacity(method, config)
     size = 1 if k is None else BLOCK_SCORES // max(k * n, 1)
     if size < 2:
         return [_checked(spec, n, rep_seed, method, config) for rep_seed in rep_seeds]
@@ -220,23 +213,23 @@ def _block(spec, n, seeds, method, config):
     `matching.match_rows` matches the rows, the caliper drops pairs across
     the block, and `estimators.segment_means` takes each row's mean pair
     difference in treated-position order, as att_matching and att_caliper
-    do. A row with no matching (N1 = 0 or N1 > k * N0) takes the zero
+    do. A row with no matching (not `matching.feasible`) takes the zero
     convention. Left to `_replicate`, so that each fails or raises with
     the message it always has: every row when sampling raised, and rows
     with an assignment probability outside [0, 1], a non-finite score or
-    a surplus above the band.
+    a surplus the banded matcher refuses (`matching.band_refuses`).
     """
     try:
         smp = population.sample(spec, n, seeds)
     except Exception:  # `_replicate` samples each seed alone and reports it
         return None, [None] * len(seeds)
-    k = _capacity(method, config)
+    k = matching.capacity(method, config)
     n1 = np.count_nonzero(smp.w, axis=1)
     n0 = n - n1
     finish = smp.valid & np.isfinite(smp.s).all(axis=1)
     if method == "banded":
-        finish &= (n1 == 0) | (n0 - n1 <= config.band)
-    rows = np.flatnonzero(finish & (n1 > 0) & (n1 <= k * n0))
+        finish &= ~matching.band_refuses(n1, n0, config.band)
+    rows = np.flatnonzero(finish & matching.feasible(n1, n0, k))
     try:
         t, c = matching.match_rows(smp.s[rows], smp.w[rows] == 1, k)
     except matching.SolverError as exc:
@@ -600,7 +593,7 @@ def _asymptotic_bias_for(config: SimConfig, a: float, spec, prognostic: bool) ->
     family (`prognostic`) on [1/3, 1], quadrature over the score density
     where the spec has one, else NaN: the theory refuses a score with
     atoms, such as a categorical one, until it has an exact route."""
-    k = _capacity(config.match_method, config.match_config)
+    k = matching.capacity(config.match_method, config.match_config)
     if config.match_config.caliper not in (None, math.inf) or k not in (None, 1):
         return math.nan
     if k is None:

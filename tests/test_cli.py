@@ -409,10 +409,33 @@ class TestSimulate:
 
     def test_categorical_population(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path,
-                     population={"kind": "categorical", "mass_a": 0.1,
-                                 "p_in_a": 0.4, "p_out": 0.3})
+        cfg = write_config(cfg_path,
+                           population={"kind": "categorical", "mass_a": 0.1,
+                                       "p_in_a": 0.4, "p_out": 0.3})
+        del cfg["population"]["a_values"]
+        cfg_path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(cfg_path)]) == 0
+
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    def test_categorical_population_refuses_a_values(self, tmp_path, capsys,
+                                                     monkeypatch, source):
+        # a categorical population has no a: an a grid would be dropped
+        tables = []
+        monkeypatch.setattr(simulation, "run_table",
+                            lambda *args, **kwargs: tables.append(args))
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path,
+                           population={"kind": "categorical", "mass_a": 0.5,
+                                       "p_in_a": 0.6, "p_out": 0.2})
+        if source == "flag":
+            del cfg["population"]["a_values"]
+            cfg_path.write_text(json.dumps(cfg))
+        flag = ["--a", "0.5"] if source == "flag" else []
+        assert main(["simulate", "--config", str(cfg_path), *flag]) == 1
+        assert capsys.readouterr().err == (
+            "config error: [population] a_values applies only to kind "
+            "'prognostic', not 'categorical'\n")
+        assert tables == [] and not (tmp_path / "out").exists()
 
 
 class TestMatch:
@@ -430,7 +453,7 @@ class TestMatch:
         with open(tmp_path / "m" / "summary.csv", newline="") as fh:
             srows = list(csv.reader(fh))
         assert srows[0] == ["method", "band", "capacity", "total_cost"]
-        assert srows[1][:3] == ["exact", "2000", "1"]
+        assert srows[1][:3] == ["exact", "", "1"]
         assert float(srows[1][3]) == pytest.approx(0.15)
 
     def test_pairs_use_input_ids(self, tmp_path):
@@ -478,19 +501,23 @@ class TestMatch:
     def test_more_treated_than_controls_with_replacement_ok(self, tmp_path):
         data = tmp_path / "units.csv"
         toy_units_csv(data, [(1, 0.5), (1, 0.4), (0, 0.45)])
-        assert main(["match", str(data), "--with-replacement",
+        assert main(["match", str(data), "--method", "replacement",
                      "--out-dir", str(tmp_path / "m")]) == 0
 
-    def test_with_replacement_refuses_another_method(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, applied", [
+        (["--method", "exact", "--capacity", "3", "--band", "0"], ["exact", "", "1"]),
+        (["--method", "replacement", "--capacity", "5"], ["with_replacement", "", ""]),
+        (["--method", "banded", "--band", "7", "--capacity", "3"], ["banded", "7", "1"]),
+        (["--method", "capacitated", "--capacity", "3", "--band", "0"],
+         ["capacitated", "", "3"]),
+    ], ids=["exact", "replacement", "banded", "capacitated"])
+    def test_summary_reports_what_the_matcher_applied(self, tmp_path, flags,
+                                                      applied):
         data = tmp_path / "units.csv"
-        toy_units_csv(data, [(1, 0.5), (0, 0.4), (0, 0.7)])
-        assert main(["match", str(data), "--with-replacement", "--method",
-                     "exact", "--out-dir", str(tmp_path / "m")]) == 1
-        assert capsys.readouterr().err.startswith("config error: ")
-        assert not (tmp_path / "m").exists()
-        assert main(["match", str(data), "--with-replacement", "--method",
-                     "replacement", "--out-dir", str(tmp_path / "m")]) == 0
-        assert "method=with_replacement" in capsys.readouterr().out
+        toy_units_csv(data, [(1, 0.5), (0, 0.4), (0, 0.7), (1, 0.3), (0, 0.25)])
+        assert main(["match", str(data), *flags, "--out-dir", str(tmp_path / "m")]) == 0
+        with open(tmp_path / "m" / "summary.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1][:3] == applied
 
     def test_caliper_emits_dropped(self, tmp_path, capsys):
         data = tmp_path / "units.csv"
@@ -583,6 +610,12 @@ class TestBias:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--a" in captured.err and "--uniform-propensity" in captured.err
+
+    def test_closed_form_with_uniform_propensity_is_refused(self, capsys):
+        assert main(["bias", "--uniform-propensity", "0.8", "--closed-form"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--closed-form" in captured.err and "--uniform-propensity" in captured.err
 
     def test_uniform_propensity_reports_pstar(self, capsys):
         rc = main(["bias", "--uniform-propensity", "0.8"])

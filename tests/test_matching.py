@@ -871,8 +871,9 @@ class TestRowBlocks:
         mate = dict(zip(t.tolist(), c.tolist()))
         for i in range(m):
             tp, cp = np.flatnonzero(treated[i]), np.flatnonzero(~treated[i])
-            t_order, t_sorted = mt._argsort_ties_stable(scores[i][tp])
-            c_order, c_sorted = mt._argsort_ties_stable(scores[i][cp])
+            t_order = np.argsort(scores[i][tp], kind="stable")
+            c_order = np.argsort(scores[i][cp], kind="stable")
+            t_sorted, c_sorted = scores[i][tp][t_order], scores[i][cp][c_order]
             used = level_used(t_sorted, np.repeat(c_sorted, k)).nonzero()[0]
             want = np.empty(tp.size, dtype=np.intp)
             want[t_order] = cp[c_order[used // k]]
@@ -1196,6 +1197,66 @@ class TestFeasibility:
         with pytest.raises(mt.BandError) as exc:
             mt.match_banded([0.5], [0.1, 0.2, 0.3], 0)
         assert not isinstance(exc.value, mt.InfeasibleError)
+
+
+# (N1, N0) at the edges of the one rule, for k in {1, 2} and a band of 2:
+# N1 = 0, N0 = 0, N1 = k * N0, N1 = k * N0 + 1, N0 - N1 = band, band + 1
+RULE_BAND = 2
+RULE_EDGES = [(0, 3), (2, 0), (0, 0), (3, 3), (4, 3), (6, 3), (7, 3), (2, 4), (2, 5)]
+
+
+class TestOneRule:
+    """`capacity`, `feasible` and `band_refuses` are the rules every matcher
+    and `match_rows` apply: each is true exactly where they refuse."""
+
+    @pytest.mark.parametrize("method, k", [
+        ("exact", 1), ("banded", 1), ("capacitated", 1), ("capacitated", 2),
+        ("replacement", None)])
+    def test_per_sample_matchers_follow_the_rule(self, method, k):
+        cfg = mt.MatchConfig(band=RULE_BAND, capacity=k or 5)
+        assert mt.capacity(method, cfg) == k
+        rng = np.random.default_rng(5)
+        for n1, n0 in RULE_EDGES:
+            infeasible = refused = False
+            try:
+                mt.match_scores(rng.random(n1), rng.random(n0), method, cfg)
+            except mt.InfeasibleError:
+                infeasible = True
+            except mt.BandError:
+                refused = True
+            assert infeasible == (not mt.feasible(n1, n0, k)), (n1, n0)
+            assert refused == (method == "banded"
+                               and mt.band_refuses(n1, n0, RULE_BAND)), (n1, n0)
+
+    @pytest.mark.parametrize("k, want", [
+        (1, "---+---++"), (2, "---+++-++"), (None, "---++++++")],
+        ids=["k1", "k2", "any"])
+    def test_rules_are_elementwise(self, k, want):
+        n1, n0 = np.array(RULE_EDGES).T
+        assert mt.feasible(n1, n0, k).tolist() == [c == "+" for c in want]
+        assert [bool(mt.feasible(a, b, k)) for a, b in RULE_EDGES] == [
+            c == "+" for c in want]
+        refused = [False] * 8 + [True]  # only N0 - N1 = band + 1
+        assert mt.band_refuses(n1, n0, RULE_BAND).tolist() == refused
+        assert [bool(mt.band_refuses(a, b, RULE_BAND)) for a, b in RULE_EDGES] == refused
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_match_rows_refuses_the_rows_feasible_rejects(self, k):
+        rng = np.random.default_rng(6)
+        for n1, n0 in RULE_EDGES:
+            scores = rng.random((1, n1 + n0))
+            treated = np.arange(n1 + n0)[None] < n1
+            if mt.feasible(n1, n0, k):
+                mt.match_rows(scores, treated, k)
+            else:
+                with pytest.raises(ValueError, match="row 0 of match_rows"):
+                    mt.match_rows(scores, treated, k)
+        # in a block, the first row feasible rejects is named
+        n1 = np.array([2, 3, 0, 5, 6])
+        treated = np.arange(6) < n1[:, None]
+        first = int((~mt.feasible(n1, 6 - n1, k)).argmax())
+        with pytest.raises(ValueError, match=f"row {first} of match_rows"):
+            mt.match_rows(rng.random((5, 6)), treated, k)
 
 
 class TestMatchingRepresentation:

@@ -69,6 +69,15 @@ def _match_config(section: dict) -> tuple[str, MatchConfig]:
                                   if k in section})
 
 
+def _applied(method: str, cfg: MatchConfig) -> dict:
+    """The [matching] settings the method applied, as the manifest records
+    them: the band of banded, the capacity of capacitated, a set caliper."""
+    applied = {"method": method, "band": cfg.band if method == "banded" else None,
+               "capacity": cfg.capacity if method == "capacitated" else None,
+               "caliper": cfg.caliper}
+    return {k: v for k, v in applied.items() if v is not None}
+
+
 def _build_sim_config(cfg: dict) -> tuple[simulation.SimConfig, object, Path, str]:
     """The run's SimConfig, spec factory (None: the prognostic family), output
     directory and format, read from the config dict alone."""
@@ -150,6 +159,7 @@ def cmd_simulate(args) -> int:
             if getattr(args, flag) is not None:
                 cfg[section][key] = getattr(args, flag)
         sim_config, spec_factory, out_dir, fmt = _build_sim_config(cfg)
+        cfg["matching"] = _applied(sim_config.match_method, sim_config.match_config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -286,10 +296,9 @@ def cmd_match(args) -> int:
 
 
 def cmd_bias(args) -> int:
-    if (args.a is None) == (args.uniform_propensity is None) or (
-            args.closed_form and args.a is None):
-        print("bias: give exactly one of --a A and --uniform-propensity HI; "
-              "--closed-form needs --a", file=sys.stderr)
+    if (args.a is None) == (args.uniform_propensity is None):
+        print("bias: give exactly one of --a A and --uniform-propensity HI",
+              file=sys.stderr)
         return EXIT_CONFIG
     if args.uniform_propensity is not None:
         try:
@@ -305,16 +314,6 @@ def cmd_bias(args) -> int:
         print(theory.format_bias_report(report))
         return EXIT_OK
     a = args.a
-    closed = None
-    try:
-        closed = theory.prognostic_bias_closed_form(a)
-    except ValueError as exc:
-        if args.closed_form:
-            print(f"closed form unavailable: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    if args.closed_form:
-        print(f"closed-form bias(a={a:g}) = {closed:.6f}")
-        return EXIT_OK
     try:
         spec = population.make_prognostic_spec(a)
     except ValueError as exc:
@@ -325,8 +324,11 @@ def cmd_bias(args) -> int:
     except ValueError as exc:  # a bad tol
         print(f"bias: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    b = theory.prognostic_sstar_lower(a) if closed is not None else math.nan
-    closed_text = f"{closed:.6f}" if closed is not None else "n/a"
+    try:  # the closed forms hold on [1/3, 1] only
+        closed_text = f"{theory.prognostic_bias_closed_form(a):.6f}"
+        b = theory.prognostic_sstar_lower(a)
+    except ValueError:
+        closed_text, b = "n/a", math.nan
     print(f"a = {a:g}   upper-region threshold b = {b:.6f}")
     print(f"bias: closed-form = {closed_text}   numeric = {report.bias:.6f}")
     print(theory.format_bias_report(report))
@@ -387,8 +389,6 @@ def _parser() -> argparse.ArgumentParser:
     bias = sub.add_parser("bias", help="theoretical bias reports")
     bias.add_argument("--a", type=float,
                       help="prognostic-score example population with parameter A")
-    bias.add_argument("--closed-form", action="store_true",
-                      help="closed form only, with --a (requires 1/3 <= a <= 1)")
     bias.add_argument("--uniform-propensity", type=float, metavar="HI",
                       help="population with propensity Uniform[0, HI]")
     bias.add_argument("--tol", type=float, default=1e-8)

@@ -23,7 +23,6 @@ from .population import Sample, real_number
 @dataclass(frozen=True)
 class AttEstimate:
     value: float
-    n1_used: int
     degenerate: bool = False
 
 
@@ -48,7 +47,7 @@ def att_matching(smp: Sample, matching: Matching | None) -> AttEstimate:
     """
     n1, n0 = smp.n1, smp.n0
     if n1 == 0 or matching is None:
-        return AttEstimate(0.0, 0, degenerate=True)
+        return AttEstimate(0.0, degenerate=True)
     tp, cp = matching.pair_arrays()
     if tp.shape != (n1,) or not (tp == np.arange(n1)).all():
         raise ValueError("matching must pair every treated position exactly once")
@@ -59,7 +58,7 @@ def att_matching(smp: Sample, matching: Matching | None) -> AttEstimate:
     # tp is 0..n1-1 in order, so the treated outcomes need no gather through it
     y_t = smp.y[smp.treated_idx]
     y_c = smp.y[smp.control_idx[cp]]
-    return AttEstimate(float((y_t - y_c).mean()), n1)
+    return AttEstimate(float((y_t - y_c).mean()))
 
 
 def control_weights(matching: Matching, n0: int) -> ControlWeights:
@@ -83,10 +82,10 @@ def att_weighted(smp: Sample, weights: ControlWeights) -> AttEstimate:
     if total != n1:
         raise ValueError(f"weights sum to {total}, expected N1 = {n1}")
     if n1 == 0:
-        return AttEstimate(0.0, 0, degenerate=True)
+        return AttEstimate(0.0, degenerate=True)
     y_c = smp.y[smp.control_idx]
     value = float(np.mean(smp.y[smp.treated_idx]) - np.dot(nu, y_c) / n1)
-    return AttEstimate(value, n1)
+    return AttEstimate(value)
 
 
 def att_caliper(smp: Sample, retained: Matching) -> AttEstimate:
@@ -99,13 +98,13 @@ def att_caliper(smp: Sample, retained: Matching) -> AttEstimate:
     """
     tp, cp = retained.pair_arrays()
     if not tp.size:
-        return AttEstimate(0.0, 0, degenerate=True)
+        return AttEstimate(0.0, degenerate=True)
     if tp[0] < 0 or tp[-1] >= smp.n1 or cp.min() < 0 or cp.max() >= smp.n0:
         raise ValueError("pair references a position outside the sample "
                          f"(N1 = {smp.n1}, N0 = {smp.n0})")
     y_t = smp.y[smp.treated_idx[tp]]
     y_c = smp.y[smp.control_idx[cp]]
-    return AttEstimate(float(np.mean(y_t - y_c)), tp.size)
+    return AttEstimate(float(np.mean(y_t - y_c)))
 
 
 def segment_means(x: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -27,9 +27,10 @@ from functools import cache
 
 import numpy as np
 
-from .population import PopulationSpec, real_number, whole_number
+from .population import PopulationSpec, real_number
 
 _MAX_PANELS = 200  # per _quad call; past it the current estimate is kept
+_TRANSPORT_GRID = 4096  # midpoints of wasserstein_1d's rule on (0, 1)
 
 
 class SStarNotFoundError(ValueError):
@@ -284,7 +285,7 @@ def _eval_quantile(fn, u: np.ndarray) -> np.ndarray:
     return q
 
 
-def wasserstein_1d(treated_quantile, control_quantile, grid: int = 4096) -> float:
+def wasserstein_1d(treated_quantile, control_quantile) -> float:
     """Order-one transport distance between two laws on the line.
 
     Midpoint-rule integral of the absolute difference of the two quantile
@@ -292,8 +293,7 @@ def wasserstein_1d(treated_quantile, control_quantile, grid: int = 4096) -> floa
     dimension. Each quantile function takes the array of grid points and
     returns an array of the same shape; any other shape is a ValueError.
     """
-    grid = whole_number(grid, "grid", 2)
-    u = (np.arange(grid) + 0.5) / grid
+    u = (np.arange(_TRANSPORT_GRID) + 0.5) / _TRANSPORT_GRID
     q1 = _eval_quantile(treated_quantile, u)
     q0 = _eval_quantile(control_quantile, u)
     return float(np.mean(np.abs(q1 - q0)))

@@ -113,34 +113,34 @@ class TestSimulate:
                      "--method", "auto"]) == 1
         assert "unknown matching method 'auto'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("overrides", [
-        {"population": {"a_values": 0.5}},
-        {"population": {"a_values": ["x"]}},
-        {"population": {"a_values": []}},
-        {"matching": "exact"},
-        {"output": "x"},
-        {"population": {"kind": "categorical", "mass_a": "x",
-                        "p_in_a": 0.4, "p_out": 0.3}},
-        {"simulation": {"reps": 2.5}},
-        {"simulation": {"n_values": [60.9]}},
-        {"simulation": {"master_seed": 7.5}},
-        {"simulation": {"reps": True}},
-        {"matching": {"capacity": 1.5}},
-        {"matching": {"band": 40.5}},
-        {"matching": {"capacity": True}},
-        {"output": {"dir": 5}},
-        {"output": {"format": "xml"}},
-        {"population": {"a_values": [0.2]}},
-        {"population": {"a_values": [float("nan")]}},
-        {"population": {"kind": "categorical", "mass_a": True,
-                        "p_in_a": 0.4, "p_out": 0.3}},
-        {"population": {"kind": "categorical", "mass_a": "0.5",
-                        "p_in_a": 0.4, "p_out": 0.3}},
-        {"population": {"kind": "categorical", "mass_a": 0.5,
-                        "p_in_a": 0.4, "p_out": 0.3, "noise_sd": -1}},
-        {"population": {"a_values": [10**400]}},
-        {"population": {"kind": "categorical", "mass_a": 0.5,
-                        "p_in_a": 0.4, "p_out": 0.3, "mu0_in": 10**400}},
+    @pytest.mark.parametrize("overrides, field", [
+        ({"population": {"a_values": 0.5}}, None),
+        ({"population": {"a_values": ["x"]}}, None),
+        ({"population": {"a_values": []}}, None),
+        ({"matching": "exact"}, None),
+        ({"output": "x"}, None),
+        ({"population": {"kind": "categorical", "mass_a": "x",
+                         "p_in_a": 0.4, "p_out": 0.3}}, "mass_a"),
+        ({"simulation": {"reps": 2.5}}, None),
+        ({"simulation": {"n_values": [60.9]}}, None),
+        ({"simulation": {"master_seed": 7.5}}, None),
+        ({"simulation": {"reps": True}}, None),
+        ({"matching": {"capacity": 1.5}}, None),
+        ({"matching": {"band": 40.5}}, None),
+        ({"matching": {"capacity": True}}, None),
+        ({"output": {"dir": 5}}, None),
+        ({"output": {"format": "xml"}}, None),
+        ({"population": {"a_values": [0.2]}}, None),
+        ({"population": {"a_values": [float("nan")]}}, None),
+        ({"population": {"kind": "categorical", "mass_a": True,
+                         "p_in_a": 0.4, "p_out": 0.3}}, "mass_a"),
+        ({"population": {"kind": "categorical", "mass_a": "0.5",
+                         "p_in_a": 0.4, "p_out": 0.3}}, "mass_a"),
+        ({"population": {"kind": "categorical", "mass_a": 0.5,
+                         "p_in_a": 0.4, "p_out": 0.3, "noise_sd": -1}}, "noise_sd"),
+        ({"population": {"a_values": [10**400]}}, None),
+        ({"population": {"kind": "categorical", "mass_a": 0.5,
+                         "p_in_a": 0.4, "p_out": 0.3, "mu0_in": 10**400}}, "mu0_in"),
     ], ids=["a_values_scalar", "a_values_text", "empty_a_values",
             "matching_not_object", "output_not_object", "categorical_text",
             "fractional_reps", "fractional_n", "fractional_seed", "bool_reps",
@@ -149,7 +149,7 @@ class TestSimulate:
             "mass_a_bool", "mass_a_text_number", "negative_noise_sd",
             "a_beyond_float", "mu0_in_beyond_float"])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, monkeypatch,
-                                             overrides):
+                                             overrides, field):
         # refused before any cell runs, not truncated, ignored or a traceback
         tables = []
         monkeypatch.setattr(simulation, "run_table",
@@ -159,9 +159,12 @@ class TestSimulate:
         for section, value in overrides.items():
             cfg[section] = value if isinstance(value, str) else {
                 **cfg[section], **value}
+        if field is not None:  # a categorical population, whose one fault is field
+            del cfg["population"]["a_values"]
         cfg_path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(cfg_path)]) == 1
-        assert capsys.readouterr().err.startswith("config error: ")
+        assert capsys.readouterr().err.startswith(
+            "config error: " if field is None else f"config error: {field} must be ")
         assert tables == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit, message", [
@@ -389,6 +392,34 @@ class TestSimulate:
         cfg["output"].update(dir=str(tmp_path / "alt"), format="md")
         assert manifest["config"] == cfg
 
+    @pytest.mark.parametrize("flags, applied", [
+        (["--method", "exact", "--capacity", "3", "--band", "0"], {"method": "exact"}),
+        (["--method", "banded", "--band", "3000", "--capacity", "3"],
+         {"method": "banded", "band": 3000}),
+        (["--method", "capacitated", "--capacity", "2", "--band", "0", "--caliper", "0.5"],
+         {"method": "capacitated", "capacity": 2, "caliper": 0.5}),
+    ], ids=["exact", "banded", "capacitated"])
+    def test_manifest_records_what_the_matcher_applied(self, tmp_path, flags, applied):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, simulation={"n_values": [60]})
+        assert main(["simulate", "--config", str(cfg_path), *flags]) == 0
+        config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+        assert config["matching"] == applied
+        # the recorded config reruns the table byte for byte
+        cfg_path.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path / "rerun")]) == 0
+        assert (tmp_path / "rerun" / "table.csv").read_bytes() == \
+            (tmp_path / "out" / "table.csv").read_bytes()
+
+    def test_malformed_thread_count_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MATCHBIAS_THREADS", "two")
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: MATCHBIAS_THREADS must be a whole number >= 1, got 'two'\n")
+
     def test_negative_seed_flag_is_refused_before_the_output_dir(
             self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -582,14 +613,6 @@ class TestBias:
         assert main(["bias", "--a", "1"]) == 0
         assert "0.000000" in capsys.readouterr().out
 
-    def test_closed_form_only(self, capsys):
-        assert main(["bias", "--a", "0.5", "--closed-form"]) == 0
-        assert capsys.readouterr().out == "closed-form bias(a=0.5) = 0.054492\n"
-
-    def test_closed_form_domain_error(self, capsys):
-        rc = main(["bias", "--a", "0.2", "--closed-form"])
-        assert rc == 1
-
     def test_numeric_domain_error(self, capsys):
         assert main(["bias", "--a", "0.2"]) == 1
         assert "invalid population" in capsys.readouterr().err
@@ -605,17 +628,27 @@ class TestBias:
             "E[Y(0) | treated, upper]    2.345833\n"
             "E[Y(0) | control, upper]    2.216667\n")
 
+    def test_a_beyond_the_closed_forms(self, capsys):
+        # the family holds for a >= 1/3, its closed forms on [1/3, 1] only
+        assert main(["bias", "--a", "1.5"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "a = 1.5   upper-region threshold b = nan\n"
+            "bias: closed-form = n/a   numeric = 0.000000\n")
+
+    def test_closed_form_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bias", "--a", "0.5", "--closed-form"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --closed-form" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["bias", "--help"])
+        assert "--closed-form" not in capsys.readouterr().out
+
     def test_a_and_uniform_propensity_together_are_refused(self, capsys):
         assert main(["bias", "--a", "0.5", "--uniform-propensity", "0.8"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--a" in captured.err and "--uniform-propensity" in captured.err
-
-    def test_closed_form_with_uniform_propensity_is_refused(self, capsys):
-        assert main(["bias", "--uniform-propensity", "0.8", "--closed-form"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--closed-form" in captured.err and "--uniform-propensity" in captured.err
 
     def test_uniform_propensity_reports_pstar(self, capsys):
         rc = main(["bias", "--uniform-propensity", "0.8"])

@@ -22,7 +22,7 @@ class TestAttMatching:
         m = mt.Matching(pairs={0: 0}, total_cost=0.0, method="exact_dp")
         out = est.att_matching(smp, m)
         assert out.value == pytest.approx(2.0)
-        assert out.n1_used == 1 and not out.degenerate
+        assert not out.degenerate
 
     def test_mean_of_differences(self):
         # treated outcomes 5, 1, 7 against controls 3, 2, 2: diffs 2, -1, 5
@@ -142,7 +142,7 @@ class TestCaliperEstimator:
         retained, _ = mt.apply_caliper(m, smp.treated_scores,
                                        smp.control_scores, 0.5)
         out = est.att_caliper(smp, retained)
-        assert out.value == 0.0 and out.degenerate and out.n1_used == 0
+        assert out.value == 0.0 and out.degenerate
 
     def test_one_of_two_dropped(self):
         smp = make_sample([1, 1, 0, 0], [0.1, 0.5, 0.1, 0.9],
@@ -152,8 +152,7 @@ class TestCaliperEstimator:
         retained, _ = mt.apply_caliper(m, smp.treated_scores,
                                        smp.control_scores, 0.2)
         out = est.att_caliper(smp, retained)
-        assert out.value == pytest.approx(4.0)
-        assert out.n1_used == 1
+        assert out.value == pytest.approx(4.0) and not out.degenerate
 
     @pytest.mark.parametrize("pairs", [{0: -1}, {0: 1}, {-1: 0}, {1: 0}],
                              ids=["control_below", "control_above",
@@ -209,6 +208,10 @@ class TestTrueSampleAtt:
 class TestOverlapDiagnostic:
     def test_all_below(self):
         smp = make_sample([1, 0], [0.1, 0.4], [0.0, 0.0])
+        assert est.diagnose_overlap(smp) == (0.0, 0)
+
+    def test_empty_sample(self):
+        smp = pop.sample(pop.make_prognostic_spec(0.5), 0, 1)
         assert est.diagnose_overlap(smp) == (0.0, 0)
 
     def test_threshold_zero(self):

@@ -1339,6 +1339,12 @@ class TestCrossing:
                         method="exact_dp")
         assert not mt.has_crossing(m, [0.2, 0.6], [0.1, 0.7])
 
+    def test_matching_that_reuses_a_control_is_refused(self):
+        m = mt.Matching(pairs={0: 0, 1: 0}, total_cost=0.5, method="with_replacement")
+        with pytest.raises(ValueError) as exc:
+            mt.has_crossing(m, [0.2, 0.6], [0.4])
+        assert str(exc.value) == "crossing check is defined for injective matchings"
+
     def test_empty_matching_never_crosses(self):
         t, c = [0.1, 0.6], [0.2, 0.9]
         kept, _ = mt.apply_caliper(mt.match_optimal_exact(t, c), t, c, 1e-9)

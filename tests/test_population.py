@@ -442,6 +442,20 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=":3:"):
             pop.sample_from_csv(path)
 
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError) as exc:
+            pop.sample_from_csv(path)
+        assert str(exc.value) == f"{path}: empty file"
+
+    def test_treatment_flag_other_than_zero_or_one(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,w,s\n0,1,0.5\n1,2,0.2\n")
+        with pytest.raises(ValueError) as exc:
+            pop.sample_from_csv(path)
+        assert str(exc.value) == f"{path}: w must be 0 or 1"
+
 
 def untouched(*args):
     raise AssertionError("work started before the input was checked")
@@ -515,10 +529,6 @@ RULES = {
                                       lambda v, live: theory.prognostic_bias_closed_form(v)),
     "prognostic_sstar_lower.a": ("a", 1, (True, math.nan, "0.5", 0.2, 1.5),
                                  lambda v, live: theory.prognostic_sstar_lower(v)),
-    "wasserstein_1d.grid": ("grid", 64, WHOLE + (1,), lambda v, live:
-                            theory.wasserstein_1d(*((lambda u: u, lambda u: 2 * u)
-                                                    if live else (untouched,) * 2),
-                                                  grid=v)),
 }
 
 

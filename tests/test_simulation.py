@@ -664,6 +664,23 @@ class TestRowBlocks:
         assert str(exc.value).startswith(
             f"replication of centred at n=100 with rep seed {seeds[first]}: ")
 
+    def test_sample_that_raises_only_alone_fails_the_replay(self, monkeypatch):
+        # probabilities past 1 on 1-D scores only: each row of the block is
+        # valid, but `population.sample` refuses the replayed seed alone
+        base = pop.make_prognostic_spec(0.5)
+        spec = replace(base, name="flat-only", assign_prob=lambda s:
+                       base.assign_prob(s) + (2.0 if np.ndim(s) == 1 else 0.0))
+        monkeypatch.setenv("MATCHBIAS_THREADS", "1")
+        with pytest.raises(RuntimeError) as exc:
+            sim.run_cell(spec, 100, 20, 3)
+        seeds = [pop.derive_seed(3, r) for r in range(20)]
+        _, block = sim._block(spec, 100, seeds, "exact", MatchConfig())
+        first = next(i for i, res in enumerate(block) if res and not res[3])
+        assert str(exc.value) == (
+            f"replication of flat-only at n=100 with rep seed {seeds[first]}: its "
+            "block drew another sample than population.sample; are the spec's "
+            "score_from_uniform, assign_prob, mu0 and mu1 elementwise?")
+
 
 class TestWorkerHeap:
     @needs_glibc_fork

@@ -366,24 +366,20 @@ class TestWasserstein:
 
     def test_shifted_uniforms(self):
         delta = 0.3
-        got = theory.wasserstein_1d(lambda u: u, lambda u: u + delta, grid=512)
-        assert got == pytest.approx(delta, abs=1 / 512)
+        got = theory.wasserstein_1d(lambda u: u, lambda u: u + delta)
+        assert got == pytest.approx(delta, abs=1 / theory._TRANSPORT_GRID)
 
     def test_symmetry_and_triangle_on_empirical(self):
         rng = np.random.default_rng(6)
-        grid = 1024
+        grid = theory._TRANSPORT_GRID
         datasets = [np.sort(rng.normal(loc, 1.0, 400)) for loc in (0.0, 0.5, 2.0)]
         qs = [lambda u, d=d: np.quantile(d, u) for d in datasets]
-        w01 = theory.wasserstein_1d(qs[0], qs[1], grid)
-        w10 = theory.wasserstein_1d(qs[1], qs[0], grid)
+        w01 = theory.wasserstein_1d(qs[0], qs[1])
+        w10 = theory.wasserstein_1d(qs[1], qs[0])
         assert w01 == pytest.approx(w10, abs=1e-12)
-        w02 = theory.wasserstein_1d(qs[0], qs[2], grid)
-        w12 = theory.wasserstein_1d(qs[1], qs[2], grid)
+        w02 = theory.wasserstein_1d(qs[0], qs[2])
+        w12 = theory.wasserstein_1d(qs[1], qs[2])
         assert w02 <= w01 + w12 + 2 / grid
-
-    def test_grid_guard(self):
-        with pytest.raises(ValueError):
-            theory.wasserstein_1d(lambda u: u, lambda u: u, grid=1)
 
     def test_quantile_of_another_shape_is_refused(self):
         with pytest.raises(ValueError, match="same shape"):
@@ -468,6 +464,12 @@ class TestDensityRefusal:
         assert str(info.value) == (
             f"spec {spec.name!r} has no score density: the theory integrates "
             "one, so give the spec score_pdf and score_support")
+
+    def test_degenerate_support_is_refused(self):
+        spec = dataclasses.replace(pop.make_prognostic_spec(0.5), score_support=(1.0, 1.0))
+        with pytest.raises(ValueError) as info:
+            theory.pi_bar(spec)
+        assert str(info.value) == "degenerate score support"
 
     def test_custom_table_reports_nan(self):
         from matchbias import simulation as sim
